@@ -1,0 +1,331 @@
+"""Ballots and rosters: CSV parsing, validation, fractional expansion.
+
+A ballot is an ordered list of stamps over a fixed candidate roster. The
+roster always contains an explicit protest option (the NULL candidate,
+spelled ``NULL`` in ballot files) and may contain an "I don't know"
+abstention marker (``IDK``) whose stamps are ignored at tally time.
+
+Incomplete ballots are expanded into fractional form: every missing
+preference row splits one unit of vote mass evenly over the candidates
+the voter never stamped, so downstream tables keep exact row sums.
+Weights are exact rationals (`fractions.Fraction`).
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import IO, Iterable, Optional, Sequence, Union
+
+NULL_TOKEN = "NULL"
+IDK_TOKEN = "IDK"
+
+
+class BallotError(ValueError):
+    """Base class for ballot file and ballot validation failures."""
+
+
+class BallotFormatError(BallotError):
+    """CSV-level failure; carries the 1-based line number when known."""
+
+    def __init__(self, message: str, line: Optional[int] = None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+class DuplicateCandidate(BallotError):
+    """A candidate was stamped at two different preferences."""
+
+    def __init__(self, candidate: str, positions: tuple[int, int]):
+        self.candidate = candidate
+        self.positions = positions
+        super().__init__(
+            f"candidate {candidate!r} stamped twice "
+            f"(preferences {positions[0]} and {positions[1]})"
+        )
+
+
+class UnknownCandidate(BallotError):
+    """A stamp names an identifier that is not on the roster."""
+
+    def __init__(self, candidate: str, position: int):
+        self.candidate = candidate
+        self.position = position
+        super().__init__(
+            f"unknown candidate {candidate!r} at preference {position}"
+        )
+
+
+@dataclass(frozen=True)
+class CandidateRoster:
+    """The fixed slate of an election.
+
+    ``candidates`` is the presentation order used by every table and by
+    deterministic tie-breaking. ``null_id`` (the protest option) must be a
+    member; ``idk_id`` is optional and, when present, is excluded from the
+    tallyable candidates: a stamp for it counts as no stamp at all.
+    """
+
+    candidates: tuple[str, ...]
+    null_id: str = NULL_TOKEN
+    idk_id: Optional[str] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "candidates", tuple(self.candidates))
+        if len(set(self.candidates)) != len(self.candidates):
+            raise ValueError("roster identifiers must be distinct")
+        if self.null_id not in self.candidates:
+            raise ValueError(f"null candidate {self.null_id!r} missing from roster")
+        if self.idk_id is not None and self.idk_id not in self.candidates:
+            raise ValueError(f"idk candidate {self.idk_id!r} missing from roster")
+        if self.idk_id == self.null_id:
+            raise ValueError("null and idk candidates must differ")
+        if self.k < 2:
+            raise ValueError("roster needs at least one real candidate plus NULL")
+
+    @property
+    def tally_candidates(self) -> tuple[str, ...]:
+        """Candidates that receive vote mass (everything except ``idk_id``)."""
+        return tuple(c for c in self.candidates if c != self.idk_id)
+
+    @property
+    def k(self) -> int:
+        """Number of tallyable candidates, the NULL candidate included."""
+        return len(self.tally_candidates)
+
+    def __contains__(self, candidate: str) -> bool:
+        return candidate in self.candidates
+
+
+@dataclass(frozen=True)
+class RawBallot:
+    """Unchecked parse result: may contain unknown or duplicate stamps.
+
+    ``line`` is the 1-based CSV line the ballot came from, when known; it
+    is carried for error reporting only and never takes part in equality.
+    """
+
+    voter_id: str
+    prefs: tuple[str, ...]
+    line: Optional[int] = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class Ballot:
+    """A validated ballot: distinct stamps, all of them roster members."""
+
+    voter_id: str
+    prefs: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class FractionalBallot:
+    """Per-preference vote mass; each row sums to exactly 1.
+
+    ``rows[i]`` maps candidate id to the weight this ballot contributes to
+    preference row ``i + 1``. A stamped row is a single weight-1 entry; a
+    missing row spreads 1/m over the m candidates absent from the ballot.
+    """
+
+    candidates: tuple[str, ...]
+    rows: tuple[dict[str, Fraction], ...]
+
+    @property
+    def num_prefs(self) -> int:
+        return len(self.rows)
+
+    def weight(self, preference: int, candidate: str) -> Fraction:
+        """Weight at a 1-based preference row; zero when absent."""
+        return self.rows[preference - 1].get(candidate, Fraction(0))
+
+
+def _open_lines(source: Union[str, bytes, IO[str], Iterable[str]]) -> Iterable[str]:
+    if isinstance(source, bytes):
+        return io.StringIO(source.decode("utf-8"))
+    if isinstance(source, str):
+        return io.StringIO(source)
+    return source
+
+
+def _decode_token(cell: str, roster: CandidateRoster) -> str:
+    if cell == NULL_TOKEN:
+        return roster.null_id
+    if cell == IDK_TOKEN and roster.idk_id is not None:
+        return roster.idk_id
+    return cell
+
+
+def _encode_token(candidate: str, roster: CandidateRoster) -> str:
+    if candidate == roster.null_id:
+        return NULL_TOKEN
+    if roster.idk_id is not None and candidate == roster.idk_id:
+        return IDK_TOKEN
+    return candidate
+
+
+def parse_ballots(
+    source: Union[str, bytes, IO[str], Iterable[str]],
+    roster: CandidateRoster,
+    reject_duplicate_voters: bool = False,
+) -> list[RawBallot]:
+    """Parse a ballot CSV into raw (unvalidated) ballots, preserving order.
+
+    Expected header: ``voter_id,pref1,...,prefP``. Candidate cells hold
+    roster identifiers with the literal tokens ``NULL`` and ``IDK`` naming
+    the protest and abstention options. Empty cells are allowed only as a
+    suffix and simply shorten the preference list.
+
+    Duplicate voter ids are permitted by default; pass
+    ``reject_duplicate_voters=True`` for the strict mode that refuses them.
+    """
+    reader = csv.reader(_open_lines(source))
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise BallotFormatError(f"malformed CSV: {exc}", line=1) from exc
+    if header is None:
+        raise BallotFormatError("empty file: missing header row", line=1)
+    header = [h.strip() for h in header]
+    if not header or header[0] != "voter_id":
+        raise BallotFormatError(
+            "unknown header layout: first column must be 'voter_id'", line=1
+        )
+    expected = [f"pref{i}" for i in range(1, len(header))]
+    if len(header) < 2 or header[1:] != expected:
+        raise BallotFormatError(
+            "unknown header layout: expected columns pref1..prefP", line=1
+        )
+    num_cols = len(header) - 1
+
+    ballots: list[RawBallot] = []
+    seen_voters: dict[str, int] = {}
+    while True:
+        try:
+            row = next(reader, None)
+        except csv.Error as exc:
+            raise BallotFormatError(f"malformed CSV row: {exc}", line=reader.line_num) from exc
+        if row is None:
+            break
+        if not row:
+            continue
+        line = reader.line_num
+        cells = [c.strip() for c in row[1:]]
+        if len(cells) > num_cols:
+            raise BallotFormatError(
+                f"row has {len(cells)} preference cells, header allows {num_cols}",
+                line=line,
+            )
+        prefs: list[str] = []
+        ended = False
+        for pos, cell in enumerate(cells, start=1):
+            if cell == "":
+                ended = True
+                continue
+            if ended:
+                raise BallotFormatError(
+                    f"stamped cell at preference {pos} after an empty cell "
+                    "(empty cells are only allowed as a suffix)",
+                    line=line,
+                )
+            prefs.append(_decode_token(cell, roster))
+        voter_id = row[0].strip()
+        if reject_duplicate_voters:
+            if voter_id in seen_voters:
+                raise BallotFormatError(
+                    f"duplicate voter id {voter_id!r} "
+                    f"(first seen on line {seen_voters[voter_id]})",
+                    line=line,
+                )
+            seen_voters[voter_id] = line
+        ballots.append(RawBallot(voter_id=voter_id, prefs=tuple(prefs), line=line))
+    return ballots
+
+
+def csv_preference_columns(source: Union[str, bytes, IO[str], Iterable[str]]) -> int:
+    """Number of preference columns declared by a ballot CSV header."""
+    reader = csv.reader(_open_lines(source))
+    header = next(reader, None)
+    if header is None:
+        raise BallotFormatError("empty file: missing header row", line=1)
+    header = [h.strip() for h in header]
+    if not header or header[0] != "voter_id" or len(header) < 2:
+        raise BallotFormatError("unknown header layout", line=1)
+    return len(header) - 1
+
+
+def validate_ballot(raw: RawBallot, roster: CandidateRoster) -> Ballot:
+    """Accept a raw ballot or raise ``UnknownCandidate``/``DuplicateCandidate``."""
+    members = set(roster.candidates)
+    seen: dict[str, int] = {}
+    for pos, cand in enumerate(raw.prefs, start=1):
+        if cand not in members:
+            raise UnknownCandidate(cand, pos)
+        if cand in seen:
+            raise DuplicateCandidate(cand, (seen[cand], pos))
+        seen[cand] = pos
+    return Ballot(voter_id=raw.voter_id, prefs=tuple(raw.prefs))
+
+
+def expand_incomplete(
+    ballot: Ballot,
+    roster: CandidateRoster,
+    num_prefs: Optional[int] = None,
+) -> FractionalBallot:
+    """Expand a (possibly incomplete) ballot to ``num_prefs`` weighted rows.
+
+    Stamped preferences put weight 1 on the stamped candidate. Every
+    missing row gives 1/m to each of the m tallyable candidates absent
+    from the ballot, as if the voter had split the stamp evenly. A stamp
+    for the "I don't know" candidate counts as missing and is
+    redistributed the same way. Stamps past ``num_prefs`` are dropped,
+    which models a ballot that only supported that many preferences.
+
+    ``num_prefs`` defaults to k - 1, the shortest ballot length that still
+    guarantees a threshold crossing before the trivial all-100% stage.
+    """
+    k = roster.k
+    if num_prefs is None:
+        num_prefs = k - 1
+    if not 1 <= num_prefs <= k:
+        raise ValueError(f"num_prefs must be in 1..{k}, got {num_prefs}")
+
+    stamps: list[Optional[str]] = []
+    for cand in ballot.prefs[:num_prefs]:
+        stamps.append(None if cand == roster.idk_id else cand)
+    stamps.extend([None] * (num_prefs - len(stamps)))
+
+    stamped = {c for c in stamps if c is not None}
+    unstamped = [c for c in roster.tally_candidates if c not in stamped]
+
+    rows: list[dict[str, Fraction]] = []
+    for stamp in stamps:
+        if stamp is not None:
+            rows.append({stamp: Fraction(1)})
+        else:
+            # num_prefs <= k guarantees a missing row leaves m >= 1.
+            share = Fraction(1, len(unstamped))
+            rows.append({c: share for c in unstamped})
+    return FractionalBallot(candidates=roster.tally_candidates, rows=tuple(rows))
+
+
+def ballots_to_csv(
+    ballots: Sequence[Union[Ballot, RawBallot]],
+    roster: CandidateRoster,
+    num_prefs: Optional[int] = None,
+) -> str:
+    """Render ballots back to the CSV wire format (round-trips with parse)."""
+    if num_prefs is None:
+        num_prefs = max((len(b.prefs) for b in ballots), default=roster.k)
+        num_prefs = max(num_prefs, 1)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["voter_id"] + [f"pref{i}" for i in range(1, num_prefs + 1)])
+    for b in ballots:
+        cells = [_encode_token(c, roster) for c in b.prefs]
+        cells += [""] * (num_prefs - len(cells))
+        writer.writerow([b.voter_id] + cells)
+    return out.getvalue()

@@ -1,0 +1,286 @@
+"""Command-line front door.
+
+Subcommands:
+
+* ``tally``      — tally a ballot CSV, print the three stage tables and
+                   the decision block (exit 0 on a real winner, 2 when
+                   NULL wins, 1 on input errors).
+* ``simulate``   — run a seeded election study from a JSON config and
+                   print the results table, best mean rank first.
+* ``min-stages`` — print the minimum number of stages that guarantees an
+                   alpha crossing for k candidates.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from typing import Optional, Sequence
+
+from . import sim
+from .ballot import (
+    IDK_TOKEN,
+    NULL_TOKEN,
+    BallotError,
+    CandidateRoster,
+    csv_preference_columns,
+    expand_incomplete,
+    parse_ballots,
+    validate_ballot,
+)
+from .select import (
+    BetaMode,
+    GammaMode,
+    SelectionConfig,
+    Selector,
+    basic_report,
+    basic_winner,
+    beta_gamma_winner,
+    betagamma_report,
+    min_stages,
+    parse_gamma_spec,
+    parse_selector,
+    report_to_text,
+)
+from .tally import count_votes, cumulate, score
+
+SEED_ENV_VAR = "STAGEVOTE_SEED"
+
+
+class CliError(Exception):
+    """User-facing error; message goes to stderr, exit status 1."""
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="stagevote",
+        description="Staged cumulative ranked voting: tally ballots, "
+                    "run election studies, compute stage bounds.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    tally = sub.add_parser("tally", help="tally a ballot CSV and decide a winner")
+    tally.add_argument("ballots", help="path to a ballot CSV (header voter_id,pref1,...)")
+    tally.add_argument("--candidates",
+                       help="comma-separated roster (must include NULL); "
+                            "inferred from the file when omitted")
+    tally.add_argument("--alpha", type=float, default=0.5,
+                       help="winning threshold in [0,1] (default 0.5)")
+    tally.add_argument("--beta", type=float, default=None,
+                       help="discontent cap for NULL in (0,1); enables the windowed variant")
+    tally.add_argument("--gamma", default=None,
+                       help="runaway rule: any:G, frac:F:G or count:C:G")
+    tally.add_argument("--selector", default=None,
+                       help="stage selector: first, last, min-entropy, max-entropy, "
+                            "min-variance, max-variance, max-stdev")
+    tally.add_argument("--beta-mode", choices=[m.value for m in BetaMode],
+                       default=BetaMode.EXCLUDE_STAGE.value,
+                       help="whether the beta-crossing stage stays usable")
+    tally.add_argument("--gamma-mode", choices=[m.value for m in GammaMode],
+                       default=GammaMode.STOP_AT_STAGE.value,
+                       help="whether the gamma-crossing stage stays usable")
+    tally.add_argument("--num-prefs", type=int, default=None,
+                       help="preference rows to tally (default: header width, "
+                            "capped at the roster size)")
+    tally.add_argument("--format", choices=["text", "json"], default="text")
+
+    simulate = sub.add_parser("simulate", help="run an election study from a JSON config")
+    simulate.add_argument("config", help="path to the simulation config JSON")
+    simulate.add_argument("--seed", type=int, default=None,
+                          help=f"override the config seed (or set ${SEED_ENV_VAR})")
+    simulate.add_argument("--workers", type=int, default=None,
+                          help="run elections on this many threads")
+    simulate.add_argument("--format", choices=["text", "json"], default="text")
+
+    stages = sub.add_parser("min-stages",
+                            help="minimum stages guaranteeing an alpha crossing")
+    stages.add_argument("n", type=int, help="number of voters (kept for symmetry)")
+    stages.add_argument("k", type=int, help="number of candidates, NULL included")
+    stages.add_argument("alpha", type=float, help="threshold in (0,1)")
+
+    return parser
+
+
+def _infer_roster(raws) -> CandidateRoster:
+    seen: list[str] = []
+    for raw in raws:
+        for cand in raw.prefs:
+            if cand not in seen:
+                seen.append(cand)
+    real = sorted(c for c in seen if c not in (NULL_TOKEN, IDK_TOKEN))
+    candidates = real + [NULL_TOKEN]
+    idk = IDK_TOKEN if IDK_TOKEN in seen else None
+    if idk:
+        candidates.append(IDK_TOKEN)
+    if len(real) < 1:
+        raise CliError("could not infer a roster: no real candidates in the file")
+    return CandidateRoster(candidates=tuple(candidates), null_id=NULL_TOKEN, idk_id=idk)
+
+
+def _roster_from_flag(spec: str) -> CandidateRoster:
+    ids = tuple(s.strip() for s in spec.split(",") if s.strip())
+    if NULL_TOKEN not in ids:
+        raise CliError("--candidates must include NULL")
+    idk = IDK_TOKEN if IDK_TOKEN in ids else None
+    try:
+        return CandidateRoster(candidates=ids, null_id=NULL_TOKEN, idk_id=idk)
+    except ValueError as exc:
+        raise CliError(f"bad --candidates: {exc}") from exc
+
+
+def cmd_tally(args) -> int:
+    try:
+        with open(args.ballots, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise CliError(f"cannot read {args.ballots}: {exc}") from exc
+
+    try:
+        num_cols = csv_preference_columns(text)
+        scan = parse_ballots(text, _scan_roster(text))
+        if not scan:
+            raise CliError("no ballots in file")
+        if args.candidates:
+            roster = _roster_from_flag(args.candidates)
+        else:
+            roster = _infer_roster(scan)
+        raws = parse_ballots(text, roster)
+    except BallotError as exc:
+        raise CliError(str(exc)) from exc
+
+    if args.candidates:
+        on_roster = set(roster.candidates)
+        extra = sorted({c for raw in raws for c in raw.prefs} - on_roster)
+        if extra:
+            print(f"warning: ballots contain identifiers not on the roster: "
+                  f"{', '.join(extra)}", file=sys.stderr)
+
+    ballots = []
+    problems = []
+    for raw in raws:
+        try:
+            ballots.append(validate_ballot(raw, roster))
+        except BallotError as exc:
+            problems.append(f"line {raw.line}: {exc}")
+    if problems:
+        raise CliError("invalid ballots:\n  " + "\n  ".join(problems))
+
+    num_prefs = args.num_prefs
+    if num_prefs is None:
+        num_prefs = min(num_cols, roster.k)
+    if not 1 <= num_prefs <= roster.k:
+        raise CliError(f"--num-prefs must be in 1..{roster.k}")
+
+    expanded = [expand_incomplete(b, roster, num_prefs) for b in ballots]
+    vc = count_votes(expanded, roster, num_prefs)
+    pt = cumulate(vc)
+    st = score(pt)
+
+    windowed = (args.beta is not None or args.gamma is not None
+                or args.selector is not None)
+    if windowed:
+        try:
+            cfg = SelectionConfig(
+                alpha=args.alpha,
+                beta=args.beta,
+                gamma=parse_gamma_spec(args.gamma),
+                selector=(parse_selector(args.selector)
+                          if args.selector else Selector.FIRST),
+                beta_mode=BetaMode(args.beta_mode),
+                gamma_mode=GammaMode(args.gamma_mode),
+            )
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
+        decision = beta_gamma_winner(st, cfg, roster.null_id)
+        report = betagamma_report(decision, cfg, roster.null_id)
+    else:
+        decision = basic_winner(st, args.alpha)
+        report = basic_report(decision, args.alpha)
+
+    if args.format == "json":
+        doc = {
+            "counts": vc.to_json_dict(),
+            "processed": pt.to_json_dict(),
+            "scores": st.to_json_dict(),
+            "decision": report,
+        }
+        print(json.dumps(doc, indent=2))
+    else:
+        print(vc.to_text())
+        print()
+        print(pt.to_text())
+        print()
+        print(st.to_text())
+        print()
+        print(report_to_text(report))
+
+    return 2 if decision.winner == roster.null_id else 0
+
+
+def _scan_roster(text: str) -> CandidateRoster:
+    # Placeholder roster for the inference pre-pass: token decoding is the
+    # identity when null/idk carry their literal spellings.
+    return CandidateRoster(candidates=("__scan__", NULL_TOKEN),
+                           null_id=NULL_TOKEN, idk_id=None)
+
+
+def cmd_simulate(args) -> int:
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read {args.config}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise CliError(f"invalid JSON in {args.config}: {exc}") from exc
+
+    seed_override = args.seed
+    if seed_override is None and SEED_ENV_VAR in os.environ:
+        try:
+            seed_override = int(os.environ[SEED_ENV_VAR])
+        except ValueError as exc:
+            raise CliError(f"${SEED_ENV_VAR} must be an integer") from exc
+
+    try:
+        cfg = sim.config_from_json_dict(doc, seed_override=seed_override)
+        if args.workers is not None:
+            from dataclasses import replace
+
+            cfg = replace(cfg, workers=args.workers)
+    except sim.SimConfigError as exc:
+        raise CliError(f"bad config: {exc}") from exc
+
+    result = sim.run_simulation(cfg)
+    if args.format == "json":
+        print(json.dumps(result.to_json_dict(), indent=2))
+    else:
+        print(result.to_text())
+    return 0
+
+
+def cmd_min_stages(args) -> int:
+    try:
+        print(min_stages(args.n, args.k, args.alpha))
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    return 0
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    handlers = {
+        "tally": cmd_tally,
+        "simulate": cmd_simulate,
+        "min-stages": cmd_min_stages,
+    }
+    try:
+        return handlers[args.command](args)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,530 @@
+"""Winner selection over score tables.
+
+Two families are provided:
+
+* ``basic_winner`` walks stages until some candidate's score strictly
+  exceeds the alpha threshold and elects the top scorer there, with a
+  last-stage fallback when nothing ever crosses.
+* ``beta_gamma_winner`` bounds the usable stages by discontent and
+  runaway cutoffs, picks a decision stage with a configurable selector
+  (pool endpoint, extremal entropy or variance), and never lets a real
+  candidate win a stage where the NULL candidate scores strictly higher.
+
+Scores are compared against thresholds in double precision with a strict
+``>`` throughout.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from enum import Enum
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from .tally import ScoreTable, StageStats, compute_stage_stats, sort_columns
+
+
+class SelectionError(ValueError):
+    """Raised for selection-time contract violations."""
+
+
+class EmptyTableError(SelectionError):
+    """The score table has no stages or no candidates."""
+
+
+class EmptyPoolError(SelectionError):
+    """No valid stage exists to select from."""
+
+
+class MissingNullColumnError(SelectionError):
+    """The configured NULL candidate is not a column of the table."""
+
+
+class Selector(str, Enum):
+    """How the decision stage is picked from the pool of valid stages."""
+
+    FIRST = "First"
+    LAST = "Last"
+    MIN_ENTROPY = "MinEntropy"
+    MAX_ENTROPY = "MaxEntropy"
+    MIN_VARIANCE = "MinVariance"
+    MAX_VARIANCE = "MaxVariance"
+    MAX_STDDEV = "MaxStDev"
+
+
+class BetaMode(str, Enum):
+    """Whether the stage where NULL crosses beta is itself usable.
+
+    ``EXCLUDE_STAGE`` (default): once too many voters are discontented,
+    decide only on previous stages. ``STOP_BEFORE`` keeps the crossing
+    stage in the pool and stops after it.
+    """
+
+    EXCLUDE_STAGE = "exclude_stage"
+    STOP_BEFORE = "stop_before"
+
+
+class GammaMode(str, Enum):
+    """Whether the stage where the gamma rule fires is itself usable.
+
+    ``STOP_AT_STAGE`` (default) keeps it: a runaway score is locked in at
+    the stage it appears. ``EXCLUDE_STAGE`` ends the pool just before.
+    """
+
+    STOP_AT_STAGE = "stop_at_stage"
+    EXCLUDE_STAGE = "exclude_stage"
+
+
+@dataclass(frozen=True)
+class GammaRule:
+    """Stage-invalidity rule fired by candidates exceeding a score cap.
+
+    Variants: any candidate exceeds 100*threshold; at least
+    ``fraction``*k candidates exceed it; at least ``count`` candidates
+    exceed it.
+    """
+
+    threshold: Optional[float] = None
+    fraction: Optional[float] = None
+    count: Optional[int] = None
+
+    def __post_init__(self):
+        if self.threshold is None:
+            if self.fraction is not None or self.count is not None:
+                raise ValueError("fraction/count require a threshold")
+            return
+        if not 0 < self.threshold < 1:
+            raise ValueError("gamma threshold must be in (0, 1)")
+        if self.fraction is not None and self.count is not None:
+            raise ValueError("gamma rule takes fraction or count, not both")
+        if self.fraction is not None and not 0 < self.fraction <= 1:
+            raise ValueError("gamma fraction must be in (0, 1]")
+        if self.count is not None and self.count < 1:
+            raise ValueError("gamma count must be >= 1")
+
+    @classmethod
+    def none(cls) -> "GammaRule":
+        return cls()
+
+    @classmethod
+    def any_exceeds(cls, threshold: float) -> "GammaRule":
+        return cls(threshold=threshold)
+
+    @classmethod
+    def fraction_exceeds(cls, threshold: float, fraction: float) -> "GammaRule":
+        return cls(threshold=threshold, fraction=fraction)
+
+    @classmethod
+    def count_exceeds(cls, threshold: float, count: int) -> "GammaRule":
+        return cls(threshold=threshold, count=count)
+
+    @property
+    def enabled(self) -> bool:
+        return self.threshold is not None
+
+    def fires(self, scores: Sequence[float]) -> bool:
+        """True if this stage row trips the rule."""
+        if self.threshold is None:
+            return False
+        bar = 100.0 * self.threshold
+        exceeding = sum(1 for s in scores if s > bar)
+        if self.count is not None:
+            return exceeding >= self.count
+        if self.fraction is not None:
+            return exceeding >= self.fraction * len(scores)
+        return exceeding >= 1
+
+    def label(self) -> str:
+        if not self.enabled:
+            return "____"
+        if self.count is not None:
+            return f"{self.threshold:.2f}@n{self.count}"
+        if self.fraction is not None:
+            return f"{self.threshold:.2f}@f{self.fraction:g}"
+        return f"{self.threshold:.2f}"
+
+
+@dataclass(frozen=True)
+class SelectionConfig:
+    """Parameters of one staged-voting variant.
+
+    With ``beta`` unset, tallying stops (inclusively) at the stage where
+    NULL's score exceeds alpha; with ``beta`` set, the discontent cutoff
+    uses beta instead and ``beta_mode`` decides whether the crossing
+    stage stays usable.
+    """
+
+    alpha: float
+    beta: Optional[float] = None
+    gamma: GammaRule = GammaRule.none()
+    selector: Selector = Selector.FIRST
+    beta_mode: BetaMode = BetaMode.EXCLUDE_STAGE
+    gamma_mode: GammaMode = GammaMode.STOP_AT_STAGE
+
+    def __post_init__(self):
+        if not 0 <= self.alpha <= 1:
+            raise ValueError("alpha must be in [0, 1]")
+        if self.beta is not None and not 0 < self.beta < 1:
+            raise ValueError("beta must be in (0, 1)")
+
+    def label(self) -> str:
+        beta = "____" if self.beta is None else f"{self.beta:.2f}"
+        return (
+            f"<α={self.alpha:.2f}, β={beta}, "
+            f"γ={self.gamma.label()}, {self.selector.value}>"
+        )
+
+
+@dataclass(frozen=True)
+class StageWindow:
+    """The consecutive stages a winner may be selected from.
+
+    ``first_by_alpha`` is the first stage where some real candidate
+    crosses alpha without NULL scoring strictly higher. ``last_by_beta``
+    and ``last_by_gamma`` are the cutoff bounds (None means the cutoff
+    never fired). The pool runs from ``first_by_alpha`` to the tightest
+    bound; an empty pool means NULL wins.
+    """
+
+    first_by_alpha: Optional[int]
+    last_by_beta: Optional[int]
+    last_by_gamma: Optional[int]
+    num_stages: int
+    pool: tuple[int, ...]
+
+    @property
+    def end(self) -> int:
+        """Last stage allowed by the cutoffs (0 when nothing is usable)."""
+        bounds = [b for b in (self.last_by_beta, self.last_by_gamma) if b is not None]
+        return min(bounds + [self.num_stages])
+
+
+@dataclass(frozen=True)
+class Decision:
+    """Election outcome plus the window and statistics that produced it."""
+
+    winner: str
+    stage: Optional[int]
+    score: Optional[Fraction]
+    window: Optional[StageWindow] = None
+    diagnostics: dict = field(default_factory=dict)
+
+
+def _tie_rank(st: ScoreTable) -> dict[str, int]:
+    order = sort_columns(st).column_order
+    return {c: i for i, c in enumerate(order)}
+
+
+def _argmax(row: Sequence[float], indices: Sequence[int],
+            candidates: Sequence[str], rank: dict[str, int]) -> int:
+    return min(indices, key=lambda j: (-row[j], rank[candidates[j]]))
+
+
+def _check_table(st: ScoreTable) -> None:
+    if st.num_stages == 0 or not st.candidates:
+        raise EmptyTableError("score table has no stages or candidates")
+
+
+def basic_winner(st: ScoreTable, alpha: float) -> Decision:
+    """Elect at the earliest stage where some score strictly exceeds alpha.
+
+    The top scorer at that stage wins (ties broken by ``sort_columns``
+    order, then roster order). If no stage ever qualifies, alpha is
+    ignored at the final stage and the top scorer wins, flagged as a
+    fallback in the diagnostics.
+    """
+    _check_table(st)
+    rank = _tie_rank(st)
+    rows = st.float_rows()
+    bar = 100.0 * alpha
+    everyone = range(len(st.candidates))
+    for i, row in enumerate(rows, start=1):
+        best = _argmax(row, everyone, st.candidates, rank)
+        if row[best] > bar:
+            return Decision(
+                winner=st.candidates[best], stage=i, score=st.row(i)[best],
+                diagnostics={"fallback": False},
+            )
+    last = st.num_stages
+    best = _argmax(rows[-1], everyone, st.candidates, rank)
+    return Decision(
+        winner=st.candidates[best], stage=last, score=st.row(last)[best],
+        diagnostics={"fallback": True},
+    )
+
+
+def _first_stage(rows: list[list[float]], predicate) -> Optional[int]:
+    for i, row in enumerate(rows, start=1):
+        if predicate(row):
+            return i
+    return None
+
+
+def stage_window(st: ScoreTable, cfg: SelectionConfig, null_id: str) -> StageWindow:
+    """Compute the pool of valid stages for a configuration.
+
+    The lower bound is the first stage with an alpha-crossing real
+    candidate that NULL does not strictly beat. The upper bound is the
+    tightest of: the discontent cutoff (NULL crossing beta, or alpha when
+    beta is unset), the gamma rule, and the last stage of the table.
+    """
+    _check_table(st)
+    if null_id not in st.candidates:
+        raise MissingNullColumnError(f"{null_id!r} is not a column of the table")
+    rows = st.float_rows()
+    nj = st.candidates.index(null_id)
+    bar_a = 100.0 * cfg.alpha
+
+    def alpha_ok(row: list[float]) -> bool:
+        return any(
+            v > bar_a and row[nj] <= v
+            for j, v in enumerate(row) if j != nj
+        )
+
+    first_by_alpha = _first_stage(rows, alpha_ok)
+
+    if cfg.beta is not None:
+        bar_b = 100.0 * cfg.beta
+        crossing = _first_stage(rows, lambda row: row[nj] > bar_b)
+        if crossing is None:
+            last_by_beta = None
+        elif cfg.beta_mode is BetaMode.STOP_BEFORE:
+            last_by_beta = crossing
+        else:
+            last_by_beta = crossing - 1
+    else:
+        # No beta: stop once NULL itself passes alpha; that stage stays
+        # usable but a real winner there must not be beaten by NULL.
+        last_by_beta = _first_stage(rows, lambda row: row[nj] > bar_a)
+
+    if cfg.gamma.enabled:
+        crossing = _first_stage(rows, cfg.gamma.fires)
+        if crossing is None:
+            last_by_gamma = None
+        elif cfg.gamma_mode is GammaMode.STOP_AT_STAGE:
+            last_by_gamma = crossing
+        else:
+            last_by_gamma = crossing - 1
+    else:
+        last_by_gamma = None
+
+    bounds = [b for b in (last_by_beta, last_by_gamma) if b is not None]
+    end = min(bounds + [st.num_stages])
+    if first_by_alpha is None or first_by_alpha > end:
+        pool: tuple[int, ...] = ()
+    else:
+        pool = tuple(range(first_by_alpha, end + 1))
+    return StageWindow(
+        first_by_alpha=first_by_alpha,
+        last_by_beta=last_by_beta,
+        last_by_gamma=last_by_gamma,
+        num_stages=st.num_stages,
+        pool=pool,
+    )
+
+
+def select_stage(window: StageWindow, selector: Selector, stats: StageStats) -> int:
+    """Pick the decision stage from the pool (earliest stage on ties)."""
+    pool = window.pool
+    if not pool:
+        raise EmptyPoolError("no valid stage to select from")
+    if selector is Selector.FIRST:
+        return pool[0]
+    if selector is Selector.LAST:
+        return pool[-1]
+
+    if selector in (Selector.MIN_ENTROPY, Selector.MAX_ENTROPY):
+        values = []
+        for i in pool:
+            h = stats.entropy[i - 1]
+            if h is None:
+                raise SelectionError(f"stage {i} has no entropy (empty row)")
+            values.append(h)
+    elif selector is Selector.MAX_STDDEV:
+        values = [math.sqrt(stats.variance[i - 1]) for i in pool]
+    else:
+        values = [stats.variance[i - 1] for i in pool]
+
+    if selector in (Selector.MIN_ENTROPY, Selector.MIN_VARIANCE):
+        pick = min(zip(values, pool), key=lambda t: (t[0], t[1]))
+    else:
+        pick = min(zip(values, pool), key=lambda t: (-t[0], t[1]))
+    return pick[1]
+
+
+def beta_gamma_winner(st: ScoreTable, cfg: SelectionConfig, null_id: str) -> Decision:
+    """Run the windowed variant: cutoffs, stage selector, NULL veto.
+
+    An empty window elects NULL outright. Otherwise the selector picks a
+    stage from the pool; the winner is the top-scoring real candidate
+    there among those strictly above alpha. If NULL scores strictly
+    higher than that candidate, the decision walks back to the latest
+    earlier pool stage where it does not (such a stage exists by
+    construction of the window's lower bound).
+    """
+    _check_table(st)
+    if null_id not in st.candidates:
+        raise MissingNullColumnError(f"{null_id!r} is not a column of the table")
+    rows = st.float_rows()
+    nj = st.candidates.index(null_id)
+    rank = _tie_rank(st)
+    stats = compute_stage_stats(st)
+    window = stage_window(st, cfg, null_id)
+    real = [j for j in range(len(st.candidates)) if j != nj]
+
+    def best_real_at(stage: Optional[int]) -> tuple[Optional[str], Optional[float]]:
+        if stage is None or not 1 <= stage <= st.num_stages:
+            return None, None
+        j = _argmax(rows[stage - 1], real, st.candidates, rank)
+        return st.candidates[j], rows[stage - 1][j]
+
+    best_candidate, best_score = best_real_at(window.end if window.end >= 1 else None)
+    diagnostics = {
+        "selector": cfg.selector.value,
+        "pool": window.pool,
+        "entropy": {i: stats.entropy[i - 1] for i in window.pool},
+        "variance": {i: stats.variance[i - 1] for i in window.pool},
+        "best_candidate": best_candidate,
+        "best_score": best_score,
+        "best_by_alpha": best_real_at(window.first_by_alpha)[1],
+        "best_by_beta": best_real_at(window.last_by_beta)[1],
+        "best_by_gamma": best_real_at(window.last_by_gamma)[1],
+        "beta_below_alpha": cfg.beta is not None and cfg.beta < cfg.alpha,
+    }
+
+    if not window.pool:
+        return Decision(winner=null_id, stage=None, score=None,
+                        window=window, diagnostics=diagnostics)
+
+    chosen = select_stage(window, cfg.selector, stats)
+    diagnostics["selected_stage"] = chosen
+    bar = 100.0 * cfg.alpha
+    for s in reversed([p for p in window.pool if p <= chosen]):
+        row = rows[s - 1]
+        eligible = [j for j in real if row[j] > bar]
+        if not eligible:
+            continue
+        best = _argmax(row, eligible, st.candidates, rank)
+        if row[best] >= row[nj]:
+            if s != chosen:
+                diagnostics["walked_back_from"] = chosen
+            return Decision(winner=st.candidates[best], stage=s,
+                            score=st.row(s)[best], window=window,
+                            diagnostics=diagnostics)
+    # Unreachable with a well-formed window; kept as a safe default.
+    return Decision(winner=null_id, stage=None, score=None,
+                    window=window, diagnostics=diagnostics)
+
+
+def min_stages(n: int, k: int, alpha: float) -> int:
+    """Smallest number of stages guaranteeing an alpha crossing.
+
+    With every possible stage present the worst case is a perfectly even
+    spread of n/k per cell, so the bound is the least integer x with
+    x > alpha * k. The voter count n does not enter the bound; it is kept
+    for signature symmetry with the election parameters.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must be in (0, 1)")
+    return math.floor(alpha * k) + 1
+
+
+def basic_report(decision: Decision, alpha: float) -> dict:
+    """Key/value block for a basic decision."""
+    return {
+        "algorithm": "basic",
+        "winner": decision.winner,
+        "stage": decision.stage,
+        "score": None if decision.score is None else float(decision.score),
+        "alpha": alpha,
+        "fallback": decision.diagnostics.get("fallback", False),
+    }
+
+
+def betagamma_report(decision: Decision, cfg: SelectionConfig, null_id: str) -> dict:
+    """Key/value block for a windowed decision, one key per line in text form."""
+    w = decision.window
+    d = decision.diagnostics
+    return {
+        "algorithm": "BetaGamma",
+        "NULLCandidate": null_id,
+        "winner": decision.winner,
+        "stage": decision.stage,
+        "score": None if decision.score is None else float(decision.score),
+        "bestCandidate": d.get("best_candidate"),
+        "bestScore": d.get("best_score"),
+        "bestScoreStage": w.end if w is not None else None,
+        "lastStageByBeta": w.last_by_beta if w is not None else None,
+        "bestScoreByBeta": d.get("best_by_beta"),
+        "lastStageByGamma": w.last_by_gamma if w is not None else None,
+        "bestScoreByGamma": d.get("best_by_gamma"),
+        "firstStageByAlpha": w.first_by_alpha if w is not None else None,
+        "bestScoreByAlpha": d.get("best_by_alpha"),
+        "alpha": cfg.alpha,
+        "beta": cfg.beta,
+        "gamma": cfg.gamma.threshold,
+        "selector": cfg.selector.value,
+    }
+
+
+def report_to_text(report: dict) -> str:
+    """Render a report dict as ``key: value`` lines (None prints as ``-``)."""
+    lines = []
+    for key, value in report.items():
+        if value is None:
+            text = "-"
+        elif isinstance(value, float):
+            text = _fmt_float(value)
+        elif isinstance(value, bool):
+            text = "true" if value else "false"
+        else:
+            text = str(value)
+        lines.append(f"{key}: {text}")
+    return "\n".join(lines)
+
+
+def _fmt_float(f: float) -> str:
+    if f == int(f):
+        return str(int(f))
+    return f"{f:g}"
+
+
+def parse_gamma_spec(spec) -> GammaRule:
+    """Parse a gamma flag: ``any:G``, ``frac:F:G``, ``count:C:G``, a bare
+    number (same as ``any``), or None/empty for no rule."""
+    if spec is None or spec in ("", "____", "none"):
+        return GammaRule.none()
+    if isinstance(spec, (int, float)):
+        return GammaRule.any_exceeds(float(spec))
+    parts = str(spec).split(":")
+    try:
+        if len(parts) == 1:
+            return GammaRule.any_exceeds(float(parts[0]))
+        kind = parts[0].lower()
+        if kind == "any" and len(parts) == 2:
+            return GammaRule.any_exceeds(float(parts[1]))
+        if kind in ("frac", "fraction") and len(parts) == 3:
+            return GammaRule.fraction_exceeds(float(parts[2]), float(parts[1]))
+        if kind == "count" and len(parts) == 3:
+            return GammaRule.count_exceeds(float(parts[2]), int(parts[1]))
+    except ValueError as exc:
+        raise ValueError(f"bad gamma spec {spec!r}: {exc}") from exc
+    raise ValueError(f"bad gamma spec {spec!r}; use any:G, frac:F:G or count:C:G")
+
+
+_SELECTOR_ALIASES = {s.value.replace("-", "").replace("_", "").lower(): s
+                     for s in Selector}
+_SELECTOR_ALIASES["maxstddev"] = Selector.MAX_STDDEV
+
+
+def parse_selector(name: str) -> Selector:
+    """Accept selector names in enum form or CLI form (``min-entropy``)."""
+    key = str(name).replace("-", "").replace("_", "").lower()
+    try:
+        return _SELECTOR_ALIASES[key]
+    except KeyError:
+        choices = ", ".join(s.value for s in Selector)
+        raise ValueError(f"unknown selector {name!r}; choices: {choices}") from None

@@ -1,0 +1,614 @@
+"""Seeded Monte-Carlo election study.
+
+A simulation builds one synthetic candidate dataset and one crowd of
+feature-blind noisy estimators, then runs many independent elections on
+slates drawn from the held-out split. Every algorithm (the staged-voting
+variants, plurality, instant-runoff, and the crowd/best-voter
+comparators) sees the same ballots and predictions per election, and the
+whole run is a pure function of the config (seed included): per-election
+randomness comes from a stream keyed on (master seed, election index),
+so serial and parallel execution agree bit for bit.
+"""
+
+from __future__ import annotations
+
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
+
+import numpy as np
+
+from . import baselines
+from .ballot import NULL_TOKEN, Ballot, CandidateRoster, expand_incomplete
+from .baselines import PredictionMatrix
+from .select import (
+    GammaRule,
+    SelectionConfig,
+    Selector,
+    beta_gamma_winner,
+    parse_gamma_spec,
+    parse_selector,
+)
+from .tally import count_votes, cumulate, score
+
+LABEL_CROWD_MEAN = "crowd-Mean"
+LABEL_CROWD_MEDIAN = "crowd-Median"
+LABEL_BEST_VOTER = "bestVoter (Dictatorship)"
+LABEL_FPTP = "FirstPastThePost (but without tactical voting)"
+LABEL_IRV = "InstantRunoffVoting"
+STAGED_PREFIX = "StagedVote "
+
+
+class SimConfigError(ValueError):
+    """Raised when a simulation config is missing or malformed."""
+
+
+Blindness = Union[int, tuple[int, int]]
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """Synthetic candidates: 10 base features, one shared weight vector,
+    and a quality value equal to their weighted sum (higher is better).
+    The NULL candidate's quality is pinned to the median over everyone."""
+
+    features: np.ndarray
+    weights: np.ndarray
+    y: np.ndarray
+    train_idx: np.ndarray
+    test_idx: np.ndarray
+    null_y: float
+
+
+@dataclass
+class Voter:
+    """A permanently feature-blind affine estimator with calibrated noise.
+
+    ``predictions`` holds the voter's (noisy, fixed) opinion of every
+    test-split candidate; the voter answers identically whenever the same
+    candidate shows up in a slate. ``achieved_mse`` is measured on the
+    test split and sits within calibration tolerance of ``target_mse``
+    unless the target was below the blind estimator's noise-free floor,
+    in which case ``clamped`` is set.
+    """
+
+    index: int
+    hidden: np.ndarray
+    coef: np.ndarray
+    intercept: float
+    noise_sd: float
+    target_mse: float
+    achieved_mse: float
+    clamped: bool
+    predictions: np.ndarray
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Everything a simulation depends on, seed included."""
+
+    num_candidates: int
+    num_voters: int
+    num_elections: int
+    column_blindness: Blindness
+    quality_mean: float
+    quality_sd: float
+    seed: int
+    num_prefs: Optional[int] = None
+    dataset_size: int = 3000
+    num_features: int = 10
+    test_fraction: float = 0.3
+    dataset_name: str = "synthetic"
+    predicted_feature: str = "y"
+    algorithms: Optional[tuple[SelectionConfig, ...]] = None
+    include_baselines: bool = True
+    workers: int = 1
+
+    def __post_init__(self):
+        for name in ("num_candidates", "num_voters", "num_elections"):
+            if getattr(self, name) < 1:
+                raise SimConfigError(f"{name} must be positive")
+        if self.quality_mean <= 0:
+            raise SimConfigError("crowd quality mean must be positive")
+        if self.quality_sd < 0:
+            raise SimConfigError("crowd quality standard deviation must be >= 0")
+        lo, hi = self.blindness_range
+        if not (0 <= lo <= hi <= self.num_features):
+            raise SimConfigError(
+                f"columnBlindness must lie within 0..{self.num_features}"
+            )
+        if self.workers < 1:
+            raise SimConfigError("workers must be >= 1")
+        k = self.num_candidates + 1  # slate plus NULL
+        if self.num_prefs is not None and not 1 <= self.num_prefs <= k:
+            raise SimConfigError(f"numPrefs must be in 1..{k}")
+        if int(self.dataset_size * self.test_fraction) < self.num_candidates:
+            raise SimConfigError("test split too small for the slate size")
+
+    @property
+    def blindness_range(self) -> tuple[int, int]:
+        if isinstance(self.column_blindness, int):
+            return self.column_blindness, self.column_blindness
+        lo, hi = self.column_blindness
+        return int(lo), int(hi)
+
+    @property
+    def effective_num_prefs(self) -> int:
+        # Default k - 1: the slate size, leaving only the trivial 100% stage off.
+        return self.num_prefs if self.num_prefs is not None else self.num_candidates
+
+    def effective_algorithms(self) -> tuple[SelectionConfig, ...]:
+        return self.algorithms if self.algorithms is not None else default_algorithm_grid()
+
+
+def default_algorithm_grid() -> tuple[SelectionConfig, ...]:
+    """The comparison grid: alpha x beta x gamma x every selector."""
+    configs = []
+    for alpha in (0.5, 0.66, 0.8):
+        for beta in (None, 0.33):
+            for gamma in (None, 0.66, 0.8):
+                rule = GammaRule.none() if gamma is None else GammaRule.any_exceeds(gamma)
+                for selector in Selector:
+                    configs.append(SelectionConfig(
+                        alpha=alpha, beta=beta, gamma=rule, selector=selector,
+                    ))
+    return tuple(configs)
+
+
+def generate_dataset(seed, num_candidates: int = 3000, num_features: int = 10,
+                     test_fraction: float = 0.3) -> Dataset:
+    """Draw the synthetic dataset: features uniform in [5, 10), one weight
+    vector uniform in [-10, 10), quality = weighted sum, 70/30 split."""
+    rng = np.random.default_rng(seed)
+    features = rng.uniform(5.0, 10.0, size=(num_candidates, num_features))
+    weights = rng.uniform(-10.0, 10.0, size=num_features)
+    y = features @ weights
+    perm = rng.permutation(num_candidates)
+    n_test = int(num_candidates * test_fraction)
+    test_idx = np.sort(perm[:n_test])
+    train_idx = np.sort(perm[n_test:])
+    return Dataset(features=features, weights=weights, y=y,
+                   train_idx=train_idx, test_idx=test_idx,
+                   null_y=float(np.median(y)))
+
+
+def _calibrate_noise(base_err: np.ndarray, z: np.ndarray, target: float,
+                     iterations: int = 100) -> tuple[float, bool]:
+    """Bisect the additive noise scale until the validation MSE hits the
+    target; returns (scale, clamped). The MSE is quadratic in the scale,
+    so we bisect on its increasing branch."""
+    mse0 = float(np.mean(base_err ** 2))
+    if target <= mse0:
+        return 0.0, target < mse0
+    m1 = float(np.mean(base_err * z))
+    m2 = float(np.mean(z * z))
+    if m2 <= 0.0:
+        return 0.0, True
+
+    def achieved(s: float) -> float:
+        return mse0 + 2.0 * s * m1 + s * s * m2
+
+    lo = max(0.0, -m1 / m2)
+    hi = lo + 1.0
+    while achieved(hi) < target:
+        hi *= 2.0
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        if achieved(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi, False
+
+
+def build_crowd(cfg: SimConfig, dataset: Dataset,
+                rng: np.random.Generator) -> list[Voter]:
+    """Fit one blind estimator per voter and calibrate its noise so the
+    test-split MSE matches a target drawn from Normal(mean, sd), floored
+    at zero (and clamped to the blind floor when unattainable)."""
+    X_train = dataset.features[dataset.train_idx]
+    y_train = dataset.y[dataset.train_idx]
+    X_test = dataset.features[dataset.test_idx]
+    y_test = dataset.y[dataset.test_idx]
+    lo, hi = cfg.blindness_range
+
+    voters: list[Voter] = []
+    for index in range(cfg.num_voters):
+        target = max(cfg.quality_mean + cfg.quality_sd * rng.standard_normal(), 0.0)
+        size = int(rng.integers(lo, hi + 1))
+        hidden = np.sort(rng.choice(cfg.num_features, size=size, replace=False))
+        visible = np.setdiff1d(np.arange(cfg.num_features), hidden)
+        design = np.column_stack([X_train[:, visible], np.ones(len(X_train))])
+        sol, *_ = np.linalg.lstsq(design, y_train, rcond=None)
+        coef, intercept = sol[:-1], float(sol[-1])
+        base = X_test[:, visible] @ coef + intercept
+        z = rng.standard_normal(len(y_test))
+        noise_sd, clamped = _calibrate_noise(base - y_test, z, target)
+        predictions = base + noise_sd * z
+        achieved = float(np.mean((predictions - y_test) ** 2))
+        voters.append(Voter(
+            index=index, hidden=hidden, coef=coef, intercept=intercept,
+            noise_sd=noise_sd, target_mse=target, achieved_mse=achieved,
+            clamped=clamped, predictions=predictions,
+        ))
+    return voters
+
+
+def slate_roster(slate: Sequence[int]) -> CandidateRoster:
+    """Roster for a slate of test-split positions, NULL appended last."""
+    ids = tuple(f"c{pos}" for pos in slate)
+    return CandidateRoster(candidates=ids + (NULL_TOKEN,), null_id=NULL_TOKEN)
+
+
+def cast_ballot(voter: Voter, slate: Sequence[int], null_y: float,
+                num_prefs: int, roster: Optional[CandidateRoster] = None) -> Ballot:
+    """Rank the slate by the voter's predicted quality (NULL at exactly
+    the agreed median) and keep the first ``num_prefs`` preferences."""
+    if roster is None:
+        roster = slate_roster(slate)
+    values = np.append(voter.predictions[np.asarray(slate)], null_y)
+    order = np.argsort(-values, kind="stable")
+    ids = roster.tally_candidates
+    prefs = tuple(ids[j] for j in order[:num_prefs])
+    return Ballot(voter_id=f"v{voter.index}", prefs=prefs)
+
+
+@dataclass(frozen=True)
+class ElectionOutcome:
+    """One algorithm's result on one election, scored against true quality."""
+
+    winner: str
+    true_rank: int
+    below_null: bool
+
+
+def _top_of_ranking(ranking: Sequence[str]) -> str:
+    return ranking[0]
+
+
+def run_election(
+    crowd: Sequence[Voter],
+    slate: Sequence[int],
+    slate_y: np.ndarray,
+    null_y: float,
+    algorithms: Sequence[SelectionConfig],
+    num_prefs: int,
+    include_baselines: bool = True,
+) -> dict[str, ElectionOutcome]:
+    """Evaluate every algorithm on one slate using shared ballots.
+
+    The true rank of a winner is its 1-based position by true quality
+    within the slate; a NULL winner ranks where the median quality falls
+    and never counts as below-NULL.
+    """
+    slate = np.asarray(slate)
+    roster = slate_roster(slate)
+    ids = roster.tally_candidates
+    ballots = [cast_ballot(v, slate, null_y, num_prefs, roster) for v in crowd]
+    expanded = [expand_incomplete(b, roster, num_prefs) for b in ballots]
+    table = score(cumulate(count_votes(expanded, roster, num_prefs)))
+    preds = np.stack([v.predictions[slate] for v in crowd])
+    with_null = PredictionMatrix(
+        slate=ids,
+        values=np.column_stack([preds, np.full(len(crowd), null_y)]),
+    )
+
+    def outcome(winner: str) -> ElectionOutcome:
+        if winner == roster.null_id:
+            rank = 1 + int(np.sum(slate_y > null_y))
+            return ElectionOutcome(winner, rank, False)
+        y_w = float(slate_y[ids.index(winner)])
+        rank = 1 + int(np.sum(slate_y > y_w))
+        return ElectionOutcome(winner, rank, y_w < null_y)
+
+    results: dict[str, ElectionOutcome] = {}
+    for cfg in algorithms:
+        decision = beta_gamma_winner(table, cfg, roster.null_id)
+        results[STAGED_PREFIX + cfg.label()] = outcome(decision.winner)
+    if include_baselines:
+        results[LABEL_FPTP] = outcome(baselines.fptp_winner(ballots, roster))
+        results[LABEL_IRV] = outcome(baselines.irv_winner(ballots, roster))
+        results[LABEL_CROWD_MEAN] = outcome(
+            _top_of_ranking(baselines.crowd_mean_ranking(with_null)))
+        results[LABEL_CROWD_MEDIAN] = outcome(
+            _top_of_ranking(baselines.crowd_median_ranking(with_null)))
+        best = min(range(len(crowd)), key=lambda i: crowd[i].achieved_mse)
+        best_vals = np.append(preds[best], null_y)
+        results[LABEL_BEST_VOTER] = outcome(
+            ids[int(np.argsort(-best_vals, kind="stable")[0])])
+    return results
+
+
+@dataclass(frozen=True)
+class MetricsRow:
+    algorithm: str
+    mean_winner_rank: float
+    rate_true_winners: float
+    rate_winner_below_null: float
+
+
+@dataclass(frozen=True)
+class MetricsTable:
+    """Per-algorithm quality metrics, best (lowest mean rank) first."""
+
+    rows: tuple[MetricsRow, ...]
+    val_mse: tuple[tuple[str, float], ...] = ()
+
+    def row(self, algorithm: str) -> MetricsRow:
+        for r in self.rows:
+            if r.algorithm == algorithm:
+                return r
+        raise KeyError(algorithm)
+
+    def to_text(self) -> str:
+        label_w = max([len("Metrics"), len("Algorithms")]
+                      + [len(r.algorithm) for r in self.rows])
+        lines = [
+            f"{'Metrics':<{label_w}}  {'meanWinnerRank':>14}  "
+            f"{'rateTrueWinners':>15}  {'rateWinner<NULL':>15}",
+            "Algorithms",
+        ]
+        for r in self.rows:
+            lines.append(
+                f"{r.algorithm:<{label_w}}  {r.mean_winner_rank:>14.3f}  "
+                f"{r.rate_true_winners:>15.3f}  {r.rate_winner_below_null:>15.3f}"
+            )
+        if self.val_mse:
+            mse_w = max([len("Metrics"), len("Algorithms")]
+                        + [len(label) for label, _ in self.val_mse])
+            lines.append("")
+            lines.append(f"{'Metrics':<{mse_w}}  {'val_MeanSquaredErr':>18}")
+            lines.append("Algorithms")
+            for label, value in self.val_mse:
+                lines.append(f"{label:<{mse_w}}  {value:>18.6f}")
+        return "\n".join(lines)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "results": [
+                {
+                    "algorithm": r.algorithm,
+                    "meanWinnerRank": r.mean_winner_rank,
+                    "rateTrueWinners": r.rate_true_winners,
+                    "rateWinnerBelowNull": r.rate_winner_below_null,
+                }
+                for r in self.rows
+            ],
+            "valMeanSquaredErr": {label: value for label, value in self.val_mse},
+        }
+
+
+def metrics_from_outcomes(
+    order: Sequence[str],
+    outcomes: dict[str, Sequence[ElectionOutcome]],
+    val_mse: Sequence[tuple[str, float]] = (),
+) -> MetricsTable:
+    """Aggregate per-election outcomes; rows sort by mean rank ascending."""
+    rows = []
+    for label in order:
+        outs = outcomes[label]
+        n = len(outs)
+        rows.append(MetricsRow(
+            algorithm=label,
+            mean_winner_rank=sum(o.true_rank for o in outs) / n,
+            rate_true_winners=sum(1 for o in outs if o.true_rank == 1) / n,
+            rate_winner_below_null=sum(1 for o in outs if o.below_null) / n,
+        ))
+    rows.sort(key=lambda r: r.mean_winner_rank)
+    return MetricsTable(rows=tuple(rows), val_mse=tuple(val_mse))
+
+
+@dataclass(frozen=True)
+class SimulationResult:
+    config: SimConfig
+    metrics: MetricsTable
+    outcomes: dict[str, tuple[ElectionOutcome, ...]]
+
+    def to_text(self) -> str:
+        return (
+            config_echo_text(self.config)
+            + "\n\n========= SIMULATION RESULTS ========\n"
+            + self.metrics.to_text()
+        )
+
+    def to_json_dict(self) -> dict:
+        doc = {"config": config_echo_dict(self.config)}
+        doc.update(self.metrics.to_json_dict())
+        return doc
+
+
+def run_simulation(cfg: SimConfig) -> SimulationResult:
+    """Build the dataset and crowd once, then run the seeded elections."""
+    dataset = generate_dataset([cfg.seed, 0], num_candidates=cfg.dataset_size,
+                               num_features=cfg.num_features,
+                               test_fraction=cfg.test_fraction)
+    crowd = build_crowd(cfg, dataset, np.random.default_rng([cfg.seed, 1]))
+    y_test = dataset.y[dataset.test_idx]
+    algorithms = cfg.effective_algorithms()
+    num_prefs = cfg.effective_num_prefs
+    n_test = len(dataset.test_idx)
+
+    def one_election(index: int) -> dict[str, ElectionOutcome]:
+        rng = np.random.default_rng([cfg.seed, 2, index])
+        slate = rng.choice(n_test, size=cfg.num_candidates, replace=False)
+        return run_election(crowd, slate, y_test[slate], dataset.null_y,
+                            algorithms, num_prefs, cfg.include_baselines)
+
+    indices = range(cfg.num_elections)
+    if cfg.workers > 1:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            per_election = list(pool.map(one_election, indices))
+    else:
+        per_election = [one_election(i) for i in indices]
+
+    order = list(per_election[0].keys())
+    outcomes = {
+        label: tuple(result[label] for result in per_election) for label in order
+    }
+
+    val_mse: list[tuple[str, float]] = []
+    if cfg.include_baselines:
+        all_preds = np.stack([v.predictions for v in crowd])
+        mean_mse = float(np.mean((all_preds.mean(axis=0) - y_test) ** 2))
+        median_mse = float(np.mean((np.median(all_preds, axis=0) - y_test) ** 2))
+        best = baselines.best_voter(all_preds, y_test)
+        val_mse = [
+            (LABEL_CROWD_MEAN, mean_mse),
+            (LABEL_CROWD_MEDIAN, median_mse),
+            (LABEL_BEST_VOTER, crowd[best].achieved_mse),
+        ]
+
+    metrics = metrics_from_outcomes(order, outcomes, val_mse)
+    return SimulationResult(config=cfg, metrics=metrics, outcomes=outcomes)
+
+
+def config_echo_dict(cfg: SimConfig) -> dict:
+    blindness = (cfg.column_blindness if isinstance(cfg.column_blindness, int)
+                 else list(cfg.column_blindness))
+    return {
+        "numCandidates": cfg.num_candidates,
+        "numVoters": cfg.num_voters,
+        "numElections": cfg.num_elections,
+        "columnBlindness": blindness,
+        "crowdBuildMethod": {
+            "name": "standardDistribution",
+            "mean": cfg.quality_mean,
+            "standardDeviation": cfg.quality_sd,
+        },
+        "dataSetName": cfg.dataset_name,
+        "predictedFeature": cfg.predicted_feature,
+        "seed": cfg.seed,
+    }
+
+
+def config_echo_text(cfg: SimConfig) -> str:
+    lines = []
+    for key, value in config_echo_dict(cfg).items():
+        lines.append(f"{key} : {value}")
+    return "\n".join(lines)
+
+
+_IGNORED_CONFIG_KEYS = ("epochs", "trainableLayerCount")
+
+
+def _parse_algorithm(entry: dict, where: str) -> SelectionConfig:
+    try:
+        kwargs = {
+            "alpha": float(entry["alpha"]),
+            "beta": None if entry.get("beta") is None else float(entry["beta"]),
+            "gamma": parse_gamma_spec(entry.get("gamma")),
+        }
+        if "selector" in entry:
+            kwargs["selector"] = parse_selector(entry["selector"])
+        from .select import BetaMode, GammaMode  # local to avoid cycle noise
+
+        if "betaMode" in entry:
+            kwargs["beta_mode"] = BetaMode(entry["betaMode"])
+        if "gammaMode" in entry:
+            kwargs["gamma_mode"] = GammaMode(entry["gammaMode"])
+        return SelectionConfig(**kwargs)
+    except KeyError as exc:
+        raise SimConfigError(f"{where}: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SimConfigError(f"{where}: {exc}") from exc
+
+
+def config_from_json_dict(doc: dict, seed_override: Optional[int] = None) -> SimConfig:
+    """Build a SimConfig from the printed header key set.
+
+    Accepts both the ``numCandiates`` spelling found in older headers and
+    the corrected one. Neural-network training keys are accepted and
+    ignored with a warning so historical headers keep loading.
+    """
+    if not isinstance(doc, dict):
+        raise SimConfigError("config must be a JSON object")
+    doc = dict(doc)
+
+    for key in _IGNORED_CONFIG_KEYS:
+        if key in doc:
+            warnings.warn(f"config key {key!r} is accepted but ignored",
+                          stacklevel=2)
+            doc.pop(key)
+
+    if "numCandidates" in doc:
+        num_candidates = doc.pop("numCandidates")
+        doc.pop("numCandiates", None)
+    elif "numCandiates" in doc:
+        num_candidates = doc.pop("numCandiates")
+    else:
+        raise SimConfigError("missing key 'numCandidates'")
+
+    def require(key):
+        if key not in doc:
+            raise SimConfigError(f"missing key {key!r}")
+        return doc.pop(key)
+
+    num_voters = require("numVoters")
+    num_elections = require("numElections")
+    blindness = require("columnBlindness")
+    if isinstance(blindness, list):
+        if len(blindness) != 2:
+            raise SimConfigError("columnBlindness interval must be [lo, hi]")
+        blindness = (int(blindness[0]), int(blindness[1]))
+    else:
+        blindness = int(blindness)
+
+    method = require("crowdBuildMethod")
+    if not isinstance(method, dict):
+        raise SimConfigError("crowdBuildMethod must be an object")
+    name = method.get("name", "standardDistribution")
+    if name not in ("standardDistribution", "normal"):
+        raise SimConfigError(f"unknown crowdBuildMethod name {name!r}")
+    if "mean" not in method:
+        raise SimConfigError("missing key 'crowdBuildMethod.mean'")
+    quality_mean = float(method["mean"])
+    quality_sd = float(method.get("standardDeviation", 0.0))
+
+    if seed_override is not None:
+        seed = seed_override
+        doc.pop("seed", None)
+    else:
+        seed = require("seed")
+
+    algorithms = None
+    if "algorithms" in doc:
+        entries = doc.pop("algorithms")
+        if not isinstance(entries, list):
+            raise SimConfigError("'algorithms' must be a list")
+        algorithms = tuple(
+            _parse_algorithm(e, f"algorithms[{i}]") for i, e in enumerate(entries)
+        )
+
+    kwargs = {}
+    for json_key, attr in (
+        ("numPrefs", "num_prefs"),
+        ("datasetSize", "dataset_size"),
+        ("dataSetName", "dataset_name"),
+        ("predictedFeature", "predicted_feature"),
+        ("includeBaselines", "include_baselines"),
+        ("workers", "workers"),
+    ):
+        if json_key in doc:
+            kwargs[attr] = doc.pop(json_key)
+
+    if doc:
+        unknown = ", ".join(sorted(doc))
+        raise SimConfigError(f"unknown config keys: {unknown}")
+
+    try:
+        return SimConfig(
+            num_candidates=int(num_candidates),
+            num_voters=int(num_voters),
+            num_elections=int(num_elections),
+            column_blindness=blindness,
+            quality_mean=quality_mean,
+            quality_sd=quality_sd,
+            seed=int(seed),
+            algorithms=algorithms,
+            **kwargs,
+        )
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, SimConfigError):
+            raise
+        raise SimConfigError(str(exc)) from exc
