@@ -51,7 +51,6 @@ def parse_args():
     parser.add_argument("--quality-sd", type=float, default=400.0)
     parser.add_argument("--full-grid", action="store_true",
                         help="run every alpha/beta/gamma/selector combination")
-    parser.add_argument("--workers", type=int, default=1)
     return parser.parse_args()
 
 
@@ -67,7 +66,7 @@ def main():
             num_candidates=args.candidates, num_voters=args.voters,
             num_elections=args.elections, column_blindness=blindness,
             quality_mean=args.quality_mean, quality_sd=args.quality_sd,
-            seed=seed, algorithms=algorithms, workers=args.workers,
+            seed=seed, algorithms=algorithms,
         )
         started = time.perf_counter()
         result = run_simulation(cfg)

@@ -47,9 +47,8 @@ from .sim import (
     run_simulation,
 )
 from .tally import (
-    ProcessedTable,
-    ScoreTable,
-    VoteCountTable,
+    StageTable,
+    TableKind,
     count_votes,
     cumulate,
     score,

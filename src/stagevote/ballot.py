@@ -145,13 +145,15 @@ class FractionalBallot:
 
 def _open_lines(source: Union[str, bytes, IO[str], Iterable[str]]) -> Iterable[str]:
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
+        return io.StringIO(source.decode("utf-8-sig"))
     if isinstance(source, str):
         return io.StringIO(source)
     return source
 
 
-def _decode_token(cell: str, roster: CandidateRoster) -> str:
+def _decode_token(cell: str, roster: Optional[CandidateRoster]) -> str:
+    if roster is None:
+        return cell
     if cell == NULL_TOKEN:
         return roster.null_id
     if cell == IDK_TOKEN and roster.idk_id is not None:
@@ -169,15 +171,17 @@ def _encode_token(candidate: str, roster: CandidateRoster) -> str:
 
 def parse_ballots(
     source: Union[str, bytes, IO[str], Iterable[str]],
-    roster: CandidateRoster,
+    roster: Optional[CandidateRoster],
     reject_duplicate_voters: bool = False,
 ) -> list[RawBallot]:
     """Parse a ballot CSV into raw (unvalidated) ballots, preserving order.
 
     Expected header: ``voter_id,pref1,...,prefP``. Candidate cells hold
     roster identifiers with the literal tokens ``NULL`` and ``IDK`` naming
-    the protest and abstention options. Empty cells are allowed only as a
-    suffix and simply shorten the preference list.
+    the protest and abstention options; they decode to ``roster``'s
+    ``null_id`` and ``idk_id``, or stay as written when ``roster`` is None.
+    Empty cells are allowed only as a suffix and simply shorten the
+    preference list.
 
     Duplicate voter ids are permitted by default; pass
     ``reject_duplicate_voters=True`` for the strict mode that refuses them.

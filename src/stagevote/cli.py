@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from . import sim
@@ -91,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=None,
                           help=f"override the config seed (or set ${SEED_ENV_VAR})")
     simulate.add_argument("--workers", type=int, default=None,
-                          help="run elections on this many threads")
+                          help="accepted for compatibility; elections run serially")
     simulate.add_argument("--format", choices=["text", "json"], default="text")
 
     stages = sub.add_parser("min-stages",
@@ -132,30 +133,30 @@ def _roster_from_flag(spec: str) -> CandidateRoster:
 
 def cmd_tally(args) -> int:
     try:
-        with open(args.ballots, "r", encoding="utf-8") as fh:
+        # utf-8-sig: spreadsheet CSV exports start with a byte-order mark.
+        with open(args.ballots, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {args.ballots}: {exc}") from exc
 
+    # Every roster built here spells NULL and IDK literally, so the ballots
+    # can be parsed with their tokens as written, before the roster exists.
     try:
         num_cols = csv_preference_columns(text)
-        scan = parse_ballots(text, _scan_roster(text))
-        if not scan:
-            raise CliError("no ballots in file")
-        if args.candidates:
-            roster = _roster_from_flag(args.candidates)
-        else:
-            roster = _infer_roster(scan)
-        raws = parse_ballots(text, roster)
+        raws = parse_ballots(text, None)
     except BallotError as exc:
         raise CliError(str(exc)) from exc
-
+    if not raws:
+        raise CliError("no ballots in file")
     if args.candidates:
+        roster = _roster_from_flag(args.candidates)
         on_roster = set(roster.candidates)
         extra = sorted({c for raw in raws for c in raw.prefs} - on_roster)
         if extra:
             print(f"warning: ballots contain identifiers not on the roster: "
                   f"{', '.join(extra)}", file=sys.stderr)
+    else:
+        roster = _infer_roster(raws)
 
     ballots = []
     problems = []
@@ -219,13 +220,6 @@ def cmd_tally(args) -> int:
     return 2 if decision.winner == roster.null_id else 0
 
 
-def _scan_roster(text: str) -> CandidateRoster:
-    # Placeholder roster for the inference pre-pass: token decoding is the
-    # identity when null/idk carry their literal spellings.
-    return CandidateRoster(candidates=("__scan__", NULL_TOKEN),
-                           null_id=NULL_TOKEN, idk_id=None)
-
-
 def cmd_simulate(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -245,8 +239,6 @@ def cmd_simulate(args) -> int:
     try:
         cfg = sim.config_from_json_dict(doc, seed_override=seed_override)
         if args.workers is not None:
-            from dataclasses import replace
-
             cfg = replace(cfg, workers=args.workers)
     except sim.SimConfigError as exc:
         raise CliError(f"bad config: {exc}") from exc

@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .tally import ScoreTable, StageStats, compute_stage_stats, sort_columns
+from .tally import StageStats, StageTable, compute_stage_stats, sort_columns
 
 
 class SelectionError(ValueError):
@@ -211,9 +211,8 @@ class Decision:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _tie_rank(st: ScoreTable) -> dict[str, int]:
-    order = sort_columns(st).column_order
-    return {c: i for i, c in enumerate(order)}
+def _tie_rank(st: StageTable) -> dict[str, int]:
+    return {c: i for i, c in enumerate(sort_columns(st))}
 
 
 def _argmax(row: Sequence[float], indices: Sequence[int],
@@ -221,12 +220,12 @@ def _argmax(row: Sequence[float], indices: Sequence[int],
     return min(indices, key=lambda j: (-row[j], rank[candidates[j]]))
 
 
-def _check_table(st: ScoreTable) -> None:
+def _check_table(st: StageTable) -> None:
     if st.num_stages == 0 or not st.candidates:
         raise EmptyTableError("score table has no stages or candidates")
 
 
-def basic_winner(st: ScoreTable, alpha: float) -> Decision:
+def basic_winner(st: StageTable, alpha: float) -> Decision:
     """Elect at the earliest stage where some score strictly exceeds alpha.
 
     The top scorer at that stage wins (ties broken by ``sort_columns``
@@ -261,7 +260,7 @@ def _first_stage(rows: list[list[float]], predicate) -> Optional[int]:
     return None
 
 
-def stage_window(st: ScoreTable, cfg: SelectionConfig, null_id: str) -> StageWindow:
+def stage_window(st: StageTable, cfg: SelectionConfig, null_id: str) -> StageWindow:
     """Compute the pool of valid stages for a configuration.
 
     The lower bound is the first stage with an alpha-crossing real
@@ -353,7 +352,7 @@ def select_stage(window: StageWindow, selector: Selector, stats: StageStats) -> 
     return pick[1]
 
 
-def beta_gamma_winner(st: ScoreTable, cfg: SelectionConfig, null_id: str) -> Decision:
+def beta_gamma_winner(st: StageTable, cfg: SelectionConfig, null_id: str) -> Decision:
     """Run the windowed variant: cutoffs, stage selector, NULL veto.
 
     An empty window elects NULL outright. Otherwise the selector picks a

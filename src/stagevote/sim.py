@@ -6,14 +6,14 @@ slates drawn from the held-out split. Every algorithm (the staged-voting
 variants, plurality, instant-runoff, and the crowd/best-voter
 comparators) sees the same ballots and predictions per election, and the
 whole run is a pure function of the config (seed included): per-election
-randomness comes from a stream keyed on (master seed, election index),
-so serial and parallel execution agree bit for bit.
+randomness comes from a stream keyed on (master seed, election index).
+Elections run serially: the work is pure Python and holds the GIL, so
+threads gave no speedup.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -23,6 +23,8 @@ from . import baselines
 from .ballot import NULL_TOKEN, Ballot, CandidateRoster, expand_incomplete
 from .baselines import PredictionMatrix
 from .select import (
+    BetaMode,
+    GammaMode,
     GammaRule,
     SelectionConfig,
     Selector,
@@ -103,7 +105,7 @@ class SimConfig:
     predicted_feature: str = "y"
     algorithms: Optional[tuple[SelectionConfig, ...]] = None
     include_baselines: bool = True
-    workers: int = 1
+    workers: int = 1  # validated for compatibility; elections run serially
 
     def __post_init__(self):
         for name in ("num_candidates", "num_voters", "num_elections"):
@@ -429,18 +431,12 @@ def run_simulation(cfg: SimConfig) -> SimulationResult:
     num_prefs = cfg.effective_num_prefs
     n_test = len(dataset.test_idx)
 
-    def one_election(index: int) -> dict[str, ElectionOutcome]:
+    per_election = []
+    for index in range(cfg.num_elections):
         rng = np.random.default_rng([cfg.seed, 2, index])
         slate = rng.choice(n_test, size=cfg.num_candidates, replace=False)
-        return run_election(crowd, slate, y_test[slate], dataset.null_y,
-                            algorithms, num_prefs, cfg.include_baselines)
-
-    indices = range(cfg.num_elections)
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            per_election = list(pool.map(one_election, indices))
-    else:
-        per_election = [one_election(i) for i in indices]
+        per_election.append(run_election(crowd, slate, y_test[slate], dataset.null_y,
+                                         algorithms, num_prefs, cfg.include_baselines))
 
     order = list(per_election[0].keys())
     outcomes = {
@@ -501,8 +497,6 @@ def _parse_algorithm(entry: dict, where: str) -> SelectionConfig:
         }
         if "selector" in entry:
             kwargs["selector"] = parse_selector(entry["selector"])
-        from .select import BetaMode, GammaMode  # local to avoid cycle noise
-
         if "betaMode" in entry:
             kwargs["beta_mode"] = BetaMode(entry["betaMode"])
         if "gammaMode" in entry:

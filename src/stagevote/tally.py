@@ -1,16 +1,18 @@
 """Cumulative stage tables: vote counts, running totals, percentage scores.
 
-The pipeline is ``count_votes`` -> ``cumulate`` -> ``score``. Stage i of
-the cumulative table adds up preferences 1..i, so a candidate's score at
-stage i is the percentage of voters who ranked them within their first i
-preferences. All table entries are exact rationals; per-stage entropy and
-variance statistics are computed in floating point.
+The pipeline is ``count_votes`` -> ``cumulate`` -> ``score``, and each step
+returns a ``StageTable`` of its ``TableKind``. Stage i of the cumulative
+table adds up preferences 1..i, so a candidate's score at stage i is the
+percentage of voters who ranked them within their first i preferences.
+All table entries are exact rationals; per-stage entropy and variance
+statistics are computed in floating point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -38,113 +40,62 @@ def _fmt_num(value) -> str:
     return f"{f:.2f}"
 
 
-def _render_table(title: str, row_labels: Sequence[str],
-                  col_labels: Sequence[str], rows: Sequence[Row]) -> str:
-    cells = [[_fmt_num(v) for v in row] for row in rows]
-    label_w = max(len(r) for r in row_labels) if row_labels else 0
-    widths = [
-        max([len(c)] + [len(cells[i][j]) for i in range(len(cells))])
-        for j, c in enumerate(col_labels)
-    ]
-    lines = [title]
-    header = " " * label_w + "".join(
-        f"  {c:>{w}}" for c, w in zip(col_labels, widths)
-    )
-    lines.append(header)
-    for label, row in zip(row_labels, cells):
-        lines.append(
-            f"{label:<{label_w}}" + "".join(f"  {v:>{w}}" for v, w in zip(row, widths))
-        )
-    return "\n".join(lines)
+class TableKind(Enum):
+    """Which view of the stage table: (title, row label, JSON row key)."""
+
+    COUNTS = ("Vote Counts", "Preference", "preferences")
+    PROCESSED = ("Processed Vote Counts", "Stage", "stages")
+    SCORES = ("Score of Candidates", "Stage", "stages")
+
+    def __init__(self, title: str, row_label: str, json_key: str):
+        self.title = title
+        self.row_label = row_label
+        self.json_key = json_key
 
 
 @dataclass(frozen=True)
-class VoteCountTable:
-    """Raw stamp mass per preference row; rows sum to n with expansion."""
+class StageTable:
+    """One exact-rational row per stage, one column per candidate.
 
-    candidates: tuple[str, ...]
-    counts: tuple[Row, ...]
-    n: int
-
-    @property
-    def num_prefs(self) -> int:
-        return len(self.counts)
-
-    def row(self, preference: int) -> Row:
-        return self.counts[preference - 1]
-
-    def to_text(self) -> str:
-        labels = [f"Preference{i}" for i in range(1, self.num_prefs + 1)]
-        return _render_table("Vote Counts", labels, self.candidates, self.counts)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "candidates": list(self.candidates),
-            "preferences": [[float(v) for v in row] for row in self.counts],
-            "n": self.n,
-        }
-
-
-@dataclass(frozen=True)
-class ProcessedTable:
-    """Running column sums: stage i aggregates preferences 1..i."""
-
-    candidates: tuple[str, ...]
-    cumulative: tuple[Row, ...]
-    n: int
-
-    @property
-    def num_stages(self) -> int:
-        return len(self.cumulative)
-
-    def row(self, stage: int) -> Row:
-        return self.cumulative[stage - 1]
-
-    def to_text(self) -> str:
-        labels = [f"Stage{i}" for i in range(1, self.num_stages + 1)]
-        return _render_table("Processed Vote Counts", labels, self.candidates,
-                             self.cumulative)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "candidates": list(self.candidates),
-            "stages": [[float(v) for v in row] for row in self.cumulative],
-            "n": self.n,
-        }
-
-
-@dataclass(frozen=True)
-class ScoreTable:
-    """Percentage scores in [0, 100] per stage and candidate.
-
-    ``column_order`` is the presentation/tie-break order assigned by
-    ``sort_columns``; the score matrix itself always stays in roster order.
+    ``kind`` says what the rows hold: raw stamp mass per preference
+    (``COUNTS``, rows sum to n with expansion), running sums where stage i
+    aggregates preferences 1..i (``PROCESSED``), or those sums as
+    percentages of n in [0, 100] (``SCORES``). Columns stay in roster order.
     """
 
+    kind: TableKind
     candidates: tuple[str, ...]
-    scores: tuple[Row, ...]
+    rows: tuple[Row, ...]
     n: int
-    column_order: tuple[str, ...]
 
     @property
     def num_stages(self) -> int:
-        return len(self.scores)
+        return len(self.rows)
 
     def row(self, stage: int) -> Row:
-        return self.scores[stage - 1]
+        return self.rows[stage - 1]
 
     def float_rows(self) -> list[list[float]]:
-        return [[float(v) for v in row] for row in self.scores]
+        return [[float(v) for v in row] for row in self.rows]
 
     def to_text(self) -> str:
-        labels = [f"Stage{i}" for i in range(1, self.num_stages + 1)]
-        return _render_table("Score of Candidates", labels, self.candidates,
-                             self.scores)
+        labels = [f"{self.kind.row_label}{i}" for i in range(1, self.num_stages + 1)]
+        cells = [[_fmt_num(v) for v in row] for row in self.rows]
+        label_w = max(len(r) for r in labels) if labels else 0
+        widths = [max([len(c)] + [len(row[j]) for row in cells])
+                  for j, c in enumerate(self.candidates)]
+        lines = [self.kind.title,
+                 " " * label_w + "".join(f"  {c:>{w}}" for c, w in
+                                         zip(self.candidates, widths))]
+        for label, row in zip(labels, cells):
+            lines.append(f"{label:<{label_w}}"
+                         + "".join(f"  {v:>{w}}" for v, w in zip(row, widths)))
+        return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
         return {
             "candidates": list(self.candidates),
-            "stages": [[float(v) for v in row] for row in self.scores],
+            self.kind.json_key: [[float(v) for v in row] for row in self.rows],
             "n": self.n,
         }
 
@@ -161,7 +112,7 @@ def count_votes(
     ballots: Sequence[FractionalBallot],
     roster: CandidateRoster,
     num_prefs: int,
-) -> VoteCountTable:
+) -> StageTable:
     """Sum fractional ballots into the per-preference count table.
 
     All ballots must be expanded over the same roster and ``num_prefs``;
@@ -179,20 +130,20 @@ def count_votes(
             for cand, w in row.items():
                 slot[cand] += w
     counts = tuple(tuple(totals[i][c] for c in cands) for i in range(num_prefs))
-    return VoteCountTable(candidates=cands, counts=counts, n=len(ballots))
+    return StageTable(TableKind.COUNTS, cands, counts, len(ballots))
 
 
-def cumulate(vc: VoteCountTable) -> ProcessedTable:
+def cumulate(vc: StageTable) -> StageTable:
     """Build the cumulative table with the incremental row recurrence."""
     rows: list[Row] = []
     prev = tuple(Fraction(0) for _ in vc.candidates)
-    for row in vc.counts:
+    for row in vc.rows:
         prev = tuple(p + x for p, x in zip(prev, row))
         rows.append(prev)
-    return ProcessedTable(candidates=vc.candidates, cumulative=tuple(rows), n=vc.n)
+    return StageTable(TableKind.PROCESSED, vc.candidates, tuple(rows), vc.n)
 
 
-def score(pt: ProcessedTable) -> ScoreTable:
+def score(pt: StageTable) -> StageTable:
     """Convert cumulative counts to percentages of the electorate.
 
     A candidate's score at stage i is 100 * f1 / n: the share of voters
@@ -204,13 +155,12 @@ def score(pt: ProcessedTable) -> ScoreTable:
         raise UndefinedScoreError("scores are undefined with zero ballots")
     hundred = Fraction(100)
     rows = tuple(
-        tuple(hundred * v / pt.n for v in row) for row in pt.cumulative
+        tuple(hundred * v / pt.n for v in row) for row in pt.rows
     )
-    return ScoreTable(candidates=pt.candidates, scores=rows, n=pt.n,
-                      column_order=pt.candidates)
+    return StageTable(TableKind.SCORES, pt.candidates, rows, pt.n)
 
 
-def stage_distribution(st: ScoreTable, stage: int) -> tuple[Fraction, ...]:
+def stage_distribution(st: StageTable, stage: int) -> tuple[Fraction, ...]:
     """Normalize a stage row into a probability vector over candidates."""
     if not 1 <= stage <= st.num_stages:
         raise TallyError(f"stage {stage} out of range 1..{st.num_stages}")
@@ -221,7 +171,7 @@ def stage_distribution(st: ScoreTable, stage: int) -> tuple[Fraction, ...]:
     return tuple(v / total for v in row)
 
 
-def stage_entropy(st: ScoreTable, stage: int) -> float:
+def stage_entropy(st: StageTable, stage: int) -> float:
     """Shannon entropy in bits of the stage's candidate distribution."""
     dist = stage_distribution(st, stage)
     h = 0.0
@@ -232,7 +182,7 @@ def stage_entropy(st: ScoreTable, stage: int) -> float:
     return h
 
 
-def stage_variance(st: ScoreTable, stage: int) -> float:
+def stage_variance(st: StageTable, stage: int) -> float:
     """Population variance of the stage's score values across candidates."""
     if not 1 <= stage <= st.num_stages:
         raise TallyError(f"stage {stage} out of range 1..{st.num_stages}")
@@ -241,11 +191,11 @@ def stage_variance(st: ScoreTable, stage: int) -> float:
     return sum((v - mean) ** 2 for v in row) / len(row)
 
 
-def stage_stddev(st: ScoreTable, stage: int) -> float:
+def stage_stddev(st: StageTable, stage: int) -> float:
     return math.sqrt(stage_variance(st, stage))
 
 
-def compute_stage_stats(st: ScoreTable) -> StageStats:
+def compute_stage_stats(st: StageTable) -> StageStats:
     """Entropy/variance for every stage (entropy is None for empty rows)."""
     entropy: list[Optional[float]] = []
     variance: list[float] = []
@@ -258,16 +208,15 @@ def compute_stage_stats(st: ScoreTable) -> StageStats:
     return StageStats(entropy=tuple(entropy), variance=tuple(variance))
 
 
-def sort_columns(st: ScoreTable) -> ScoreTable:
-    """Assign the presentation/tie-break column order.
+def sort_columns(st: StageTable) -> tuple[str, ...]:
+    """The presentation/tie-break column order of a table.
 
     Candidates sort by descending score at the last stage, earlier stages
-    breaking ties in turn; fully tied columns keep roster order. Only
-    ``column_order`` changes; the matrix stays put.
+    breaking ties in turn; fully tied columns keep roster order. The table
+    itself stays in roster order.
     """
     keys = {
-        cand: tuple(st.scores[i][j] for i in range(st.num_stages - 1, -1, -1))
+        cand: tuple(st.rows[i][j] for i in range(st.num_stages - 1, -1, -1))
         for j, cand in enumerate(st.candidates)
     }
-    order = sorted(st.candidates, key=lambda c: keys[c], reverse=True)
-    return replace(st, column_order=tuple(order))
+    return tuple(sorted(st.candidates, key=lambda c: keys[c], reverse=True))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from stagevote.ballot import Ballot, CandidateRoster, expand_incomplete
-from stagevote.tally import ScoreTable, count_votes, cumulate, score
+from stagevote.tally import StageTable, TableKind, count_votes, cumulate, score
 
 # Roster of the six-candidate worked example: four evenly split favourites,
 # one universal second choice, and the protest option.
@@ -58,10 +58,9 @@ def pipeline(roster, ballots, num_prefs):
     return vc, pt, score(pt)
 
 
-def make_score_table(candidates, rows, n=100) -> ScoreTable:
+def make_score_table(candidates, rows, n=100) -> StageTable:
     scores = tuple(tuple(Fraction(v) for v in row) for row in rows)
-    return ScoreTable(candidates=tuple(candidates), scores=scores, n=n,
-                      column_order=tuple(candidates))
+    return StageTable(TableKind.SCORES, tuple(candidates), scores, n)
 
 
 @pytest.fixture

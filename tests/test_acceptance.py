@@ -38,7 +38,8 @@ from stagevote.sim import (
     run_simulation,
 )
 from stagevote.tally import (
-    VoteCountTable,
+    StageTable,
+    TableKind,
     count_votes,
     cumulate,
     score,
@@ -81,10 +82,10 @@ def test_criterion_1_concrete_example_golden():
         [75, 75, 75, 75, 100, 100],
         [100, 100, 100, 100, 100, 100],
     ]
-    assert [[int(v) for v in r] for r in vc.counts] == counts
-    assert [[int(v) for v in r] for r in pt.cumulative] == processed
-    assert [[int(v) for v in r] for r in st.scores] == processed
-    assert all(v.denominator == 1 for row in st.scores for v in row)
+    assert [[int(v) for v in r] for r in vc.rows] == counts
+    assert [[int(v) for v in r] for r in pt.rows] == processed
+    assert [[int(v) for v in r] for r in st.rows] == processed
+    assert all(v.denominator == 1 for row in st.rows for v in row)
 
     decision = basic_winner(st, 0.5)
     assert decision.winner == "X"
@@ -210,12 +211,11 @@ def test_criterion_8_oracle_equivalence():
             tuple(Fraction(rng.randint(0, 30)) for _ in range(3))
             for _ in range(rng.randint(1, 6))
         )
-        vc = VoteCountTable(candidates=("A", "B", "NULL"), counts=counts, n=9)
+        vc = StageTable(TableKind.COUNTS, ("A", "B", "NULL"), counts, 9)
         pt = cumulate(vc)
         for i in range(len(counts)):
             for j in range(3):
-                assert pt.cumulative[i][j] == sum(counts[r][j]
-                                                  for r in range(i + 1))
+                assert pt.rows[i][j] == sum(counts[r][j] for r in range(i + 1))
         cfg = SelectionConfig(
             alpha=rng.choice([0.2, 0.5, 0.66, 0.8]),
             beta=rng.choice([None, 0.2, 0.33, 0.6]),

@@ -98,6 +98,18 @@ class TestParse:
         (raw,) = parse_ballots(text, ROSTER)
         assert raw.prefs[-1] == "NULL"
 
+    def test_bytes_with_byte_order_mark(self):
+        text = f"{HEADER}\nv1,A,B,C,D,E,NULL\n"
+        bom = b"\xef\xbb\xbf" + text.encode()
+        assert parse_ballots(bom, ROSTER) == parse_ballots(text, ROSTER)
+        assert csv_preference_columns(bom) == 6
+
+    def test_without_roster_tokens_stay_literal(self):
+        roster = CandidateRoster(("A", "none", "?"), null_id="none", idk_id="?")
+        text = "voter_id,pref1,pref2,pref3\nv,IDK,NULL,A\n"
+        assert parse_ballots(text, roster)[0].prefs == ("?", "none", "A")
+        assert parse_ballots(text, None)[0].prefs == ("IDK", "NULL", "A")
+
     def test_header_width(self):
         assert csv_preference_columns(f"{HEADER}\n") == 6
 

@@ -108,6 +108,17 @@ class TestTally:
         assert code == 2
         assert "winner: NULL" in out
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        text = concrete_csv_text()
+        plain = tmp_path / "plain.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked = tmp_path / "marked.csv"
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        expected = run_cli("tally", str(plain), "--format", "json")
+        assert expected[0] == 0
+        assert run_cli("tally", str(marked), "--format", "json") == expected
+
     def test_unreadable_file(self):
         code, _, err = run_cli("tally", "/nonexistent.csv")
         assert code == 1

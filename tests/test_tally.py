@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from stagevote.ballot import Ballot, CandidateRoster, expand_incomplete
 from stagevote.tally import (
     DegenerateDistributionError,
+    StageTable,
+    TableKind,
     TallyError,
     UndefinedScoreError,
-    VoteCountTable,
     compute_stage_stats,
     count_votes,
     cumulate,
@@ -50,16 +51,16 @@ SCORES_GOLDEN = PROCESSED_GOLDEN  # n = 100 makes percentages equal counts
 class TestGoldenExample:
     def test_counts(self, concrete_tables):
         vc, _, _ = concrete_tables
-        assert [[int(v) for v in row] for row in vc.counts] == COUNTS_GOLDEN
+        assert [[int(v) for v in row] for row in vc.rows] == COUNTS_GOLDEN
         assert vc.n == 100
 
     def test_processed(self, concrete_tables):
         _, pt, _ = concrete_tables
-        assert [[int(v) for v in row] for row in pt.cumulative] == PROCESSED_GOLDEN
+        assert [[int(v) for v in row] for row in pt.rows] == PROCESSED_GOLDEN
 
     def test_scores(self, concrete_tables):
         _, _, table = concrete_tables
-        assert [[int(v) for v in row] for row in table.scores] == SCORES_GOLDEN
+        assert [[int(v) for v in row] for row in table.rows] == SCORES_GOLDEN
 
     def test_scores_are_exact_fractions(self, concrete_tables):
         _, _, table = concrete_tables
@@ -71,7 +72,7 @@ class TestCountVotes:
     def test_zero_ballots(self):
         vc = count_votes([], ROSTER_SIX, num_prefs=3)
         assert vc.n == 0
-        assert all(v == 0 for row in vc.counts for v in row)
+        assert all(v == 0 for row in vc.rows for v in row)
         with pytest.raises(UndefinedScoreError):
             score(cumulate(vc))
 
@@ -108,18 +109,18 @@ class TestCountVotes:
                 min_size=1, max_size=6))
 def test_cumulate_matches_prefix_sum_oracle(rows):
     counts = tuple(tuple(Fraction(v) for v in row) for row in rows)
-    vc = VoteCountTable(candidates=("A", "B", "NULL"), counts=counts, n=10)
+    vc = StageTable(TableKind.COUNTS, ("A", "B", "NULL"), counts, 10)
     pt = cumulate(vc)
     for i in range(len(rows)):
         for j in range(3):
             naive = sum(rows[r][j] for r in range(i + 1))
-            assert pt.cumulative[i][j] == naive
+            assert pt.rows[i][j] == naive
 
 
 def test_cumulate_single_stage_is_identity():
-    vc = VoteCountTable(candidates=("A", "NULL"),
-                        counts=((Fraction(3), Fraction(1)),), n=4)
-    assert cumulate(vc).cumulative == vc.counts
+    vc = StageTable(TableKind.COUNTS, ("A", "NULL"),
+                    ((Fraction(3), Fraction(1)),), 4)
+    assert cumulate(vc).rows == vc.rows
 
 
 @st.composite
@@ -142,11 +143,11 @@ def test_row_sum_conservation(profile):
     roster, ballots, num_prefs = profile
     vc, pt, table = pipeline(roster, ballots, num_prefs)
     n = len(ballots)
-    for row in vc.counts:
+    for row in vc.rows:
         assert sum(row) == n
-    for i, row in enumerate(pt.cumulative, start=1):
+    for i, row in enumerate(pt.rows, start=1):
         assert sum(row) == i * n
-    for i, row in enumerate(table.scores, start=1):
+    for i, row in enumerate(table.rows, start=1):
         assert sum(row) == 100 * i
 
 
@@ -278,27 +279,18 @@ class TestStageStatistics:
 class TestSortColumns:
     def test_concrete_order(self, concrete_tables):
         _, _, table = concrete_tables
-        assert sort_columns(table).column_order == ("X", "NULL", "A", "B", "C", "D")
-
-    def test_idempotent(self, concrete_tables):
-        _, _, table = concrete_tables
-        once = sort_columns(table)
-        assert sort_columns(once).column_order == once.column_order
-
-    def test_scores_unchanged(self, concrete_tables):
-        _, _, table = concrete_tables
-        assert sort_columns(table).scores == table.scores
+        assert sort_columns(table) == ("X", "NULL", "A", "B", "C", "D")
 
     def test_identical_columns_keep_roster_order(self):
         table = make_score_table(["A", "B", "C"], [[10, 10, 40], [20, 20, 80]])
-        assert sort_columns(table).column_order == ("C", "A", "B")
+        assert sort_columns(table) == ("C", "A", "B")
 
     @given(random_profiles())
     @settings(max_examples=60)
     def test_is_permutation(self, profile):
         roster, ballots, num_prefs = profile
         _, _, table = pipeline(roster, ballots, num_prefs)
-        assert sorted(sort_columns(table).column_order) == sorted(table.candidates)
+        assert sorted(sort_columns(table)) == sorted(table.candidates)
 
 
 class TestSerialization:
@@ -309,6 +301,14 @@ class TestSerialization:
         assert doc["n"] == 100
         assert doc["stages"][1][4] == 100.0
         json.dumps(doc)  # must be serializable
+
+    def test_each_step_returns_its_kind(self, concrete_tables):
+        vc, pt, table = concrete_tables
+        assert (vc.kind, pt.kind, table.kind) == (
+            TableKind.COUNTS, TableKind.PROCESSED, TableKind.SCORES)
+        assert set(vc.to_json_dict()) == {"candidates", "preferences", "n"}
+        assert set(pt.to_json_dict()) == {"candidates", "stages", "n"}
+        assert pt.to_text().splitlines()[0] == "Processed Vote Counts"
 
     def test_text_layout(self, concrete_tables):
         vc, _, _ = concrete_tables
