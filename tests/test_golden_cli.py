@@ -4,7 +4,9 @@ Each case runs ``stagevote.cli.main`` on a small input written to a
 temporary directory and compares stdout with ``tests/golden/<case>.out``.
 The expected files were recorded from the program before the three stage
 table types were merged into one, so they pin the rendered tables and the
-decision block exactly, not just a few substrings.
+decision block exactly, not just a few substrings. ``study-grid-json`` runs
+the default 126-config grid; it was recorded before stage tables cached
+their float rows, statistics and tie order.
 
 Re-record (only for an intended output change)::
 
@@ -69,12 +71,25 @@ STUDY = {
     ],
 }
 
+# No "algorithms" key: the default 126-config grid runs on every election.
+GRID_STUDY = {
+    "numCandidates": 5,
+    "numVoters": 12,
+    "numElections": 3,
+    "columnBlindness": 5,
+    "crowdBuildMethod": {"name": "standardDistribution", "mean": 1500,
+                         "standardDeviation": 300},
+    "seed": 5,
+    "datasetSize": 300,
+}
+
 INPUTS = {
     "concrete.csv": concrete_csv_text(),
     "beta.csv": _beta_csv(),
     "partial.csv": PARTIAL_CSV,
     "protest.csv": PROTEST_CSV,
     "study.json": json.dumps(STUDY),
+    "grid.json": json.dumps(GRID_STUDY),
 }
 
 # case name -> (argv with input file names, expected exit status)
@@ -96,6 +111,7 @@ CASES = {
     "protest-windowed-text": (["tally", "protest.csv", "--alpha", "0.5",
                                "--beta", "0.3333"], 2),
     "study-text": (["simulate", "study.json"], 0),
+    "study-grid-json": (["simulate", "grid.json", "--format", "json"], 0),
 }
 
 
