@@ -147,7 +147,7 @@ def _open_lines(source: Union[str, bytes, IO[str], Iterable[str]]) -> Iterable[s
     if isinstance(source, bytes):
         return io.StringIO(source.decode("utf-8-sig"))
     if isinstance(source, str):
-        return io.StringIO(source)
+        return io.StringIO(source.removeprefix("\ufeff"))
     return source
 
 

@@ -11,7 +11,9 @@ Two families are provided:
   candidate win a stage where the NULL candidate scores strictly higher.
 
 Scores are compared against thresholds in double precision with a strict
-``>`` throughout.
+``>`` throughout. Every decision reads the table's float rows, stage
+statistics and tie-break column order from ``StageTable``, which computes
+each once per table; running many configurations on one table shares them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .tally import StageStats, StageTable, compute_stage_stats, sort_columns
+from .tally import StageStats, StageTable
 
 
 class SelectionError(ValueError):
@@ -212,7 +214,7 @@ class Decision:
 
 
 def _tie_rank(st: StageTable) -> dict[str, int]:
-    return {c: i for i, c in enumerate(sort_columns(st))}
+    return {c: i for i, c in enumerate(st.column_order)}
 
 
 def _argmax(row: Sequence[float], indices: Sequence[int],
@@ -235,7 +237,7 @@ def basic_winner(st: StageTable, alpha: float) -> Decision:
     """
     _check_table(st)
     rank = _tie_rank(st)
-    rows = st.float_rows()
+    rows = st.floats
     bar = 100.0 * alpha
     everyone = range(len(st.candidates))
     for i, row in enumerate(rows, start=1):
@@ -253,7 +255,7 @@ def basic_winner(st: StageTable, alpha: float) -> Decision:
     )
 
 
-def _first_stage(rows: list[list[float]], predicate) -> Optional[int]:
+def _first_stage(rows: Sequence[Sequence[float]], predicate) -> Optional[int]:
     for i, row in enumerate(rows, start=1):
         if predicate(row):
             return i
@@ -271,11 +273,11 @@ def stage_window(st: StageTable, cfg: SelectionConfig, null_id: str) -> StageWin
     _check_table(st)
     if null_id not in st.candidates:
         raise MissingNullColumnError(f"{null_id!r} is not a column of the table")
-    rows = st.float_rows()
+    rows = st.floats
     nj = st.candidates.index(null_id)
     bar_a = 100.0 * cfg.alpha
 
-    def alpha_ok(row: list[float]) -> bool:
+    def alpha_ok(row: Sequence[float]) -> bool:
         return any(
             v > bar_a and row[nj] <= v
             for j, v in enumerate(row) if j != nj
@@ -365,10 +367,10 @@ def beta_gamma_winner(st: StageTable, cfg: SelectionConfig, null_id: str) -> Dec
     _check_table(st)
     if null_id not in st.candidates:
         raise MissingNullColumnError(f"{null_id!r} is not a column of the table")
-    rows = st.float_rows()
+    rows = st.floats
     nj = st.candidates.index(null_id)
     rank = _tie_rank(st)
-    stats = compute_stage_stats(st)
+    stats = st.stats
     window = stage_window(st, cfg, null_id)
     real = [j for j in range(len(st.candidates)) if j != nj]
 

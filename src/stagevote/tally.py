@@ -5,7 +5,9 @@ returns a ``StageTable`` of its ``TableKind``. Stage i of the cumulative
 table adds up preferences 1..i, so a candidate's score at stage i is the
 percentage of voters who ranked them within their first i preferences.
 All table entries are exact rationals; per-stage entropy and variance
-statistics are computed in floating point.
+statistics are computed in floating point. A table's float rows, stage
+statistics and column order are computed once, on first use, and shared by
+every later reader of that table.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .ballot import CandidateRoster, FractionalBallot
@@ -61,6 +64,10 @@ class StageTable:
     (``COUNTS``, rows sum to n with expansion), running sums where stage i
     aggregates preferences 1..i (``PROCESSED``), or those sums as
     percentages of n in [0, 100] (``SCORES``). Columns stay in roster order.
+
+    ``floats``, ``stats`` and ``column_order`` are computed once per table
+    and cached on the instance, so every decision made on one table shares
+    them. The cache never enters equality or hashing, which use the fields.
     """
 
     kind: TableKind
@@ -75,8 +82,20 @@ class StageTable:
     def row(self, stage: int) -> Row:
         return self.rows[stage - 1]
 
+    @cached_property
+    def floats(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(float(v) for v in row) for row in self.rows)
+
+    @cached_property
+    def stats(self) -> StageStats:
+        return compute_stage_stats(self)
+
+    @cached_property
+    def column_order(self) -> tuple[str, ...]:
+        return sort_columns(self)
+
     def float_rows(self) -> list[list[float]]:
-        return [[float(v) for v in row] for row in self.rows]
+        return [list(row) for row in self.floats]
 
     def to_text(self) -> str:
         labels = [f"{self.kind.row_label}{i}" for i in range(1, self.num_stages + 1)]
@@ -95,7 +114,7 @@ class StageTable:
     def to_json_dict(self) -> dict:
         return {
             "candidates": list(self.candidates),
-            self.kind.json_key: [[float(v) for v in row] for row in self.rows],
+            self.kind.json_key: self.float_rows(),
             "n": self.n,
         }
 
@@ -186,7 +205,7 @@ def stage_variance(st: StageTable, stage: int) -> float:
     """Population variance of the stage's score values across candidates."""
     if not 1 <= stage <= st.num_stages:
         raise TallyError(f"stage {stage} out of range 1..{st.num_stages}")
-    row = [float(v) for v in st.row(stage)]
+    row = st.floats[stage - 1]
     mean = sum(row) / len(row)
     return sum((v - mean) ** 2 for v in row) / len(row)
 

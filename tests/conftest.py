@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from stagevote import tally
 from stagevote.ballot import Ballot, CandidateRoster, expand_incomplete
 from stagevote.tally import StageTable, TableKind, count_votes, cumulate, score
 
@@ -61,6 +63,18 @@ def pipeline(roster, ballots, num_prefs):
 def make_score_table(candidates, rows, n=100) -> StageTable:
     scores = tuple(tuple(Fraction(v) for v in row) for row in rows)
     return StageTable(TableKind.SCORES, tuple(candidates), scores, n)
+
+
+@pytest.fixture
+def table_builds(monkeypatch) -> Counter:
+    """Counts calls of the per-table builders a StageTable caches."""
+    calls: Counter = Counter()
+    for name in ("compute_stage_stats", "sort_columns"):
+        def counted(st, real=getattr(tally, name), name=name):
+            calls[name] += 1
+            return real(st)
+        monkeypatch.setattr(tally, name, counted)
+    return calls
 
 
 @pytest.fixture

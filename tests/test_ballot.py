@@ -104,6 +104,16 @@ class TestParse:
         assert parse_ballots(bom, ROSTER) == parse_ballots(text, ROSTER)
         assert csv_preference_columns(bom) == 6
 
+    def test_str_with_byte_order_mark(self):
+        # Text a caller read as plain utf-8 still starts with U+FEFF.
+        text = f"{HEADER}\nv1,A,B,C,D,E,NULL\n"
+        assert parse_ballots("\ufeff" + text, ROSTER) == parse_ballots(text, ROSTER)
+        (raw,) = parse_ballots("\ufeffvoter_id,pref1\nv,A\n", None)
+        assert raw.prefs == ("A",)
+
+    def test_str_with_byte_order_mark_column_count(self):
+        assert csv_preference_columns(f"\ufeff{HEADER}\nv1,A\n") == 6
+
     def test_without_roster_tokens_stay_literal(self):
         roster = CandidateRoster(("A", "none", "?"), null_id="none", idk_id="?")
         text = "voter_id,pref1,pref2,pref3\nv,IDK,NULL,A\n"

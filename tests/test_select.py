@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stagevote import sim
 from stagevote.ballot import Ballot, CandidateRoster
 from stagevote.select import (
     BetaMode,
@@ -15,6 +17,7 @@ from stagevote.select import (
     GammaRule,
     MissingNullColumnError,
     SelectionConfig,
+    SelectionError,
     Selector,
     StageWindow,
     basic_winner,
@@ -26,7 +29,7 @@ from stagevote.select import (
     select_stage,
     stage_window,
 )
-from stagevote.tally import StageStats
+from stagevote.tally import StageStats, StageTable
 
 from conftest import make_score_table, pipeline
 
@@ -418,6 +421,58 @@ def test_basic_equals_windowed_first_when_null_not_strict_max():
         assert (windowed.winner, windowed.stage) == (basic.winner, basic.stage)
         checked += 1
     assert checked > 50
+
+
+class TestPerTableCache:
+    """Decisions share one table's float rows, stats and tie order."""
+
+    def test_default_grid_builds_stats_and_order_once_per_table(self, table_builds):
+        cfg = sim.SimConfig(num_candidates=5, num_voters=12, num_elections=2,
+                            column_blindness=5, quality_mean=1500.0,
+                            quality_sd=300.0, seed=3, dataset_size=300)
+        ds = sim.generate_dataset(3, num_candidates=300)
+        crowd = sim.build_crowd(cfg, ds, np.random.default_rng(3))
+        y_test = ds.y[ds.test_idx]
+        grid = sim.default_algorithm_grid()
+        for slate in (np.arange(5), np.arange(5, 10)):
+            results = sim.run_election(crowd, slate, y_test[slate], ds.null_y,
+                                       grid, num_prefs=5, include_baselines=False)
+            assert len(results) == len(grid) == 126
+        assert table_builds == {"compute_stage_stats": 2, "sort_columns": 2}
+
+    def test_mutating_float_rows_leaves_decisions_alone(self, beta_tables):
+        _, _, table = beta_tables
+        cfg = SelectionConfig(alpha=0.5, beta=0.3333,
+                              gamma=GammaRule.any_exceeds(0.6666),
+                              selector=Selector.LAST)
+        before = beta_gamma_winner(table, cfg, "NULL")
+        rows = table.float_rows()
+        for row in rows:
+            row[:] = [0.0] * len(row)
+            row[-1] = 100.0
+        assert beta_gamma_winner(table, cfg, "NULL") == before
+        assert basic_winner(table, 0.5) == basic_winner(
+            StageTable(table.kind, table.candidates, table.rows, table.n), 0.5)
+
+    def test_shared_table_decides_like_a_fresh_one(self):
+        rng = random.Random(5150)
+        grid = sim.default_algorithm_grid()
+
+        def decide(table, cfg):
+            try:
+                d = beta_gamma_winner(table, cfg, "NULL")
+            except SelectionError as exc:  # entropy selector on an empty row
+                return type(exc), str(exc)
+            return d.winner, d.stage, d.score, d.window, d.diagnostics
+
+        for trial in range(30):
+            shared = _random_table(rng)
+            for cfg in reversed(grid):
+                decide(shared, cfg)
+            for cfg in grid:
+                fresh = StageTable(shared.kind, shared.candidates,
+                                   shared.rows, shared.n)
+                assert decide(shared, cfg) == decide(fresh, cfg), (trial, cfg)
 
 
 class TestMinStages:

@@ -293,6 +293,38 @@ class TestSortColumns:
         assert sorted(sort_columns(table)) == sorted(table.candidates)
 
 
+class TestPerTableCache:
+    def test_members_match_module_functions(self, concrete_tables):
+        _, _, table = concrete_tables
+        assert table.floats == tuple(tuple(float(v) for v in row)
+                                     for row in table.rows)
+        assert table.stats == compute_stage_stats(table)
+        assert table.column_order == sort_columns(table)
+
+    def test_each_member_is_built_once(self, concrete_tables, table_builds):
+        _, _, table = concrete_tables
+        for _ in range(3):
+            table.stats, table.column_order, table.floats
+        assert table_builds == {"compute_stage_stats": 1, "sort_columns": 1}
+        assert table.floats is table.floats
+
+    def test_float_rows_are_fresh_lists(self, concrete_tables):
+        _, _, table = concrete_tables
+        rows = table.float_rows()
+        rows[0][0] = -1.0
+        rows.pop()
+        assert table.float_rows() == [list(row) for row in table.floats]
+        assert table.floats[0][0] == 25.0
+        assert table.float_rows() is not table.float_rows()
+
+    def test_cache_is_outside_equality_and_hash(self, concrete_tables):
+        _, _, used = concrete_tables
+        used.stats, used.column_order, used.floats
+        fresh = StageTable(used.kind, used.candidates, used.rows, used.n)
+        assert fresh == used
+        assert hash(fresh) == hash(used)
+
+
 class TestSerialization:
     def test_score_json_shape(self, concrete_tables):
         _, _, table = concrete_tables
