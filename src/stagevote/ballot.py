@@ -5,10 +5,12 @@ roster always contains an explicit protest option (the NULL candidate,
 spelled ``NULL`` in ballot files) and may contain an "I don't know"
 abstention marker (``IDK``) whose stamps are ignored at tally time.
 
-Incomplete ballots are expanded into fractional form: every missing
-preference row splits one unit of vote mass evenly over the candidates
-the voter never stamped, so downstream tables keep exact row sums.
-Weights are exact rationals (`fractions.Fraction`).
+Incomplete ballots are expanded into fractional form: a
+``FractionalBallot`` keeps the truncated stamps, and every missing
+preference row splits one unit of vote mass evenly over the candidates the
+voter never stamped, so downstream tables keep exact row sums. Weights are
+exact (the int 1 or a `fractions.Fraction`). Equal stamps make equal,
+hashable ballots, so a tally weighs each distinct ballot once.
 """
 
 from __future__ import annotations
@@ -124,23 +126,36 @@ class Ballot:
 
 @dataclass(frozen=True)
 class FractionalBallot:
-    """Per-preference vote mass; each row sums to exactly 1.
+    """A ballot's stamps over the tallied rows; equal and hashable by value.
 
-    ``rows[i]`` maps candidate id to the weight this ballot contributes to
-    preference row ``i + 1``. A stamped row is a single weight-1 entry; a
-    missing row spreads 1/m over the m candidates absent from the ballot.
+    ``stamps[i]`` is the stamp on preference row ``i + 1``, or None when the
+    row is missing or stamped "I don't know". ``rows[i]`` derives that row's
+    weights: ``{stamp: 1}`` (the int), or ``Fraction(1, m)`` for each of the
+    m candidates absent from the ballot, so every row sums to exactly 1.
     """
 
     candidates: tuple[str, ...]
-    rows: tuple[dict[str, Fraction], ...]
+    stamps: tuple[Optional[str], ...]
 
     @property
     def num_prefs(self) -> int:
-        return len(self.rows)
+        return len(self.stamps)
+
+    @property
+    def rows(self) -> tuple[dict[str, Union[int, Fraction]], ...]:
+        """Fresh weight dicts, one per preference row."""
+        stamped = set(self.stamps)
+        unstamped = [c for c in self.candidates if c not in stamped]
+        # A missing row leaves m >= 1 unstamped candidates: num_prefs <= k.
+        return tuple(
+            {stamp: 1} if stamp is not None
+            else dict.fromkeys(unstamped, Fraction(1, len(unstamped)))
+            for stamp in self.stamps
+        )
 
     def weight(self, preference: int, candidate: str) -> Fraction:
         """Weight at a 1-based preference row; zero when absent."""
-        return self.rows[preference - 1].get(candidate, Fraction(0))
+        return Fraction(self.rows[preference - 1].get(candidate, 0))
 
 
 def _open_lines(source: Union[str, bytes, IO[str], Iterable[str]]) -> Iterable[str]:
@@ -169,6 +184,27 @@ def _encode_token(candidate: str, roster: CandidateRoster) -> str:
     return candidate
 
 
+def _read_header(reader) -> int:
+    """Check the ``voter_id,pref1,...,prefP`` header (errors on line 1); return P."""
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise BallotFormatError(f"malformed CSV: {exc}", line=1) from exc
+    if header is None:
+        raise BallotFormatError("empty file: missing header row", line=1)
+    header = [h.strip() for h in header]
+    if not header or header[0] != "voter_id":
+        raise BallotFormatError(
+            "unknown header layout: first column must be 'voter_id'", line=1
+        )
+    expected = [f"pref{i}" for i in range(1, len(header))]
+    if len(header) < 2 or header[1:] != expected:
+        raise BallotFormatError(
+            "unknown header layout: expected columns pref1..prefP", line=1
+        )
+    return len(header) - 1
+
+
 def parse_ballots(
     source: Union[str, bytes, IO[str], Iterable[str]],
     roster: Optional[CandidateRoster],
@@ -187,23 +223,7 @@ def parse_ballots(
     ``reject_duplicate_voters=True`` for the strict mode that refuses them.
     """
     reader = csv.reader(_open_lines(source))
-    try:
-        header = next(reader, None)
-    except csv.Error as exc:
-        raise BallotFormatError(f"malformed CSV: {exc}", line=1) from exc
-    if header is None:
-        raise BallotFormatError("empty file: missing header row", line=1)
-    header = [h.strip() for h in header]
-    if not header or header[0] != "voter_id":
-        raise BallotFormatError(
-            "unknown header layout: first column must be 'voter_id'", line=1
-        )
-    expected = [f"pref{i}" for i in range(1, len(header))]
-    if len(header) < 2 or header[1:] != expected:
-        raise BallotFormatError(
-            "unknown header layout: expected columns pref1..prefP", line=1
-        )
-    num_cols = len(header) - 1
+    num_cols = _read_header(reader)
 
     ballots: list[RawBallot] = []
     seen_voters: dict[str, int] = {}
@@ -251,14 +271,7 @@ def parse_ballots(
 
 def csv_preference_columns(source: Union[str, bytes, IO[str], Iterable[str]]) -> int:
     """Number of preference columns declared by a ballot CSV header."""
-    reader = csv.reader(_open_lines(source))
-    header = next(reader, None)
-    if header is None:
-        raise BallotFormatError("empty file: missing header row", line=1)
-    header = [h.strip() for h in header]
-    if not header or header[0] != "voter_id" or len(header) < 2:
-        raise BallotFormatError("unknown header layout", line=1)
-    return len(header) - 1
+    return _read_header(csv.reader(_open_lines(source)))
 
 
 def validate_ballot(raw: RawBallot, roster: CandidateRoster) -> Ballot:
@@ -281,12 +294,12 @@ def expand_incomplete(
 ) -> FractionalBallot:
     """Expand a (possibly incomplete) ballot to ``num_prefs`` weighted rows.
 
-    Stamped preferences put weight 1 on the stamped candidate. Every
-    missing row gives 1/m to each of the m tallyable candidates absent
-    from the ballot, as if the voter had split the stamp evenly. A stamp
-    for the "I don't know" candidate counts as missing and is
-    redistributed the same way. Stamps past ``num_prefs`` are dropped,
-    which models a ballot that only supported that many preferences.
+    Stamps past ``num_prefs`` are dropped, which models a ballot that only
+    supported that many preferences. A stamp for the "I don't know"
+    candidate counts as missing, like every row past the ballot's end. The
+    returned ballot's ``rows`` put weight 1 on each stamped candidate and
+    give every missing row 1/m to each of the m tallyable candidates absent
+    from the ballot, as if the voter had split the stamp evenly.
 
     ``num_prefs`` defaults to k - 1, the shortest ballot length that still
     guarantees a threshold crossing before the trivial all-100% stage.
@@ -297,23 +310,8 @@ def expand_incomplete(
     if not 1 <= num_prefs <= k:
         raise ValueError(f"num_prefs must be in 1..{k}, got {num_prefs}")
 
-    stamps: list[Optional[str]] = []
-    for cand in ballot.prefs[:num_prefs]:
-        stamps.append(None if cand == roster.idk_id else cand)
-    stamps.extend([None] * (num_prefs - len(stamps)))
-
-    stamped = {c for c in stamps if c is not None}
-    unstamped = [c for c in roster.tally_candidates if c not in stamped]
-
-    rows: list[dict[str, Fraction]] = []
-    for stamp in stamps:
-        if stamp is not None:
-            rows.append({stamp: Fraction(1)})
-        else:
-            # num_prefs <= k guarantees a missing row leaves m >= 1.
-            share = Fraction(1, len(unstamped))
-            rows.append({c: share for c in unstamped})
-    return FractionalBallot(candidates=roster.tally_candidates, rows=tuple(rows))
+    stamps = tuple(None if c == roster.idk_id else c for c in ballot.prefs[:num_prefs])
+    return FractionalBallot(roster.tally_candidates, stamps + (None,) * (num_prefs - len(stamps)))
 
 
 def ballots_to_csv(

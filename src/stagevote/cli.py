@@ -132,6 +132,20 @@ def _roster_from_flag(spec: str) -> CandidateRoster:
 
 
 def cmd_tally(args) -> int:
+    # Built for the basic rule too, so alpha is checked on both paths.
+    try:
+        cfg = SelectionConfig(
+            alpha=args.alpha,
+            beta=args.beta,
+            gamma=parse_gamma_spec(args.gamma),
+            selector=(parse_selector(args.selector)
+                      if args.selector else Selector.FIRST),
+            beta_mode=BetaMode(args.beta_mode),
+            gamma_mode=GammaMode(args.gamma_mode),
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
     try:
         # utf-8-sig: spreadsheet CSV exports start with a byte-order mark.
         with open(args.ballots, "r", encoding="utf-8-sig") as fh:
@@ -182,18 +196,6 @@ def cmd_tally(args) -> int:
     windowed = (args.beta is not None or args.gamma is not None
                 or args.selector is not None)
     if windowed:
-        try:
-            cfg = SelectionConfig(
-                alpha=args.alpha,
-                beta=args.beta,
-                gamma=parse_gamma_spec(args.gamma),
-                selector=(parse_selector(args.selector)
-                          if args.selector else Selector.FIRST),
-                beta_mode=BetaMode(args.beta_mode),
-                gamma_mode=GammaMode(args.gamma_mode),
-            )
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
         decision = beta_gamma_winner(st, cfg, roster.null_id)
         report = betagamma_report(decision, cfg, roster.null_id)
     else:

@@ -198,8 +198,11 @@ class StageWindow:
     @property
     def end(self) -> int:
         """Last stage allowed by the cutoffs (0 when nothing is usable)."""
-        bounds = [b for b in (self.last_by_beta, self.last_by_gamma) if b is not None]
-        return min(bounds + [self.num_stages])
+        return _window_end(self.last_by_beta, self.last_by_gamma, self.num_stages)
+
+
+def _window_end(*bounds: Optional[int]) -> int:
+    return min(b for b in bounds if b is not None)
 
 
 @dataclass(frozen=True)
@@ -310,8 +313,7 @@ def stage_window(st: StageTable, cfg: SelectionConfig, null_id: str) -> StageWin
     else:
         last_by_gamma = None
 
-    bounds = [b for b in (last_by_beta, last_by_gamma) if b is not None]
-    end = min(bounds + [st.num_stages])
+    end = _window_end(last_by_beta, last_by_gamma, st.num_stages)
     if first_by_alpha is None or first_by_alpha > end:
         pool: tuple[int, ...] = ()
     else:
@@ -364,14 +366,11 @@ def beta_gamma_winner(st: StageTable, cfg: SelectionConfig, null_id: str) -> Dec
     earlier pool stage where it does not (such a stage exists by
     construction of the window's lower bound).
     """
-    _check_table(st)
-    if null_id not in st.candidates:
-        raise MissingNullColumnError(f"{null_id!r} is not a column of the table")
+    window = stage_window(st, cfg, null_id)
     rows = st.floats
     nj = st.candidates.index(null_id)
     rank = _tie_rank(st)
     stats = st.stats
-    window = stage_window(st, cfg, null_id)
     real = [j for j in range(len(st.candidates)) if j != nj]
 
     def best_real_at(stage: Optional[int]) -> tuple[Optional[str], Optional[float]]:

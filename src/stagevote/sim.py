@@ -265,10 +265,6 @@ class ElectionOutcome:
     below_null: bool
 
 
-def _top_of_ranking(ranking: Sequence[str]) -> str:
-    return ranking[0]
-
-
 def run_election(
     crowd: Sequence[Voter],
     slate: Sequence[int],
@@ -312,9 +308,9 @@ def run_election(
         results[LABEL_FPTP] = outcome(baselines.fptp_winner(ballots, roster))
         results[LABEL_IRV] = outcome(baselines.irv_winner(ballots, roster))
         results[LABEL_CROWD_MEAN] = outcome(
-            _top_of_ranking(baselines.crowd_mean_ranking(with_null)))
+            baselines.crowd_mean_ranking(with_null)[0])
         results[LABEL_CROWD_MEDIAN] = outcome(
-            _top_of_ranking(baselines.crowd_median_ranking(with_null)))
+            baselines.crowd_median_ranking(with_null)[0])
         best = min(range(len(crowd)), key=lambda i: crowd[i].achieved_mse)
         best_vals = np.append(preds[best], null_y)
         results[LABEL_BEST_VOTER] = outcome(

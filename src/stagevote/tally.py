@@ -13,6 +13,7 @@ every later reader of that table.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -134,21 +135,24 @@ def count_votes(
 ) -> StageTable:
     """Sum fractional ballots into the per-preference count table.
 
+    Each distinct ballot's rows are added once, times the number of voters
+    who cast it, so the cost grows with distinct ballots, not voters. Sums
+    start at the int 0 so that stamped weight 1 stays integer arithmetic.
+
     All ballots must be expanded over the same roster and ``num_prefs``;
     anything else is a configuration error.
     """
     cands = roster.tally_candidates
-    totals = [{c: Fraction(0) for c in cands} for _ in range(num_prefs)]
-    for fb in ballots:
+    totals = [dict.fromkeys(cands, 0) for _ in range(num_prefs)]
+    for fb, size in Counter(ballots).items():
         if fb.candidates != cands or fb.num_prefs != num_prefs:
             raise TallyError(
                 "ballot expanded over a different roster or preference count"
             )
-        for i, row in enumerate(fb.rows):
-            slot = totals[i]
+        for slot, row in zip(totals, fb.rows):
             for cand, w in row.items():
-                slot[cand] += w
-    counts = tuple(tuple(totals[i][c] for c in cands) for i in range(num_prefs))
+                slot[cand] += w * size
+    counts = tuple(tuple(Fraction(slot[c]) for c in cands) for slot in totals)
     return StageTable(TableKind.COUNTS, cands, counts, len(ballots))
 
 

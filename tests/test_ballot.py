@@ -1,5 +1,6 @@
 """Ballot parsing, validation, and fractional expansion."""
 
+import csv
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from stagevote.ballot import (
     BallotFormatError,
     CandidateRoster,
     DuplicateCandidate,
+    FractionalBallot,
     RawBallot,
     UnknownCandidate,
     ballots_to_csv,
@@ -85,6 +87,20 @@ class TestParse:
     def test_empty_file_rejected(self):
         with pytest.raises(BallotFormatError):
             parse_ballots("", ROSTER)
+
+    def test_header_checks_shared_by_both_readers(self):
+        for text in ("voter_id,first\nv,A\n", "voter_id\nv\n", "id,pref1\n", ""):
+            for read in (csv_preference_columns, lambda t: parse_ballots(t, ROSTER)):
+                with pytest.raises(BallotFormatError) as err:
+                    read(text)
+                assert err.value.line == 1
+
+    def test_header_cell_over_csv_field_limit(self):
+        text = "voter_id," + "x" * (csv.field_size_limit() + 1) + "\nv,A\n"
+        for read in (csv_preference_columns, lambda t: parse_ballots(t, ROSTER)):
+            with pytest.raises(BallotFormatError) as err:
+                read(text)
+            assert err.value.line == 1
 
     def test_idk_token_maps_to_roster_id(self):
         roster = CandidateRoster(("A", "B", "NULL", "IDK"), null_id="NULL",
@@ -205,6 +221,35 @@ class TestExpand:
     def test_num_prefs_out_of_range(self):
         with pytest.raises(ValueError):
             expand_incomplete(Ballot("v", ()), ROSTER, num_prefs=7)
+
+    def test_holds_truncated_stamps_with_idk_as_missing(self):
+        roster = CandidateRoster(("A", "B", "C", "NULL", "IDK"), null_id="NULL",
+                                 idk_id="IDK")
+        fb = expand_incomplete(Ballot("v", ("A", "IDK", "B", "C")), roster, 3)
+        assert fb == FractionalBallot(("A", "B", "C", "NULL"), ("A", None, "B"))
+        assert fb.num_prefs == 3
+
+    def test_equal_and_hash_equal_by_value(self):
+        roster = CandidateRoster(("A", "B", "C", "NULL", "IDK"), null_id="NULL",
+                                 idk_id="IDK")
+        # Voter id, a trailing IDK and stamps past num_prefs do not count.
+        same = [expand_incomplete(Ballot(v, prefs), roster, 2) for v, prefs in
+                [("v1", ("A",)), ("v2", ("A",)), ("v3", ("A", "IDK")),
+                 ("v4", ("A", "IDK", "B"))]]
+        assert all(fb == same[0] and hash(fb) == hash(same[0]) for fb in same)
+        assert len(set(same)) == 1
+        assert expand_incomplete(Ballot("v5", ("A", "B")), roster, 2) != same[0]
+        assert expand_incomplete(Ballot("v6", ("A",)), roster, 3) != same[0]
+
+    def test_rows_are_fresh_dicts(self):
+        fb = expand_incomplete(Ballot("v", ("A",)), ROSTER, num_prefs=2)
+        rows = fb.rows
+        rows[0]["A"] = 7
+        rows[1].clear()
+        fifth = Fraction(1, 5)
+        assert fb.rows == ({"A": 1}, dict.fromkeys(("B", "C", "D", "E", "NULL"), fifth))
+        assert fb.rows[0] is not fb.rows[0]
+        assert fb.weight(1, "A") == 1 and isinstance(fb.weight(1, "A"), Fraction)
 
 
 @st.composite

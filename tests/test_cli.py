@@ -146,6 +146,22 @@ class TestTally:
         assert "not on the roster" in err  # warning names the conflict
         assert "Z" in err
 
+    def test_header_cell_over_csv_field_limit(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("voter_id," + "x" * 140_000 + "\nv1,A\n")
+        code, out, err = run_cli("tally", str(path))
+        assert code == 1
+        assert out == ""
+        assert "line 1:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("alpha", ["nan", "2", "-1"])
+    def test_basic_rule_rejects_alpha_out_of_range(self, concrete_csv, alpha):
+        code, out, err = run_cli("tally", concrete_csv, "--alpha", alpha)
+        assert code == 1
+        assert out == ""
+        assert "alpha must be in [0, 1]" in err
+
     def test_bad_flag_value(self, concrete_csv):
         code, _, err = run_cli("tally", concrete_csv, "--gamma", "bogus")
         assert code == 1

@@ -65,6 +65,8 @@ class TestBasicWinner:
         table = make_score_table(["A"], [])
         with pytest.raises(EmptyTableError):
             basic_winner(table, 0.5)
+        with pytest.raises(EmptyTableError):
+            beta_gamma_winner(table, SelectionConfig(alpha=0.5), "A")
 
 
 class TestStageWindow:

@@ -2,13 +2,15 @@
 
 import json
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagevote.ballot import Ballot, CandidateRoster, expand_incomplete
+from stagevote.ballot import Ballot, CandidateRoster, FractionalBallot, expand_incomplete
 from stagevote.tally import (
     DegenerateDistributionError,
     StageTable,
@@ -102,6 +104,83 @@ class TestCountVotes:
         fb = expand_incomplete(Ballot("v", ("A",)), ROSTER_SIX, 3)
         with pytest.raises(TallyError):
             count_votes([fb], ROSTER_SIX, 2)
+
+
+def _per_ballot_counts(ballots, roster, num_prefs):
+    """The README rule, ballot by ballot: a stamp puts 1 on its candidate;
+    a missing or IDK row splits 1 evenly over the candidates not stamped
+    within the first num_prefs preferences."""
+    cands = [c for c in roster.candidates if c != roster.idk_id]
+    totals = [[Fraction(0)] * len(cands) for _ in range(num_prefs)]
+    for b in ballots:
+        kept = [c if c != roster.idk_id else None for c in b.prefs[:num_prefs]]
+        kept += [None] * (num_prefs - len(kept))
+        absent = [j for j, c in enumerate(cands) if c not in kept]
+        for i, cand in enumerate(kept):
+            if cand is None:
+                for j in absent:
+                    totals[i][j] += Fraction(1, len(absent))
+            else:
+                totals[i][cands.index(cand)] += 1
+    return tuple(tuple(row) for row in totals)
+
+
+class TestGrouping:
+    def test_matches_per_ballot_oracle(self):
+        rng = random.Random(2024)
+        for trial in range(150):
+            size = rng.randint(2, 6)
+            names = [f"K{i}" for i in range(size - 1)] + ["NULL"]
+            idk = "IDK" if rng.random() < 0.5 else None
+            roster = CandidateRoster(tuple(names + ([idk] if idk else [])),
+                                     null_id="NULL", idk_id=idk)
+            num_prefs = rng.randint(1, roster.k)
+            # A few distinct patterns, some longer than num_prefs, cast
+            # many times, so the list holds duplicates in shuffled order.
+            patterns = [tuple(rng.sample(roster.candidates,
+                                         rng.randint(0, len(roster.candidates))))
+                        for _ in range(rng.randint(1, 5))]
+            ballots = [Ballot(f"v{i}", rng.choice(patterns))
+                       for i in range(rng.randint(1, 40))]
+            rng.shuffle(ballots)
+            vc = count_votes([expand_incomplete(b, roster, num_prefs) for b in ballots],
+                             roster, num_prefs)
+            assert vc.rows == _per_ballot_counts(ballots, roster, num_prefs)
+            assert all(type(v) is Fraction for row in vc.rows for v in row)
+            assert vc.n == len(ballots)
+
+    def test_mutating_returned_rows_changes_no_count(self):
+        roster = CandidateRoster(("A", "B", "NULL"), null_id="NULL")
+        fb = expand_incomplete(Ballot("v", ("A",)), roster, 2)
+        before = count_votes([fb, fb], roster, 2)
+        fb.rows[0]["A"] = 100
+        fb.rows[1].clear()
+        assert count_votes([fb, fb], roster, 2) == before
+        assert before.rows == ((2, 0, 0), (0, 1, 1))
+
+    def test_rows_built_once_per_distinct_ballot(self, monkeypatch):
+        built: Counter = Counter()
+        real = FractionalBallot.rows
+
+        def counted(fb):
+            built[fb] += 1
+            return real.fget(fb)
+        monkeypatch.setattr(FractionalBallot, "rows", property(counted))
+        prefs = [("A",), ("A", "B"), ("A",), ("B", "NULL"), ("A", "B"), ("A",)]
+        fbs = [expand_incomplete(Ballot(f"v{i}", p), ROSTER_SIX, 2)
+               for i, p in enumerate(prefs)]
+        count_votes(fbs, ROSTER_SIX, 2)
+        assert built == Counter(set(fbs))
+        assert len(built) == 3
+
+    def test_mismatch_in_a_group_rejected(self):
+        good = expand_incomplete(Ballot("v", ("A",)), ROSTER_SIX, 2)
+        short = expand_incomplete(Ballot("v", ("A",)), ROSTER_SIX, 1)
+        other = expand_incomplete(
+            Ballot("v", ("A",)), CandidateRoster(("A", "Z", "NULL"), null_id="NULL"), 2)
+        for bad in (short, other):
+            with pytest.raises(TallyError):
+                count_votes([good] * 5 + [bad] * 3 + [good], ROSTER_SIX, 2)
 
 
 @given(st.lists(st.lists(st.integers(min_value=0, max_value=50),
