@@ -7,7 +7,6 @@ from .ballot import (
     CandidateRoster,
     DuplicateCandidate,
     FractionalBallot,
-    RawBallot,
     UnknownCandidate,
     ballots_to_csv,
     expand_incomplete,

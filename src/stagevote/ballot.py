@@ -1,9 +1,11 @@
 """Ballots and rosters: CSV parsing, validation, fractional expansion.
 
-A ballot is an ordered list of stamps over a fixed candidate roster. The
-roster always contains an explicit protest option (the NULL candidate,
-spelled ``NULL`` in ballot files) and may contain an "I don't know"
-abstention marker (``IDK``) whose stamps are ignored at tally time.
+A ``Ballot`` is one voter's ordered stamps over a fixed candidate roster,
+built once (by the parser or the study) and checked in place by
+``validate_ballot``. The roster always contains an explicit protest option
+(the NULL candidate, spelled ``NULL`` in ballot files) and may contain an
+"I don't know" abstention marker (``IDK``) whose stamps are ignored at
+tally time.
 
 Incomplete ballots are expanded into fractional form: a
 ``FractionalBallot`` keeps the truncated stamps, and every missing
@@ -19,6 +21,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import IO, Iterable, Optional, Sequence, Union
 
 NULL_TOKEN = "NULL"
@@ -69,7 +72,8 @@ class CandidateRoster:
     ``candidates`` is the presentation order used by every table and by
     deterministic tie-breaking. ``null_id`` (the protest option) must be a
     member; ``idk_id`` is optional and, when present, is excluded from the
-    tallyable candidates: a stamp for it counts as no stamp at all.
+    tallyable candidates: a stamp for it counts as no stamp at all. The
+    derived ``tally_candidates`` and ``k`` are built once per roster.
     """
 
     candidates: tuple[str, ...]
@@ -89,39 +93,29 @@ class CandidateRoster:
         if self.k < 2:
             raise ValueError("roster needs at least one real candidate plus NULL")
 
-    @property
+    @cached_property
     def tally_candidates(self) -> tuple[str, ...]:
         """Candidates that receive vote mass (everything except ``idk_id``)."""
         return tuple(c for c in self.candidates if c != self.idk_id)
 
-    @property
+    @cached_property
     def k(self) -> int:
         """Number of tallyable candidates, the NULL candidate included."""
         return len(self.tally_candidates)
 
-    def __contains__(self, candidate: str) -> bool:
-        return candidate in self.candidates
-
 
 @dataclass(frozen=True)
-class RawBallot:
-    """Unchecked parse result: may contain unknown or duplicate stamps.
+class Ballot:
+    """One voter's stamps, best first.
 
-    ``line`` is the 1-based CSV line the ballot came from, when known; it
-    is carried for error reporting only and never takes part in equality.
+    A parsed ballot is unchecked until ``validate_ballot`` accepts it
+    (distinct stamps, all roster members). ``line`` is the 1-based CSV line
+    it came from, when known: for error reports only, never in equality.
     """
 
     voter_id: str
     prefs: tuple[str, ...]
     line: Optional[int] = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class Ballot:
-    """A validated ballot: distinct stamps, all of them roster members."""
-
-    voter_id: str
-    prefs: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -209,8 +203,8 @@ def parse_ballots(
     source: Union[str, bytes, IO[str], Iterable[str]],
     roster: Optional[CandidateRoster],
     reject_duplicate_voters: bool = False,
-) -> list[RawBallot]:
-    """Parse a ballot CSV into raw (unvalidated) ballots, preserving order.
+) -> list[Ballot]:
+    """Parse a ballot CSV into unvalidated ballots, preserving order.
 
     Expected header: ``voter_id,pref1,...,prefP``. Candidate cells hold
     roster identifiers with the literal tokens ``NULL`` and ``IDK`` naming
@@ -225,7 +219,7 @@ def parse_ballots(
     reader = csv.reader(_open_lines(source))
     num_cols = _read_header(reader)
 
-    ballots: list[RawBallot] = []
+    ballots: list[Ballot] = []
     seen_voters: dict[str, int] = {}
     while True:
         try:
@@ -265,7 +259,7 @@ def parse_ballots(
                     line=line,
                 )
             seen_voters[voter_id] = line
-        ballots.append(RawBallot(voter_id=voter_id, prefs=tuple(prefs), line=line))
+        ballots.append(Ballot(voter_id=voter_id, prefs=tuple(prefs), line=line))
     return ballots
 
 
@@ -274,17 +268,17 @@ def csv_preference_columns(source: Union[str, bytes, IO[str], Iterable[str]]) ->
     return _read_header(csv.reader(_open_lines(source)))
 
 
-def validate_ballot(raw: RawBallot, roster: CandidateRoster) -> Ballot:
-    """Accept a raw ballot or raise ``UnknownCandidate``/``DuplicateCandidate``."""
-    members = set(roster.candidates)
-    seen: dict[str, int] = {}
-    for pos, cand in enumerate(raw.prefs, start=1):
-        if cand not in members:
+def validate_ballot(ballot: Ballot, roster: CandidateRoster) -> Ballot:
+    """Return ``ballot`` itself once its stamps are distinct roster members;
+    raise ``UnknownCandidate``/``DuplicateCandidate`` at the first bad stamp."""
+    for pos, cand in enumerate(ballot.prefs, start=1):
+        if cand not in roster.candidates:
             raise UnknownCandidate(cand, pos)
-        if cand in seen:
-            raise DuplicateCandidate(cand, (seen[cand], pos))
-        seen[cand] = pos
-    return Ballot(voter_id=raw.voter_id, prefs=tuple(raw.prefs))
+        # Stamps before pos are distinct members, so pos <= k: O(k^2) at worst.
+        first = ballot.prefs.index(cand) + 1
+        if first != pos:
+            raise DuplicateCandidate(cand, (first, pos))
+    return ballot
 
 
 def expand_incomplete(
@@ -315,7 +309,7 @@ def expand_incomplete(
 
 
 def ballots_to_csv(
-    ballots: Sequence[Union[Ballot, RawBallot]],
+    ballots: Sequence[Ballot],
     roster: CandidateRoster,
     num_prefs: Optional[int] = None,
 ) -> str:

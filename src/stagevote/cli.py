@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import sim
@@ -99,17 +101,21 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="minimum stages guaranteeing an alpha crossing")
     stages.add_argument("n", type=int, help="number of voters (kept for symmetry)")
     stages.add_argument("k", type=int, help="number of candidates, NULL included")
-    stages.add_argument("alpha", type=float, help="threshold in (0,1)")
+    stages.add_argument("alpha", type=_exact_decimal, help="threshold in (0,1)")
 
     return parser
 
 
-def _infer_roster(raws) -> CandidateRoster:
-    seen: list[str] = []
-    for raw in raws:
-        for cand in raw.prefs:
-            if cand not in seen:
-                seen.append(cand)
+def _exact_decimal(text: str):
+    """The typed number exactly (0.29 is 29/100); nan and inf stay floats."""
+    try:
+        return Fraction(text) if math.isfinite(float(text)) else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def _infer_roster(ballots) -> CandidateRoster:
+    seen = dict.fromkeys(c for ballot in ballots for c in ballot.prefs)
     real = sorted(c for c in seen if c not in (NULL_TOKEN, IDK_TOKEN))
     candidates = real + [NULL_TOKEN]
     idk = IDK_TOKEN if IDK_TOKEN in seen else None
@@ -157,28 +163,27 @@ def cmd_tally(args) -> int:
     # can be parsed with their tokens as written, before the roster exists.
     try:
         num_cols = csv_preference_columns(text)
-        raws = parse_ballots(text, None)
+        ballots = parse_ballots(text, None)
     except BallotError as exc:
         raise CliError(str(exc)) from exc
-    if not raws:
+    if not ballots:
         raise CliError("no ballots in file")
     if args.candidates:
         roster = _roster_from_flag(args.candidates)
         on_roster = set(roster.candidates)
-        extra = sorted({c for raw in raws for c in raw.prefs} - on_roster)
+        extra = sorted({c for b in ballots for c in b.prefs} - on_roster)
         if extra:
             print(f"warning: ballots contain identifiers not on the roster: "
                   f"{', '.join(extra)}", file=sys.stderr)
     else:
-        roster = _infer_roster(raws)
+        roster = _infer_roster(ballots)
 
-    ballots = []
     problems = []
-    for raw in raws:
+    for ballot in ballots:
         try:
-            ballots.append(validate_ballot(raw, roster))
+            validate_ballot(ballot, roster)
         except BallotError as exc:
-            problems.append(f"line {raw.line}: {exc}")
+            problems.append(f"line {ballot.line}: {exc}")
     if problems:
         raise CliError("invalid ballots:\n  " + "\n  ".join(problems))
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .tally import StageStats, StageTable
 
@@ -417,13 +417,15 @@ def beta_gamma_winner(st: StageTable, cfg: SelectionConfig, null_id: str) -> Dec
                     window=window, diagnostics=diagnostics)
 
 
-def min_stages(n: int, k: int, alpha: float) -> int:
+def min_stages(n: int, k: int, alpha: Union[float, Fraction]) -> int:
     """Smallest number of stages guaranteeing an alpha crossing.
 
     With every possible stage present the worst case is a perfectly even
     spread of n/k per cell, so the bound is the least integer x with
-    x > alpha * k. The voter count n does not enter the bound; it is kept
-    for signature symmetry with the election parameters.
+    x > alpha * k, exact for a ``Fraction`` alpha (``Fraction("0.29")``, k =
+    100 gives 30; the float 0.29 gives 29, as 0.29 * 100 < 29 in floats).
+    The voter count n does not enter the bound; it is kept for signature
+    symmetry with the election parameters.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -2,10 +2,11 @@
 
 A simulation builds one synthetic candidate dataset and one crowd of
 feature-blind noisy estimators, then runs many independent elections on
-slates drawn from the held-out split. Every algorithm (the staged-voting
-variants, plurality, instant-runoff, and the crowd/best-voter
-comparators) sees the same ballots and predictions per election, and the
-whole run is a pure function of the config (seed included): per-election
+slates drawn from the held-out split. Each election ranks one voters x
+(slate + NULL) prediction matrix once, row i giving voter i's ballot, and
+every algorithm (the staged-voting variants, plurality, instant-runoff,
+and the crowd/best-voter comparators) sees those ballots and predictions.
+The whole run is a pure function of the config (seed included): per-election
 randomness comes from a stream keyed on (master seed, election index).
 Elections run serially: the work is pure Python and holds the GIL, so
 threads gave no speedup.
@@ -123,8 +124,9 @@ class SimConfig:
         if self.workers < 1:
             raise SimConfigError("workers must be >= 1")
         k = self.num_candidates + 1  # slate plus NULL
-        if self.num_prefs is not None and not 1 <= self.num_prefs <= k:
-            raise SimConfigError(f"numPrefs must be in 1..{k}")
+        if self.num_prefs is not None and not (
+                isinstance(self.num_prefs, int) and 1 <= self.num_prefs <= k):
+            raise SimConfigError(f"numPrefs must be an integer in 1..{k}")
         if int(self.dataset_size * self.test_fraction) < self.num_candidates:
             raise SimConfigError("test split too small for the slate size")
 
@@ -243,17 +245,25 @@ def slate_roster(slate: Sequence[int]) -> CandidateRoster:
     return CandidateRoster(candidates=ids + (NULL_TOKEN,), null_id=NULL_TOKEN)
 
 
+def _rank_ballots(crowd: Sequence[Voter], values: np.ndarray,
+                  roster: CandidateRoster, num_prefs: int) -> list[Ballot]:
+    """One ballot per row of a voters x (slate + NULL) value matrix: the
+    row's candidates by descending value, ties in slate order (NULL last),
+    cut to the first ``num_prefs`` preferences."""
+    ids = roster.tally_candidates
+    order = np.argsort(-values, axis=1, kind="stable")[:, :num_prefs].tolist()
+    return [Ballot(voter_id=f"v{voter.index}", prefs=tuple([ids[j] for j in row]))
+            for voter, row in zip(crowd, order)]
+
+
 def cast_ballot(voter: Voter, slate: Sequence[int], null_y: float,
                 num_prefs: int, roster: Optional[CandidateRoster] = None) -> Ballot:
-    """Rank the slate by the voter's predicted quality (NULL at exactly
-    the agreed median) and keep the first ``num_prefs`` preferences."""
+    """The voter's row of ``run_election``'s ranking: the slate by predicted
+    quality (NULL at exactly the agreed median), first ``num_prefs`` kept."""
     if roster is None:
         roster = slate_roster(slate)
     values = np.append(voter.predictions[np.asarray(slate)], null_y)
-    order = np.argsort(-values, kind="stable")
-    ids = roster.tally_candidates
-    prefs = tuple(ids[j] for j in order[:num_prefs])
-    return Ballot(voter_id=f"v{voter.index}", prefs=prefs)
+    return _rank_ballots([voter], values[None, :], roster, num_prefs)[0]
 
 
 @dataclass(frozen=True)
@@ -276,6 +286,8 @@ def run_election(
 ) -> dict[str, ElectionOutcome]:
     """Evaluate every algorithm on one slate using shared ballots.
 
+    One voters x (slate + NULL) matrix, ranked once, gives the ballots and
+    feeds the crowd comparators; the best voter picks their ballot's top.
     The true rank of a winner is its 1-based position by true quality
     within the slate; a NULL winner ranks where the median quality falls
     and never counts as below-NULL.
@@ -283,22 +295,16 @@ def run_election(
     slate = np.asarray(slate)
     roster = slate_roster(slate)
     ids = roster.tally_candidates
-    ballots = [cast_ballot(v, slate, null_y, num_prefs, roster) for v in crowd]
+    values = np.column_stack([np.stack([v.predictions[slate] for v in crowd]),
+                              np.full(len(crowd), null_y)])
+    ballots = _rank_ballots(crowd, values, roster, num_prefs)
     expanded = [expand_incomplete(b, roster, num_prefs) for b in ballots]
     table = score(cumulate(count_votes(expanded, roster, num_prefs)))
-    preds = np.stack([v.predictions[slate] for v in crowd])
-    with_null = PredictionMatrix(
-        slate=ids,
-        values=np.column_stack([preds, np.full(len(crowd), null_y)]),
-    )
+    with_null = PredictionMatrix(slate=ids, values=values)
 
     def outcome(winner: str) -> ElectionOutcome:
-        if winner == roster.null_id:
-            rank = 1 + int(np.sum(slate_y > null_y))
-            return ElectionOutcome(winner, rank, False)
-        y_w = float(slate_y[ids.index(winner)])
-        rank = 1 + int(np.sum(slate_y > y_w))
-        return ElectionOutcome(winner, rank, y_w < null_y)
+        y_w = null_y if winner == roster.null_id else float(slate_y[ids.index(winner)])
+        return ElectionOutcome(winner, 1 + int(np.sum(slate_y > y_w)), y_w < null_y)
 
     results: dict[str, ElectionOutcome] = {}
     for cfg in algorithms:
@@ -312,9 +318,7 @@ def run_election(
         results[LABEL_CROWD_MEDIAN] = outcome(
             baselines.crowd_median_ranking(with_null)[0])
         best = min(range(len(crowd)), key=lambda i: crowd[i].achieved_mse)
-        best_vals = np.append(preds[best], null_y)
-        results[LABEL_BEST_VOTER] = outcome(
-            ids[int(np.argsort(-best_vals, kind="stable")[0])])
+        results[LABEL_BEST_VOTER] = outcome(ballots[best].prefs[0])
     return results
 
 
@@ -537,12 +541,8 @@ def config_from_json_dict(doc: dict, seed_override: Optional[int] = None) -> Sim
     num_voters = require("numVoters")
     num_elections = require("numElections")
     blindness = require("columnBlindness")
-    if isinstance(blindness, list):
-        if len(blindness) != 2:
-            raise SimConfigError("columnBlindness interval must be [lo, hi]")
-        blindness = (int(blindness[0]), int(blindness[1]))
-    else:
-        blindness = int(blindness)
+    if isinstance(blindness, list) and len(blindness) != 2:
+        raise SimConfigError("columnBlindness interval must be [lo, hi]")
 
     method = require("crowdBuildMethod")
     if not isinstance(method, dict):
@@ -552,8 +552,6 @@ def config_from_json_dict(doc: dict, seed_override: Optional[int] = None) -> Sim
         raise SimConfigError(f"unknown crowdBuildMethod name {name!r}")
     if "mean" not in method:
         raise SimConfigError("missing key 'crowdBuildMethod.mean'")
-    quality_mean = float(method["mean"])
-    quality_sd = float(method.get("standardDeviation", 0.0))
 
     if seed_override is not None:
         seed = seed_override
@@ -591,9 +589,10 @@ def config_from_json_dict(doc: dict, seed_override: Optional[int] = None) -> Sim
             num_candidates=int(num_candidates),
             num_voters=int(num_voters),
             num_elections=int(num_elections),
-            column_blindness=blindness,
-            quality_mean=quality_mean,
-            quality_sd=quality_sd,
+            column_blindness=(tuple(int(b) for b in blindness)
+                              if isinstance(blindness, list) else int(blindness)),
+            quality_mean=float(method["mean"]),
+            quality_sd=float(method.get("standardDeviation", 0.0)),
             seed=int(seed),
             algorithms=algorithms,
             **kwargs,

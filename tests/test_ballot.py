@@ -13,7 +13,6 @@ from stagevote.ballot import (
     CandidateRoster,
     DuplicateCandidate,
     FractionalBallot,
-    RawBallot,
     UnknownCandidate,
     ballots_to_csv,
     csv_preference_columns,
@@ -45,13 +44,27 @@ class TestRoster:
         with pytest.raises(ValueError):
             CandidateRoster(("NULL", "IDK"), null_id="NULL", idk_id="IDK")
 
+    def test_tally_slate_built_once(self):
+        roster = CandidateRoster(("A", "B", "NULL", "IDK"), null_id="NULL",
+                                 idk_id="IDK")
+        assert roster.tally_candidates is roster.tally_candidates
+        assert roster == CandidateRoster(("A", "B", "NULL", "IDK"),
+                                         null_id="NULL", idk_id="IDK")
+
 
 class TestParse:
     def test_full_row(self):
         text = f"{HEADER}\nv1,D,B,NULL,C,E,A\n"
         (raw,) = parse_ballots(text, ROSTER)
-        assert raw == RawBallot("v1", ("D", "B", "NULL", "C", "E", "A"))
+        assert type(raw) is Ballot
+        assert raw == Ballot("v1", ("D", "B", "NULL", "C", "E", "A"))
         assert raw.line == 2
+
+    def test_line_ignored_by_equality(self):
+        text = f"{HEADER}\nv1,A,B\nv1,A,B\n"
+        first, second = parse_ballots(text, ROSTER)
+        assert (first.line, second.line) == (2, 3)
+        assert first == second and hash(first) == hash(second)
 
     def test_empty_cells_make_empty_ballot(self):
         text = f"{HEADER}\nv2,,,,,,\n"
@@ -153,21 +166,33 @@ class TestParse:
 class TestValidate:
     def test_accepts_ranked_prefix(self):
         roster = CandidateRoster(("A", "B", "C", "D", "NULL"), null_id="NULL")
-        raw = RawBallot("v", ("A", "B", "C", "D"))
+        raw = Ballot("v", ("A", "B", "C", "D"))
         assert validate_ballot(raw, roster).prefs == ("A", "B", "C", "D")
 
+    def test_returns_its_argument(self):
+        (parsed,) = parse_ballots(f"{HEADER}\nv1,B,NULL,A\n", ROSTER)
+        assert validate_ballot(parsed, ROSTER) is parsed
+
     def test_duplicate_rejected(self):
-        raw = RawBallot("v", ("A", "A", "B"))
+        raw = Ballot("v", ("A", "A", "B"))
         with pytest.raises(DuplicateCandidate) as err:
             validate_ballot(raw, ROSTER)
         assert err.value.candidate == "A"
         assert err.value.positions == (1, 2)
 
     def test_unknown_rejected(self):
-        raw = RawBallot("v", ("A", "Z"))
+        raw = Ballot("v", ("A", "Z"))
         with pytest.raises(UnknownCandidate) as err:
             validate_ballot(raw, ROSTER)
         assert err.value.candidate == "Z"
+        assert err.value.position == 2
+
+    def test_first_bad_stamp_reported(self):
+        with pytest.raises(DuplicateCandidate) as err:
+            validate_ballot(Ballot("v", ("A", "B", "C", "B", "Z")), ROSTER)
+        assert err.value.positions == (2, 4)
+        with pytest.raises(UnknownCandidate) as err:
+            validate_ballot(Ballot("v", ("A", "Z", "A")), ROSTER)
         assert err.value.position == 2
 
 

@@ -198,6 +198,25 @@ class TestSimulate:
         assert code == 1
         assert "numVoters" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("columnBlindness", "a"),
+        ("columnBlindness", None),
+        ("columnBlindness", [1, "x"]),
+        ("crowdBuildMethod", {"mean": "abc"}),
+        ("crowdBuildMethod", {"mean": 1500, "standardDeviation": None}),
+        ("numPrefs", 2.5),
+    ])
+    def test_bad_value_is_a_config_error(self, sim_config, tmp_path, key, value):
+        doc = json.loads(open(sim_config).read())
+        doc[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli("simulate", str(path))
+        assert code == 1
+        assert out == ""
+        assert "bad config:" in err
+        assert "Traceback" not in err
+
     def test_byte_identical_reruns(self, sim_config):
         first = run_cli("simulate", sim_config)
         second = run_cli("simulate", sim_config)
@@ -252,3 +271,16 @@ class TestMinStages:
         code, _, err = run_cli("min-stages", "10", "5", "1.0")
         assert code == 1
         assert "alpha" in err
+        assert run_cli("min-stages", "10", "5", "nan") == (
+            1, "", "error: alpha must be in (0, 1)\n")
+
+    def test_non_number_alpha_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exit_info, redirect_stderr(io.StringIO()) as err:
+            main(["min-stages", "10", "5", "abc"])
+        assert exit_info.value.code == 2
+        assert "argument alpha: invalid float value: 'abc'" in err.getvalue()
+
+    @pytest.mark.parametrize("alpha, expected", [("0.29", "30"), ("0.57", "58")])
+    def test_alpha_taken_as_typed(self, alpha, expected):
+        # 100.0 * 0.29 is 28.999999999999996 in binary floating point.
+        assert run_cli("min-stages", "100", "100", alpha) == (0, expected + "\n", "")

@@ -1,6 +1,7 @@
 """Winner selection: thresholds, windows, selectors, stage bounds."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -490,6 +491,10 @@ class TestMinStages:
 
     def test_exact_product_needs_next_integer(self):
         assert min_stages(50, 4, 0.5) == 3  # x > 2.0
+
+    def test_fraction_alpha_is_exact(self):
+        assert min_stages(100, 100, Fraction("0.29")) == 30
+        assert min_stages(100, 100, Fraction("0.57")) == 58
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 
-from stagevote.select import GammaRule, SelectionConfig, Selector
+from stagevote import baselines
+from stagevote.ballot import expand_incomplete
+from stagevote.select import GammaRule, SelectionConfig, Selector, beta_gamma_winner
 from stagevote.sim import (
     LABEL_BEST_VOTER,
     LABEL_CROWD_MEAN,
     LABEL_CROWD_MEDIAN,
+    LABEL_FPTP,
+    LABEL_IRV,
     STAGED_PREFIX,
     SimConfig,
     SimConfigError,
+    Voter,
     build_crowd,
     cast_ballot,
     config_echo_text,
@@ -21,6 +26,7 @@ from stagevote.sim import (
     run_simulation,
     slate_roster,
 )
+from stagevote.tally import count_votes, cumulate, score
 
 FAST_ALGOS = (
     SelectionConfig(alpha=0.5, selector=Selector.FIRST),
@@ -203,6 +209,64 @@ class TestRunElection:
         a = run_election(crowd, slate, y_test[slate], ds.null_y, FAST_ALGOS, 6)
         b = run_election(crowd, slate, y_test[slate], ds.null_y, FAST_ALGOS, 6)
         assert a == b
+
+
+def tied_crowd(rng, num_voters, num_items):
+    """Voters with small whole-number predictions (and MSEs), so many tie
+    with each other, and with NULL when it sits on a whole number."""
+    return [
+        Voter(index=i, hidden=np.array([], dtype=int), coef=np.zeros(0),
+              intercept=0.0, noise_sd=0.0, target_mse=0.0,
+              achieved_mse=float(rng.integers(0, 3)), clamped=False,
+              predictions=rng.integers(0, 4, size=num_items).astype(float))
+        for i in range(num_voters)
+    ]
+
+
+class TestOneRankingPerElection:
+    ALGOS = FAST_ALGOS + (
+        SelectionConfig(alpha=0.66, beta=0.2, gamma=GammaRule.count_exceeds(0.5, 2),
+                        selector=Selector.LAST),
+    )
+
+    def test_cast_ballot_ranks_by_value_then_slate_order(self):
+        rng = np.random.default_rng(5)
+        for voter in tied_crowd(rng, 50, 8):
+            slate = rng.choice(8, size=5, replace=False)
+            null_y = float(rng.integers(0, 4))
+            num_prefs = int(rng.integers(1, 7))
+            values = list(voter.predictions[slate]) + [null_y]
+            order = sorted(range(6), key=lambda j: (-values[j], j))
+            ids = slate_roster(slate).tally_candidates
+            ballot = cast_ballot(voter, slate, null_y, num_prefs)
+            assert ballot.prefs == tuple(ids[j] for j in order[:num_prefs])
+            assert ballot.voter_id == f"v{voter.index}"
+
+    def test_run_election_matches_per_voter_ballots(self):
+        for seed in range(60):
+            rng = np.random.default_rng([seed, 77])
+            num_candidates = int(rng.integers(2, 7))
+            crowd = tied_crowd(rng, int(rng.integers(1, 16)), 12)
+            slate = rng.choice(12, size=num_candidates, replace=False)
+            slate_y = rng.normal(size=num_candidates)
+            null_y = float(rng.integers(0, 4))
+            num_prefs = int(rng.integers(1, num_candidates + 2))
+            roster = slate_roster(slate)
+
+            ballots = [cast_ballot(v, slate, null_y, num_prefs, roster) for v in crowd]
+            table = score(cumulate(count_votes(
+                [expand_incomplete(b, roster, num_prefs) for b in ballots],
+                roster, num_prefs)))
+            expected = {STAGED_PREFIX + cfg.label():
+                        beta_gamma_winner(table, cfg, roster.null_id).winner
+                        for cfg in self.ALGOS}
+            expected[LABEL_FPTP] = baselines.fptp_winner(ballots, roster)
+            expected[LABEL_IRV] = baselines.irv_winner(ballots, roster)
+            best = min(range(len(crowd)), key=lambda i: crowd[i].achieved_mse)
+            expected[LABEL_BEST_VOTER] = ballots[best].prefs[0]
+
+            results = run_election(crowd, slate, slate_y, null_y, self.ALGOS, num_prefs)
+            assert {label: results[label].winner for label in expected} == expected, seed
 
 
 class TestRunSimulation:
