@@ -6,7 +6,10 @@ The expected files were recorded from the program before the three stage
 table types were merged into one, so they pin the rendered tables and the
 decision block exactly, not just a few substrings. ``study-grid-json`` runs
 the default 126-config grid; it was recorded before stage tables cached
-their float rows, statistics and tie order.
+their float rows, statistics and tie order. ``study-crowd-json`` builds a
+500-voter crowd with 2..8 hidden columns; it was recorded before the crowd
+build fitted each distinct visible column set once and calibrated every
+voter's noise in one batched bisection.
 
 Re-record (only for an intended output change)::
 
@@ -83,6 +86,22 @@ GRID_STUDY = {
     "datasetSize": 300,
 }
 
+# Shaped like the crowd-wide benchmark workload: 500 voters with 2..8 hidden
+# columns, so many voters share a visible column set. JSON pins the crowd's
+# valMeanSquaredErr to the last printed digit.
+CROWD_STUDY = {
+    "numCandidates": 10,
+    "numVoters": 500,
+    "numElections": 2,
+    "columnBlindness": [2, 8],
+    "crowdBuildMethod": {"name": "standardDistribution", "mean": 1500,
+                         "standardDeviation": 400},
+    "seed": 3,
+    "algorithms": [
+        {"alpha": 0.5, "beta": 0.33, "gamma": "any:0.66", "selector": "MaxVariance"},
+    ],
+}
+
 INPUTS = {
     "concrete.csv": concrete_csv_text(),
     "beta.csv": _beta_csv(),
@@ -90,6 +109,7 @@ INPUTS = {
     "protest.csv": PROTEST_CSV,
     "study.json": json.dumps(STUDY),
     "grid.json": json.dumps(GRID_STUDY),
+    "crowd.json": json.dumps(CROWD_STUDY),
 }
 
 # case name -> (argv with input file names, expected exit status)
@@ -112,6 +132,7 @@ CASES = {
                                "--beta", "0.3333"], 2),
     "study-text": (["simulate", "study.json"], 0),
     "study-grid-json": (["simulate", "grid.json", "--format", "json"], 0),
+    "study-crowd-json": (["simulate", "crowd.json", "--format", "json"], 0),
 }
 
 
