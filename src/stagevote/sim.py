@@ -2,7 +2,10 @@
 
 A simulation builds one synthetic candidate dataset and one crowd of
 feature-blind noisy estimators, then runs many independent elections on
-slates drawn from the held-out split. Each election ranks one voters x
+slates drawn from the held-out split. The crowd build fits each distinct
+set of visible columns once and calibrates every voter's noise scale in
+one batched bisection; its output is bit-identical to fitting and
+calibrating voter by voter. Each election ranks one voters x
 (slate + NULL) prediction matrix once, row i giving voter i's ballot, and
 every algorithm (the staged-voting variants, plurality, instant-runoff,
 and the crowd/best-voter comparators) sees those ballots and predictions.
@@ -177,64 +180,102 @@ def generate_dataset(seed, num_candidates: int = 3000, num_features: int = 10,
                    null_y=float(np.median(y)))
 
 
-def _calibrate_noise(base_err: np.ndarray, z: np.ndarray, target: float,
-                     iterations: int = 100) -> tuple[float, bool]:
-    """Bisect the additive noise scale until the validation MSE hits the
-    target; returns (scale, clamped). The MSE is quadratic in the scale,
-    so we bisect on its increasing branch."""
-    mse0 = float(np.mean(base_err ** 2))
-    if target <= mse0:
-        return 0.0, target < mse0
-    m1 = float(np.mean(base_err * z))
-    m2 = float(np.mean(z * z))
-    if m2 <= 0.0:
-        return 0.0, True
+def _calibrate_noise(mse0: Sequence[float], m1: Sequence[float],
+                     m2: Sequence[float], target: Sequence[float],
+                     iterations: int = 100) -> tuple[list[float], list[bool]]:
+    """Bisect every voter's additive noise scale at once until its
+    validation MSE, ``mse0 + 2 s m1 + s^2 m2`` for scale ``s``, hits its
+    target; returns (scales, clamped), one entry per voter.
 
-    def achieved(s: float) -> float:
+    A target at or below the noise-free MSE gives scale 0, clamped when
+    strictly below; so does all-zero noise (``m2 <= 0``). The others bisect
+    on the increasing branch of the quadratic, each voter taking exactly
+    the float steps of a scalar bisection. The loop ends early once every
+    midpoint has landed on its bracket, after which no step changes
+    anything.
+    """
+    mse0, m1, m2, target = (np.asarray(a, dtype=float) for a in (mse0, m1, m2, target))
+    at_floor = target <= mse0
+    clamped = np.where(at_floor, target < mse0, m2 <= 0.0)
+    active = ~at_floor & ~(m2 <= 0.0)
+    mse0, m1, m2, target = mse0[active], m1[active], m2[active], target[active]
+
+    def achieved(s: np.ndarray) -> np.ndarray:
         return mse0 + 2.0 * s * m1 + s * s * m2
 
-    lo = max(0.0, -m1 / m2)
+    vertex = -m1 / m2
+    lo = np.where(vertex > 0.0, vertex, 0.0)  # max(0.0, vertex)
     hi = lo + 1.0
-    while achieved(hi) < target:
-        hi *= 2.0
+    short = achieved(hi) < target
+    while short.any():
+        hi[short] *= 2.0
+        short = achieved(hi) < target
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        if achieved(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return hi, False
+        settled = (mid == lo) | (mid == hi)
+        below = achieved(mid) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        if settled.all():
+            break
+    scales = np.zeros(len(active))
+    scales[active] = hi
+    return scales.tolist(), clamped.tolist()
 
 
 def build_crowd(cfg: SimConfig, dataset: Dataset,
                 rng: np.random.Generator) -> list[Voter]:
     """Fit one blind estimator per voter and calibrate its noise so the
     test-split MSE matches a target drawn from Normal(mean, sd), floored
-    at zero (and clamped to the blind floor when unattainable)."""
-    X_train = dataset.features[dataset.train_idx]
+    at zero (and clamped to the blind floor when unattainable).
+
+    Each voter draws, in order, its target, its hidden-column count, its
+    hidden columns and its test-split noise. Voters that see the same
+    columns share one least-squares fit (each gets its own ``coef``
+    array), and the noise scales are calibrated for all voters together;
+    the result is bit-identical to fitting and bisecting voter by voter.
+    """
+    design = np.column_stack([dataset.features[dataset.train_idx],
+                              np.ones(len(dataset.train_idx))])
     y_train = dataset.y[dataset.train_idx]
     X_test = dataset.features[dataset.test_idx]
     y_test = dataset.y[dataset.test_idx]
     lo, hi = cfg.blindness_range
 
-    voters: list[Voter] = []
-    for index in range(cfg.num_voters):
+    fits: dict[bytes, tuple[np.ndarray, float]] = {}
+    drawn = []
+    targets, mse0, m1, m2 = [], [], [], []
+    for _ in range(cfg.num_voters):
         target = max(cfg.quality_mean + cfg.quality_sd * rng.standard_normal(), 0.0)
         size = int(rng.integers(lo, hi + 1))
         hidden = np.sort(rng.choice(cfg.num_features, size=size, replace=False))
-        visible = np.setdiff1d(np.arange(cfg.num_features), hidden)
-        design = np.column_stack([X_train[:, visible], np.ones(len(X_train))])
-        sol, *_ = np.linalg.lstsq(design, y_train, rcond=None)
-        coef, intercept = sol[:-1], float(sol[-1])
-        base = X_test[:, visible] @ coef + intercept
+        seen = np.ones(cfg.num_features + 1, dtype=bool)  # last: the ones column
+        seen[hidden] = False
+        key = seen.tobytes()
+        if key not in fits:
+            sol, *_ = np.linalg.lstsq(design[:, seen], y_train, rcond=None)
+            fits[key] = (sol[:-1], float(sol[-1]))
+        coef, intercept = fits[key]
+        visible = seen[:-1]
+        err = X_test[:, visible] @ coef + intercept - y_test
         z = rng.standard_normal(len(y_test))
-        noise_sd, clamped = _calibrate_noise(base - y_test, z, target)
-        predictions = base + noise_sd * z
-        achieved = float(np.mean((predictions - y_test) ** 2))
+        drawn.append((hidden, visible, coef, intercept, z))
+        targets.append(target)
+        mse0.append(float(np.mean(err ** 2)))
+        m1.append(float(np.mean(err * z)))
+        m2.append(float(np.mean(z * z)))
+
+    scales, clamped = _calibrate_noise(mse0, m1, m2, targets)
+    voters: list[Voter] = []
+    for index, (hidden, visible, coef, intercept, z) in enumerate(drawn):
+        # z becomes the predictions: base + scale * z, formed in place.
+        z *= scales[index]
+        z += X_test[:, visible] @ coef + intercept
         voters.append(Voter(
-            index=index, hidden=hidden, coef=coef, intercept=intercept,
-            noise_sd=noise_sd, target_mse=target, achieved_mse=achieved,
-            clamped=clamped, predictions=predictions,
+            index=index, hidden=hidden, coef=coef.copy(), intercept=intercept,
+            noise_sd=scales[index], target_mse=targets[index],
+            achieved_mse=float(np.mean((z - y_test) ** 2)),
+            clamped=clamped[index], predictions=z,
         ))
     return voters
 
@@ -508,6 +549,14 @@ def _parse_algorithm(entry: dict, where: str) -> SelectionConfig:
         raise SimConfigError(f"{where}: {exc}") from exc
 
 
+def _whole(key: str, value) -> int:
+    """``int(value)``, refusing a float with a fractional part (or an
+    infinite or NaN one) that ``int`` would silently truncate."""
+    if isinstance(value, float) and not value.is_integer():
+        raise SimConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def config_from_json_dict(doc: dict, seed_override: Optional[int] = None) -> SimConfig:
     """Build a SimConfig from the printed header key set.
 
@@ -585,15 +634,18 @@ def config_from_json_dict(doc: dict, seed_override: Optional[int] = None) -> Sim
         raise SimConfigError(f"unknown config keys: {unknown}")
 
     try:
+        if "dataset_size" in kwargs:
+            kwargs["dataset_size"] = _whole("datasetSize", kwargs["dataset_size"])
         return SimConfig(
-            num_candidates=int(num_candidates),
-            num_voters=int(num_voters),
-            num_elections=int(num_elections),
-            column_blindness=(tuple(int(b) for b in blindness)
-                              if isinstance(blindness, list) else int(blindness)),
+            num_candidates=_whole("numCandidates", num_candidates),
+            num_voters=_whole("numVoters", num_voters),
+            num_elections=_whole("numElections", num_elections),
+            column_blindness=(tuple(_whole("columnBlindness", b) for b in blindness)
+                              if isinstance(blindness, list)
+                              else _whole("columnBlindness", blindness)),
             quality_mean=float(method["mean"]),
             quality_sd=float(method.get("standardDeviation", 0.0)),
-            seed=int(seed),
+            seed=_whole("seed", seed),
             algorithms=algorithms,
             **kwargs,
         )

@@ -205,6 +205,13 @@ class TestSimulate:
         ("crowdBuildMethod", {"mean": "abc"}),
         ("crowdBuildMethod", {"mean": 1500, "standardDeviation": None}),
         ("numPrefs", 2.5),
+        # Fractional numbers in integer keys: int() would truncate them.
+        ("datasetSize", 200.5),
+        ("numVoters", 4.7),
+        ("seed", 1.9),
+        ("numElections", 2.5),
+        ("columnBlindness", 2.5),
+        ("columnBlindness", [2, 4.5]),
     ])
     def test_bad_value_is_a_config_error(self, sim_config, tmp_path, key, value):
         doc = json.loads(open(sim_config).read())
@@ -216,6 +223,14 @@ class TestSimulate:
         assert out == ""
         assert "bad config:" in err
         assert "Traceback" not in err
+
+    def test_whole_valued_floats_load_as_integers(self, sim_config, tmp_path):
+        doc = json.loads(open(sim_config).read())
+        doc.update({"datasetSize": 300.0, "numVoters": 10.0, "seed": 11.0,
+                    "numElections": 4.0, "columnBlindness": 5.0})
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("simulate", str(path)) == run_cli("simulate", sim_config)
 
     def test_byte_identical_reruns(self, sim_config):
         first = run_cli("simulate", sim_config)

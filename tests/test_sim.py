@@ -127,6 +127,122 @@ class TestBuildCrowd:
         assert len(sizes) > 1
 
 
+def oracle_crowd(cfg, dataset, rng):
+    """The crowd built voter by voter: one ``setdiff1d`` and one ``lstsq``
+    per voter and a 100-step scalar bisection of the noise scale, drawing
+    from ``rng`` in the same order as ``build_crowd``."""
+    X_train = dataset.features[dataset.train_idx]
+    y_train = dataset.y[dataset.train_idx]
+    X_test = dataset.features[dataset.test_idx]
+    y_test = dataset.y[dataset.test_idx]
+    lo, hi = cfg.blindness_range
+    voters = []
+    for index in range(cfg.num_voters):
+        target = max(cfg.quality_mean + cfg.quality_sd * rng.standard_normal(), 0.0)
+        size = int(rng.integers(lo, hi + 1))
+        hidden = np.sort(rng.choice(cfg.num_features, size=size, replace=False))
+        visible = np.setdiff1d(np.arange(cfg.num_features), hidden)
+        design = np.column_stack([X_train[:, visible], np.ones(len(X_train))])
+        sol, *_ = np.linalg.lstsq(design, y_train, rcond=None)
+        coef, intercept = sol[:-1], float(sol[-1])
+        base = X_test[:, visible] @ coef + intercept
+        z = rng.standard_normal(len(y_test))
+        noise_sd, clamped = _oracle_noise(base - y_test, z, target)
+        predictions = base + noise_sd * z
+        voters.append(Voter(
+            index=index, hidden=hidden, coef=coef, intercept=intercept,
+            noise_sd=noise_sd, target_mse=target,
+            achieved_mse=float(np.mean((predictions - y_test) ** 2)),
+            clamped=clamped, predictions=predictions,
+        ))
+    return voters
+
+
+def _oracle_noise(base_err, z, target):
+    mse0 = float(np.mean(base_err ** 2))
+    if target <= mse0:
+        return 0.0, target < mse0
+    m1 = float(np.mean(base_err * z))
+    m2 = float(np.mean(z * z))
+    if m2 <= 0.0:
+        return 0.0, True
+
+    def achieved(s):
+        return mse0 + 2.0 * s * m1 + s * s * m2
+
+    lo = max(0.0, -m1 / m2)
+    hi = lo + 1.0
+    while achieved(hi) < target:
+        hi *= 2.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if achieved(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi, False
+
+
+def voter_bits(voter):
+    """Every Voter field, as bytes or repr, so equality is bit for bit."""
+    return (voter.index, voter.hidden.dtype.str, voter.hidden.tobytes(),
+            voter.coef.dtype.str, voter.coef.tobytes(), repr(voter.intercept),
+            repr(voter.noise_sd), repr(voter.target_mse),
+            repr(voter.achieved_mse), repr(voter.clamped),
+            voter.predictions.dtype.str, voter.predictions.tobytes())
+
+
+ORACLE_CASES = {
+    "blindness-0": dict(num_voters=20, column_blindness=0),
+    "blindness-10-intercept-only": dict(num_voters=20, column_blindness=10),
+    "interval-2-8": dict(num_voters=200, column_blindness=(2, 8)),
+    "quality-sd-0": dict(num_voters=40, column_blindness=(2, 8), quality_sd=0.0),
+    "all-clamped": dict(num_voters=40, column_blindness=(2, 8), quality_mean=1.0,
+                        quality_sd=0.0),
+    "single-voter": dict(num_voters=1, column_blindness=(0, 10)),
+}
+
+
+class TestCrowdOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_bit_identical_to_per_voter_build(self, name, seed):
+        cfg = small_config(**ORACLE_CASES[name])
+        ds = generate_dataset([seed, 0], num_candidates=300)
+        crowd = build_crowd(cfg, ds, np.random.default_rng([seed, 1]))
+        oracle = oracle_crowd(cfg, ds, np.random.default_rng([seed, 1]))
+        assert [voter_bits(v) for v in crowd] == [voter_bits(v) for v in oracle]
+        if name == "all-clamped":
+            assert all(v.clamped and v.noise_sd == 0.0 for v in crowd)
+
+    def test_one_fit_per_distinct_visible_set(self, monkeypatch):
+        fits = []
+        lstsq = np.linalg.lstsq
+
+        def counting_lstsq(*args, **kwargs):
+            fits.append(args[0].shape)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        cfg = small_config(num_voters=200, column_blindness=(2, 8))
+        crowd = build_crowd(cfg, generate_dataset(3, num_candidates=300),
+                            np.random.default_rng(5))
+        distinct = {v.hidden.tobytes() for v in crowd}
+        assert len(distinct) < len(crowd)
+        assert len(fits) == len(distinct)
+
+    def test_voters_sharing_a_fit_own_their_coef(self):
+        cfg = small_config(num_voters=60, column_blindness=9)
+        crowd = build_crowd(cfg, generate_dataset(3, num_candidates=300),
+                            np.random.default_rng(5))
+        a, b = next((a, b) for i, a in enumerate(crowd) for b in crowd[i + 1:]
+                    if np.array_equal(a.hidden, b.hidden))
+        assert not np.shares_memory(a.coef, b.coef)
+        before = b.coef.copy()
+        a.coef += 1.0
+        np.testing.assert_array_equal(b.coef, before)
+
+
 class TestCastBallot:
     def _perfect_crowd(self, ds):
         cfg = small_config(num_voters=1, column_blindness=0, quality_mean=1e-9,
