@@ -11,6 +11,11 @@ their float rows, statistics and tie order. ``study-crowd-json`` builds a
 build fitted each distinct visible column set once and calibrated every
 voter's noise in one batched bisection.
 
+The error cases compare stderr with ``tests/golden/<case>.err`` instead and
+expect empty stdout. Their file repeats invalid ballots on non-adjacent
+lines, so they pin the per-line report; they were recorded before the tally
+validated each distinct ballot once instead of each line.
+
 Re-record (only for an intended output change)::
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -102,6 +107,21 @@ CROWD_STUDY = {
     ],
 }
 
+# A duplicate-stamp tuple on lines 3, 6 and 9 and another on 7 and 10. With
+# a roster that leaves out C and E, nearly every line is also unknown.
+INVALID_CSV = """voter_id,pref1,pref2,pref3
+v1,A,B,C
+v2,A,A,B
+v3,B,C,
+v4,C,NULL,A
+v5,A,A,B
+v6,B,IDK,B
+v7,C,A,
+v8,A,A,B
+v9,B,IDK,B
+v10,E,A,
+"""
+
 INPUTS = {
     "concrete.csv": concrete_csv_text(),
     "beta.csv": _beta_csv(),
@@ -110,6 +130,7 @@ INPUTS = {
     "study.json": json.dumps(STUDY),
     "grid.json": json.dumps(GRID_STUDY),
     "crowd.json": json.dumps(CROWD_STUDY),
+    "invalid.csv": INVALID_CSV,
 }
 
 # case name -> (argv with input file names, expected exit status)
@@ -135,31 +156,47 @@ CASES = {
     "study-crowd-json": (["simulate", "crowd.json", "--format", "json"], 0),
 }
 
+# case name -> (argv, expected exit status); golden file holds stderr
+ERROR_CASES = {
+    "invalid-inferred": (["tally", "invalid.csv"], 1),
+    "invalid-roster": (["tally", "invalid.csv", "--candidates", "A,B,NULL,IDK"], 1),
+}
 
-def run_case(name: str, workdir: Path) -> tuple[int, str]:
-    argv, _ = CASES[name]
+
+def run_case(name: str, workdir: Path) -> tuple[int, str, str]:
+    argv, _ = {**CASES, **ERROR_CASES}[name]
     for fname, text in INPUTS.items():
         (workdir / fname).write_text(text, encoding="utf-8")
     argv = [str(workdir / a) if a in INPUTS else a for a in argv]
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_and_exit_match_golden(name, tmp_path):
-    code, out = run_case(name, tmp_path)
+    code, out, _ = run_case(name, tmp_path)
     assert code == CASES[name][1]
     assert out == (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_CASES))
+def test_stderr_and_exit_match_golden(name, tmp_path):
+    code, out, err = run_case(name, tmp_path)
+    assert code == ERROR_CASES[name][1]
+    assert out == ""
+    assert err == (GOLDEN_DIR / f"{name}.err").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES):
-            status, stdout = run_case(case, Path(tmp))
-            if status != CASES[case][1]:
-                sys.exit(f"{case}: exit {status}, expected {CASES[case][1]}")
-            (GOLDEN_DIR / f"{case}.out").write_text(stdout, encoding="utf-8")
-            print(f"recorded {case} (exit {status}, {len(stdout)} bytes)")
+        for cases, suffix, stream in ((CASES, "out", 1), (ERROR_CASES, "err", 2)):
+            for case in sorted(cases):
+                status, *streams = run_case(case, Path(tmp))
+                if status != cases[case][1]:
+                    sys.exit(f"{case}: exit {status}, expected {cases[case][1]}")
+                text = streams[stream - 1]
+                (GOLDEN_DIR / f"{case}.{suffix}").write_text(text, encoding="utf-8")
+                print(f"recorded {case} (exit {status}, {len(text)} bytes)")
