@@ -1,5 +1,12 @@
 """Ballots and rosters: CSV parsing, validation, fractional expansion.
 
+A ballot file is read in one streaming pass: one row generator checks the
+header, decodes each row as it is read (UTF-8, a line that is not valid
+UTF-8 is an error naming that line) and yields ``(line, voter_id, prefs)``.
+``parse_ballots`` turns those rows into a list; ``stagevote tally`` groups
+them by preference tuple instead, so that validation and expansion run once
+per distinct ballot.
+
 A ``Ballot`` is one voter's ordered stamps over a fixed candidate roster,
 built once (by the parser or the study) and checked in place by
 ``validate_ballot``. The roster always contains an explicit protest option
@@ -22,7 +29,7 @@ import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import IO, Iterable, Optional, Sequence, Union
+from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 NULL_TOKEN = "NULL"
 IDK_TOKEN = "IDK"
@@ -154,10 +161,26 @@ class FractionalBallot:
 
 def _open_lines(source: Union[str, bytes, IO[str], Iterable[str]]) -> Iterable[str]:
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8-sig"))
+        # Undecodable bytes become lone surrogates, which _utf8_lines reports
+        # with their line number.
+        return io.StringIO(source.decode("utf-8-sig", "surrogateescape"))
     if isinstance(source, str):
         return io.StringIO(source.removeprefix("\ufeff"))
     return source
+
+
+def _utf8_lines(lines: Iterable[str]) -> Iterator[str]:
+    """Pass lines through, refusing one that cannot be UTF-8 encoded: a lone
+    surrogate, which is what a ``surrogateescape`` decode makes of bad bytes."""
+    for number, line in enumerate(lines, start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise BallotFormatError(
+                    f"not valid UTF-8 (character {exc.start + 1})", line=number
+                ) from None
+        yield line
 
 
 def _decode_token(cell: str, roster: Optional[CandidateRoster]) -> str:
@@ -199,6 +222,60 @@ def _read_header(reader) -> int:
     return len(header) - 1
 
 
+def _read_rows(
+    source: Union[str, bytes, IO[str], Iterable[str]],
+    roster: Optional[CandidateRoster],
+    reject_duplicate_voters: bool = False,
+) -> tuple[int, Iterator[tuple[int, str, tuple[str, ...]]]]:
+    """Check the header now; return P and a generator of the data rows as
+    ``(line, voter_id, prefs)``, which decodes each row as it is read."""
+    reader = csv.reader(_utf8_lines(_open_lines(source)))
+    num_cols = _read_header(reader)
+    return num_cols, _rows(reader, num_cols, roster, reject_duplicate_voters)
+
+
+def _rows(reader, num_cols: int, roster: Optional[CandidateRoster],
+          reject_duplicate_voters: bool) -> Iterator[tuple[int, str, tuple[str, ...]]]:
+    seen_voters: dict[str, int] = {}
+    try:
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            cells = list(map(str.strip, row[1:]))
+            if len(cells) > num_cols:
+                raise BallotFormatError(
+                    f"row has {len(cells)} preference cells, header allows {num_cols}",
+                    line=line,
+                )
+            if "" in cells:
+                end = cells.index("")
+                for pos, cell in enumerate(cells[end:], start=end + 1):
+                    if cell:
+                        raise BallotFormatError(
+                            f"stamped cell at preference {pos} after an empty cell "
+                            "(empty cells are only allowed as a suffix)",
+                            line=line,
+                        )
+                del cells[end:]
+            if roster is None:
+                prefs = tuple(cells)
+            else:
+                prefs = tuple(_decode_token(cell, roster) for cell in cells)
+            voter_id = row[0].strip()
+            if reject_duplicate_voters:
+                if voter_id in seen_voters:
+                    raise BallotFormatError(
+                        f"duplicate voter id {voter_id!r} "
+                        f"(first seen on line {seen_voters[voter_id]})",
+                        line=line,
+                    )
+                seen_voters[voter_id] = line
+            yield line, voter_id, prefs
+    except csv.Error as exc:
+        raise BallotFormatError(f"malformed CSV row: {exc}", line=reader.line_num) from exc
+
+
 def parse_ballots(
     source: Union[str, bytes, IO[str], Iterable[str]],
     roster: Optional[CandidateRoster],
@@ -211,61 +288,19 @@ def parse_ballots(
     the protest and abstention options; they decode to ``roster``'s
     ``null_id`` and ``idk_id``, or stay as written when ``roster`` is None.
     Empty cells are allowed only as a suffix and simply shorten the
-    preference list.
+    preference list. Bytes are read as UTF-8; a line that is not valid
+    UTF-8 is a ``BallotFormatError`` naming that line.
 
     Duplicate voter ids are permitted by default; pass
     ``reject_duplicate_voters=True`` for the strict mode that refuses them.
     """
-    reader = csv.reader(_open_lines(source))
-    num_cols = _read_header(reader)
-
-    ballots: list[Ballot] = []
-    seen_voters: dict[str, int] = {}
-    while True:
-        try:
-            row = next(reader, None)
-        except csv.Error as exc:
-            raise BallotFormatError(f"malformed CSV row: {exc}", line=reader.line_num) from exc
-        if row is None:
-            break
-        if not row:
-            continue
-        line = reader.line_num
-        cells = [c.strip() for c in row[1:]]
-        if len(cells) > num_cols:
-            raise BallotFormatError(
-                f"row has {len(cells)} preference cells, header allows {num_cols}",
-                line=line,
-            )
-        prefs: list[str] = []
-        ended = False
-        for pos, cell in enumerate(cells, start=1):
-            if cell == "":
-                ended = True
-                continue
-            if ended:
-                raise BallotFormatError(
-                    f"stamped cell at preference {pos} after an empty cell "
-                    "(empty cells are only allowed as a suffix)",
-                    line=line,
-                )
-            prefs.append(_decode_token(cell, roster))
-        voter_id = row[0].strip()
-        if reject_duplicate_voters:
-            if voter_id in seen_voters:
-                raise BallotFormatError(
-                    f"duplicate voter id {voter_id!r} "
-                    f"(first seen on line {seen_voters[voter_id]})",
-                    line=line,
-                )
-            seen_voters[voter_id] = line
-        ballots.append(Ballot(voter_id=voter_id, prefs=tuple(prefs), line=line))
-    return ballots
+    _, rows = _read_rows(source, roster, reject_duplicate_voters)
+    return [Ballot(voter_id, prefs, line) for line, voter_id, prefs in rows]
 
 
 def csv_preference_columns(source: Union[str, bytes, IO[str], Iterable[str]]) -> int:
     """Number of preference columns declared by a ballot CSV header."""
-    return _read_header(csv.reader(_open_lines(source)))
+    return _read_rows(source, None)[0]
 
 
 def validate_ballot(ballot: Ballot, roster: CandidateRoster) -> Ballot:

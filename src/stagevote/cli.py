@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -26,11 +27,11 @@ from . import sim
 from .ballot import (
     IDK_TOKEN,
     NULL_TOKEN,
+    Ballot,
     BallotError,
     CandidateRoster,
-    csv_preference_columns,
+    _read_rows,
     expand_incomplete,
-    parse_ballots,
     validate_ballot,
 )
 from .select import (
@@ -137,7 +138,58 @@ def _roster_from_flag(spec: str) -> CandidateRoster:
         raise CliError(f"bad --candidates: {exc}") from exc
 
 
+def _read_ballot_groups(fh, candidates: Optional[str]):
+    """Read the ballot file in one pass, grouping rows by preference tuple.
+
+    Returns ``(P, roster, {prefs: [first Ballot, voters]})`` in first-seen
+    order. The roster, the off-roster warning and validation all work on
+    the distinct tuples; only when some tuple is invalid is the file read a
+    second time, to list every line that holds one.
+    """
+    # Every roster built here spells NULL and IDK literally, so the ballots
+    # can be parsed with their tokens as written, before the roster exists.
+    try:
+        num_cols, rows = _read_rows(fh, None)
+        groups: dict[tuple[str, ...], list] = {}
+        for line, voter_id, prefs in rows:
+            group = groups.get(prefs)
+            if group is None:
+                groups[prefs] = [Ballot(voter_id, prefs, line), 1]
+            else:
+                group[1] += 1
+    except BallotError as exc:
+        raise CliError(str(exc)) from exc
+    if not groups:
+        raise CliError("no ballots in file")
+    ballots = [ballot for ballot, _ in groups.values()]
+    if candidates:
+        roster = _roster_from_flag(candidates)
+        extra = sorted({c for prefs in groups for c in prefs} - set(roster.candidates))
+        if extra:
+            print(f"warning: ballots contain identifiers not on the roster: "
+                  f"{', '.join(extra)}", file=sys.stderr)
+    else:
+        roster = _infer_roster(ballots)
+
+    failures = {}
+    for ballot in ballots:
+        try:
+            validate_ballot(ballot, roster)
+        except BallotError as exc:
+            failures[ballot.prefs] = exc
+    if failures:
+        fh.seek(0)
+        _, rows = _read_rows(fh, None)
+        problems = [f"line {line}: {failures[prefs]}"
+                    for line, _, prefs in rows if prefs in failures]
+        raise CliError("invalid ballots:\n  " + "\n  ".join(problems))
+    return num_cols, roster, groups
+
+
 def cmd_tally(args) -> int:
+    """Tally a ballot file: one streaming pass groups its rows by preference
+    tuple, then validation, expansion and counting run once per distinct
+    ballot, each weighted by its number of voters."""
     # Built for the basic rule too, so alpha is checked on both paths.
     try:
         cfg = SelectionConfig(
@@ -154,38 +206,13 @@ def cmd_tally(args) -> int:
 
     try:
         # utf-8-sig: spreadsheet CSV exports start with a byte-order mark.
-        with open(args.ballots, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        # surrogateescape: bytes that are not UTF-8 reach the reader, which
+        # reports them with their line number.
+        with open(args.ballots, "r", encoding="utf-8-sig",
+                  errors="surrogateescape") as fh:
+            num_cols, roster, groups = _read_ballot_groups(fh, args.candidates)
     except OSError as exc:
         raise CliError(f"cannot read {args.ballots}: {exc}") from exc
-
-    # Every roster built here spells NULL and IDK literally, so the ballots
-    # can be parsed with their tokens as written, before the roster exists.
-    try:
-        num_cols = csv_preference_columns(text)
-        ballots = parse_ballots(text, None)
-    except BallotError as exc:
-        raise CliError(str(exc)) from exc
-    if not ballots:
-        raise CliError("no ballots in file")
-    if args.candidates:
-        roster = _roster_from_flag(args.candidates)
-        on_roster = set(roster.candidates)
-        extra = sorted({c for b in ballots for c in b.prefs} - on_roster)
-        if extra:
-            print(f"warning: ballots contain identifiers not on the roster: "
-                  f"{', '.join(extra)}", file=sys.stderr)
-    else:
-        roster = _infer_roster(ballots)
-
-    problems = []
-    for ballot in ballots:
-        try:
-            validate_ballot(ballot, roster)
-        except BallotError as exc:
-            problems.append(f"line {ballot.line}: {exc}")
-    if problems:
-        raise CliError("invalid ballots:\n  " + "\n  ".join(problems))
 
     num_prefs = args.num_prefs
     if num_prefs is None:
@@ -193,7 +220,10 @@ def cmd_tally(args) -> int:
     if not 1 <= num_prefs <= roster.k:
         raise CliError(f"--num-prefs must be in 1..{roster.k}")
 
-    expanded = [expand_incomplete(b, roster, num_prefs) for b in ballots]
+    # Distinct tuples can still expand alike (cut at num_prefs, IDK stamps).
+    expanded: Counter = Counter()
+    for ballot, voters in groups.values():
+        expanded[expand_incomplete(ballot, roster, num_prefs)] += voters
     vc = count_votes(expanded, roster, num_prefs)
     pt = cumulate(vc)
     st = score(pt)

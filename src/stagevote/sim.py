@@ -112,6 +112,11 @@ class SimConfig:
     workers: int = 1  # validated for compatibility; elections run serially
 
     def __post_init__(self):
+        for name in ("num_candidates", "num_voters", "num_elections", "dataset_size",
+                     "seed", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise SimConfigError(f"{name} must be an int, got {value!r}")
         for name in ("num_candidates", "num_voters", "num_elections"):
             if getattr(self, name) < 1:
                 raise SimConfigError(f"{name} must be positive")
@@ -128,7 +133,8 @@ class SimConfig:
             raise SimConfigError("workers must be >= 1")
         k = self.num_candidates + 1  # slate plus NULL
         if self.num_prefs is not None and not (
-                isinstance(self.num_prefs, int) and 1 <= self.num_prefs <= k):
+                isinstance(self.num_prefs, int) and not isinstance(self.num_prefs, bool)
+                and 1 <= self.num_prefs <= k):
             raise SimConfigError(f"numPrefs must be an integer in 1..{k}")
         if int(self.dataset_size * self.test_fraction) < self.num_candidates:
             raise SimConfigError("test split too small for the slate size")
@@ -551,8 +557,8 @@ def _parse_algorithm(entry: dict, where: str) -> SelectionConfig:
 
 def _whole(key: str, value) -> int:
     """``int(value)``, refusing a float with a fractional part (or an
-    infinite or NaN one) that ``int`` would silently truncate."""
-    if isinstance(value, float) and not value.is_integer():
+    infinite or NaN one) that ``int`` would silently truncate, and a bool."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise SimConfigError(f"{key} must be a whole number, got {value!r}")
     return int(value)
 
@@ -633,9 +639,14 @@ def config_from_json_dict(doc: dict, seed_override: Optional[int] = None) -> Sim
         unknown = ", ".join(sorted(doc))
         raise SimConfigError(f"unknown config keys: {unknown}")
 
+    if not isinstance(kwargs.get("include_baselines", True), bool):
+        raise SimConfigError(
+            f"includeBaselines must be true or false, got {kwargs['include_baselines']!r}")
     try:
-        if "dataset_size" in kwargs:
-            kwargs["dataset_size"] = _whole("datasetSize", kwargs["dataset_size"])
+        for json_key, attr in (("numPrefs", "num_prefs"), ("datasetSize", "dataset_size"),
+                               ("workers", "workers")):
+            if kwargs.get(attr) is not None:
+                kwargs[attr] = _whole(json_key, kwargs[attr])
         return SimConfig(
             num_candidates=_whole("numCandidates", num_candidates),
             num_voters=_whole("numVoters", num_voters),

@@ -1,7 +1,9 @@
 """Cumulative stage tables: vote counts, running totals, percentage scores.
 
 The pipeline is ``count_votes`` -> ``cumulate`` -> ``score``, and each step
-returns a ``StageTable`` of its ``TableKind``. Stage i of the cumulative
+returns a ``StageTable`` of its ``TableKind``. ``count_votes`` takes one
+fractional ballot per voter or a count per distinct ballot, and adds each
+distinct ballot once either way. Stage i of the cumulative
 table adds up preferences 1..i, so a candidate's score at stage i is the
 percentage of voters who ranked them within their first i preferences.
 All table entries are exact rationals; per-stage entropy and variance
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 from .ballot import CandidateRoster, FractionalBallot
 
@@ -129,22 +131,25 @@ class StageStats:
 
 
 def count_votes(
-    ballots: Sequence[FractionalBallot],
+    ballots: Union[Sequence[FractionalBallot], Mapping[FractionalBallot, int]],
     roster: CandidateRoster,
     num_prefs: int,
 ) -> StageTable:
     """Sum fractional ballots into the per-preference count table.
 
-    Each distinct ballot's rows are added once, times the number of voters
-    who cast it, so the cost grows with distinct ballots, not voters. Sums
-    start at the int 0 so that stamped weight 1 stays integer arithmetic.
+    ``ballots`` is one fractional ballot per voter, or a mapping from each
+    distinct ballot to the number of voters who cast it (a ``Counter``).
+    Each distinct ballot's rows are added once, times that number, so the
+    cost grows with distinct ballots, not voters. Sums start at the int 0
+    so that stamped weight 1 stays integer arithmetic.
 
     All ballots must be expanded over the same roster and ``num_prefs``;
     anything else is a configuration error.
     """
     cands = roster.tally_candidates
     totals = [dict.fromkeys(cands, 0) for _ in range(num_prefs)]
-    for fb, size in Counter(ballots).items():
+    voters = Counter(ballots)
+    for fb, size in voters.items():
         if fb.candidates != cands or fb.num_prefs != num_prefs:
             raise TallyError(
                 "ballot expanded over a different roster or preference count"
@@ -153,7 +158,7 @@ def count_votes(
             for cand, w in row.items():
                 slot[cand] += w * size
     counts = tuple(tuple(Fraction(slot[c]) for c in cands) for slot in totals)
-    return StageTable(TableKind.COUNTS, cands, counts, len(ballots))
+    return StageTable(TableKind.COUNTS, cands, counts, voters.total())
 
 
 def cumulate(vc: StageTable) -> StageTable:

@@ -133,6 +133,16 @@ class TestParse:
         assert parse_ballots(bom, ROSTER) == parse_ballots(text, ROSTER)
         assert csv_preference_columns(bom) == 6
 
+    @pytest.mark.parametrize("data, line", [
+        (b"voter_id,pref1\nv1,\xff\n", 2),
+        (b"\xef\xbb\xbfvoter_id,pref1\nv1,A\nv2,B\xc3\n", 3),
+        (b"\xffvoter_id,pref1\nv1,A\n", 1),
+    ])
+    def test_bytes_not_utf8_rejected_with_line_number(self, data, line):
+        with pytest.raises(BallotFormatError, match="not valid UTF-8") as exc:
+            parse_ballots(data, None)
+        assert exc.value.line == line
+
     def test_str_with_byte_order_mark(self):
         # Text a caller read as plain utf-8 still starts with U+FEFF.
         text = f"{HEADER}\nv1,A,B,C,D,E,NULL\n"

@@ -2,10 +2,12 @@
 
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from stagevote import cli
 from stagevote.cli import main
 
 from conftest import BETA_PATTERNS, ballots_from_patterns, concrete_csv_text
@@ -138,6 +140,55 @@ class TestTally:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("data, line", [
+        (b"voter_id,pref1\nv1,A\nv2,\xff\n", 3),
+        (b"\xef\xbb\xbfvoter_id,pref1\r\nv1,A\xc3\r\nv2,B\r\n", 2),
+        (b"voter_id,pref\xe91\nv1,A\n", 1),
+    ])
+    def test_invalid_utf8_is_a_line_error(self, tmp_path, data, line):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        code, out, err = run_cli("tally", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: line {line}: not valid UTF-8")
+        assert "Traceback" not in err
+
+    def test_checks_and_expands_each_distinct_tuple_once(self, tmp_path, monkeypatch):
+        calls: Counter = Counter()
+        for name in ("validate_ballot", "expand_incomplete"):
+            def counted(ballot, *args, real=getattr(cli, name), name=name):
+                calls[name, ballot.prefs] += 1
+                return real(ballot, *args)
+            monkeypatch.setattr(cli, name, counted)
+        # Five distinct tuples over 60 voters, interleaved; with two rows
+        # counted, A,B,C and A,B,D expand to the same ballot.
+        tuples = ["A,B,C", "B,,", "A,B,D", "NULL,A,", "A,B,C", "C,IDK,B"]
+        rows = [f"v{i},{tuples[i % len(tuples)]}" for i in range(60)]
+        path = tmp_path / "repeats.csv"
+        path.write_text("voter_id,pref1,pref2,pref3\n" + "\n".join(rows) + "\n")
+        code, out, _ = run_cli("tally", str(path), "--num-prefs", "2", "--format", "json")
+        assert code == 0
+        distinct = {tuple(c for c in t.split(",") if c) for t in tuples}
+        assert len(distinct) == 5
+        assert calls == Counter({(name, prefs): 1 for prefs in distinct
+                                 for name in ("validate_ballot", "expand_incomplete")})
+        counts = json.loads(out)["counts"]
+        assert counts["n"] == 60
+        assert counts["candidates"] == ["A", "B", "C", "D", "NULL"]
+        # Ten voters per tuple slot; a gap splits its ten over the unstamped.
+        assert counts["preferences"] == [[30.0, 10.0, 10.0, 0.0, 10.0],
+                                         [15.0, 32.5, 2.5, 5.0, 5.0]]
+
+    def test_invalid_tuples_listed_on_every_line_in_file_order(self, tmp_path):
+        rows = ["v1,A,A", "v2,A,B", "v3,B,B", "v4,A,A", "v5,B,A", "v6,B,B", "v7,A,A"]
+        path = tmp_path / "repeats.csv"
+        path.write_text("voter_id,pref1,pref2\n" + "\n".join(rows) + "\n")
+        code, _, err = run_cli("tally", str(path))
+        assert code == 1
+        assert [l.split(":")[0].strip() for l in err.splitlines()[1:]] == [
+            "line 2", "line 4", "line 5", "line 7", "line 8"]
+
     def test_inline_roster_wins_with_warning(self, tmp_path):
         path = tmp_path / "extra.csv"
         path.write_text("voter_id,pref1,pref2\nv1,A,Z\nv2,A,B\n")
@@ -212,6 +263,10 @@ class TestSimulate:
         ("numElections", 2.5),
         ("columnBlindness", 2.5),
         ("columnBlindness", [2, 4.5]),
+        # Keys once taken on trust: a string is truthy, 2.5 workers loaded.
+        ("includeBaselines", "no"),
+        ("workers", 2.5),
+        ("numVoters", True),
     ])
     def test_bad_value_is_a_config_error(self, sim_config, tmp_path, key, value):
         doc = json.loads(open(sim_config).read())
@@ -231,6 +286,24 @@ class TestSimulate:
         path = tmp_path / "floats.json"
         path.write_text(json.dumps(doc))
         assert run_cli("simulate", str(path)) == run_cli("simulate", sim_config)
+
+    def test_whole_valued_num_prefs_and_workers_load(self, sim_config, tmp_path):
+        doc = json.loads(open(sim_config).read())
+        outputs = []
+        for num_prefs, workers in ((3, 1), (3.0, 2.0)):
+            path = tmp_path / f"prefs{workers}.json"
+            path.write_text(json.dumps(dict(doc, numPrefs=num_prefs, workers=workers)))
+            outputs.append(run_cli("simulate", str(path)))
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
+
+    def test_include_baselines_false_drops_baseline_rows(self, sim_config, tmp_path):
+        doc = json.loads(open(sim_config).read())
+        path = tmp_path / "nobase.json"
+        path.write_text(json.dumps(dict(doc, includeBaselines=False)))
+        code, out, _ = run_cli("simulate", str(path))
+        assert code == 0
+        assert "crowd-Mean" not in out
 
     def test_byte_identical_reruns(self, sim_config):
         first = run_cli("simulate", sim_config)

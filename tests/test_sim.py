@@ -504,6 +504,20 @@ class TestConfigParsing:
         with pytest.raises(SimConfigError):
             small_config(num_candidates=200)  # test split too small
 
+    @pytest.mark.parametrize("field", ["num_candidates", "num_voters", "num_elections",
+                                       "dataset_size", "seed", "workers"])
+    @pytest.mark.parametrize("value", [300.5, True, "7"])
+    def test_integer_fields_must_be_ints(self, field, value):
+        # Checked here, not deep inside run_simulation (300.5 used to reach
+        # generate_dataset and fail there with a TypeError).
+        with pytest.raises(SimConfigError, match=field):
+            small_config(**{field: value})
+
+    def test_whole_valued_num_prefs_loads_as_int(self):
+        cfg = config_from_json_dict(dict(self.BASE, numPrefs=3.0, workers=2.0))
+        assert cfg.num_prefs == 3 and type(cfg.num_prefs) is int
+        assert cfg.workers == 2 and type(cfg.workers) is int
+
     def test_echo_layout(self):
         cfg = small_config()
         text = config_echo_text(cfg)

@@ -232,6 +232,17 @@ def test_row_sum_conservation(profile):
 
 @given(random_profiles())
 @settings(max_examples=100)
+def test_counts_from_a_counter_equal_counts_from_the_list(profile):
+    roster, ballots, num_prefs = profile
+    expanded = [expand_incomplete(b, roster, num_prefs) for b in ballots]
+    from_list = count_votes(expanded, roster, num_prefs)
+    from_counter = count_votes(Counter(expanded), roster, num_prefs)
+    assert from_counter == from_list
+    assert from_counter.n == from_list.n == len(ballots)
+
+
+@given(random_profiles())
+@settings(max_examples=100)
 def test_scores_monotone_and_bounded(profile):
     roster, ballots, num_prefs = profile
     _, _, table = pipeline(roster, ballots, num_prefs)
