@@ -14,6 +14,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -210,7 +211,9 @@ def cmd_tally(args) -> int:
         # reports them with their line number.
         with open(args.ballots, "r", encoding="utf-8-sig",
                   errors="surrogateescape") as fh:
-            num_cols, roster, groups = _read_ballot_groups(fh, args.candidates)
+            # A pipe cannot be read twice; keep its text for the error pass.
+            source = fh if fh.seekable() else io.StringIO(fh.read())
+            num_cols, roster, groups = _read_ballot_groups(source, args.candidates)
     except OSError as exc:
         raise CliError(f"cannot read {args.ballots}: {exc}") from exc
 

@@ -2,10 +2,10 @@
 
 The pipeline is ``count_votes`` -> ``cumulate`` -> ``score``, and each step
 returns a ``StageTable`` of its ``TableKind``. ``count_votes`` takes one
-fractional ballot per voter or a count per distinct ballot, and adds each
-distinct ballot once either way. Stage i of the cumulative
-table adds up preferences 1..i, so a candidate's score at stage i is the
-percentage of voters who ranked them within their first i preferences.
+fractional ballot per voter or a voter count per distinct ballot, and adds
+each distinct ballot once either way. Stage i of the cumulative table adds
+up preferences 1..i, so a candidate's score at stage i is the percentage
+of voters who ranked them within their first i preferences.
 All table entries are exact rationals; per-stage entropy and variance
 statistics are computed in floating point. A table's float rows, stage
 statistics and column order are computed once, on first use, and shared by

@@ -513,7 +513,7 @@ class TestConfigParsing:
         with pytest.raises(SimConfigError, match=field):
             small_config(**{field: value})
 
-    def test_whole_valued_num_prefs_loads_as_int(self):
+    def test_whole_valued_num_prefs_and_workers_load_as_ints(self):
         cfg = config_from_json_dict(dict(self.BASE, numPrefs=3.0, workers=2.0))
         assert cfg.num_prefs == 3 and type(cfg.num_prefs) is int
         assert cfg.workers == 2 and type(cfg.workers) is int
