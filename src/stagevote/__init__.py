@@ -22,9 +22,7 @@ from .baselines import (
     irv_winner,
 )
 from .select import (
-    BetaMode,
     Decision,
-    GammaMode,
     GammaRule,
     SelectionConfig,
     Selector,

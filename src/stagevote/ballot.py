@@ -160,12 +160,13 @@ class FractionalBallot:
 
 
 def _open_lines(source: Union[str, bytes, IO[str], Iterable[str]]) -> Iterable[str]:
+    # newline=None: CR, CRLF and LF all end a line, as in a text-mode file.
     if isinstance(source, bytes):
         # Undecodable bytes become lone surrogates, which _utf8_lines reports
         # with their line number.
-        return io.StringIO(source.decode("utf-8-sig", "surrogateescape"))
+        return io.StringIO(source.decode("utf-8-sig", "surrogateescape"), newline=None)
     if isinstance(source, str):
-        return io.StringIO(source.removeprefix("\ufeff"))
+        return io.StringIO(source.removeprefix("\ufeff"), newline=None)
     return source
 
 

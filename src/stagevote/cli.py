@@ -36,8 +36,6 @@ from .ballot import (
     validate_ballot,
 )
 from .select import (
-    BetaMode,
-    GammaMode,
     SelectionConfig,
     Selector,
     basic_report,
@@ -80,12 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tally.add_argument("--selector", default=None,
                        help="stage selector: first, last, min-entropy, max-entropy, "
                             "min-variance, max-variance, max-stdev")
-    tally.add_argument("--beta-mode", choices=[m.value for m in BetaMode],
-                       default=BetaMode.EXCLUDE_STAGE.value,
-                       help="whether the beta-crossing stage stays usable")
-    tally.add_argument("--gamma-mode", choices=[m.value for m in GammaMode],
-                       default=GammaMode.STOP_AT_STAGE.value,
-                       help="whether the gamma-crossing stage stays usable")
     tally.add_argument("--num-prefs", type=int, default=None,
                        help="preference rows to tally (default: header width, "
                             "capped at the roster size)")
@@ -199,8 +191,6 @@ def cmd_tally(args) -> int:
             gamma=parse_gamma_spec(args.gamma),
             selector=(parse_selector(args.selector)
                       if args.selector else Selector.FIRST),
-            beta_mode=BetaMode(args.beta_mode),
-            gamma_mode=GammaMode(args.gamma_mode),
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc

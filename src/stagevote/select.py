@@ -5,10 +5,11 @@ Two families are provided:
 * ``basic_winner`` walks stages until some candidate's score strictly
   exceeds the alpha threshold and elects the top scorer there, with a
   last-stage fallback when nothing ever crosses.
-* ``beta_gamma_winner`` bounds the usable stages by discontent and
-  runaway cutoffs, picks a decision stage with a configurable selector
-  (pool endpoint, extremal entropy or variance), and never lets a real
-  candidate win a stage where the NULL candidate scores strictly higher.
+* ``beta_gamma_winner`` keeps the stages before the one where NULL's score
+  exceeds beta (or up to the one where it exceeds alpha, with beta unset)
+  and up to the one where the gamma rule fires; picks a decision stage
+  with a selector (pool endpoint, extremal entropy or variance); and never
+  lets a real candidate win a stage where NULL scores strictly higher.
 
 Scores are compared against thresholds in double precision with a strict
 ``>`` throughout. Every decision reads the table's float rows, stage
@@ -53,29 +54,6 @@ class Selector(str, Enum):
     MIN_VARIANCE = "MinVariance"
     MAX_VARIANCE = "MaxVariance"
     MAX_STDDEV = "MaxStDev"
-
-
-class BetaMode(str, Enum):
-    """Whether the stage where NULL crosses beta is itself usable.
-
-    ``EXCLUDE_STAGE`` (default): once too many voters are discontented,
-    decide only on previous stages. ``STOP_BEFORE`` keeps the crossing
-    stage in the pool and stops after it.
-    """
-
-    EXCLUDE_STAGE = "exclude_stage"
-    STOP_BEFORE = "stop_before"
-
-
-class GammaMode(str, Enum):
-    """Whether the stage where the gamma rule fires is itself usable.
-
-    ``STOP_AT_STAGE`` (default) keeps it: a runaway score is locked in at
-    the stage it appears. ``EXCLUDE_STAGE`` ends the pool just before.
-    """
-
-    STOP_AT_STAGE = "stop_at_stage"
-    EXCLUDE_STAGE = "exclude_stage"
 
 
 @dataclass(frozen=True)
@@ -152,17 +130,15 @@ class SelectionConfig:
     """Parameters of one staged-voting variant.
 
     With ``beta`` unset, tallying stops (inclusively) at the stage where
-    NULL's score exceeds alpha; with ``beta`` set, the discontent cutoff
-    uses beta instead and ``beta_mode`` decides whether the crossing
-    stage stays usable.
+    NULL's score exceeds alpha. With ``beta`` set, it stops just before
+    the stage where NULL's score exceeds beta. A gamma rule stops it
+    (inclusively) at the stage where the rule fires.
     """
 
     alpha: float
     beta: Optional[float] = None
     gamma: GammaRule = GammaRule.none()
     selector: Selector = Selector.FIRST
-    beta_mode: BetaMode = BetaMode.EXCLUDE_STAGE
-    gamma_mode: GammaMode = GammaMode.STOP_AT_STAGE
 
     def __post_init__(self):
         if not 0 <= self.alpha <= 1:
@@ -207,7 +183,12 @@ def _window_end(*bounds: Optional[int]) -> int:
 
 @dataclass(frozen=True)
 class Decision:
-    """Election outcome plus the window and statistics that produced it."""
+    """Election outcome plus the window that produced it.
+
+    ``diagnostics`` keys: ``fallback`` (basic rule); ``best_candidate``,
+    ``best_score``, ``best_by_alpha``/``_beta``/``_gamma`` and, after a
+    NULL-veto walk-back, ``walked_back_from`` (windowed rule).
+    """
 
     winner: str
     stage: Optional[int]
@@ -270,8 +251,9 @@ def stage_window(st: StageTable, cfg: SelectionConfig, null_id: str) -> StageWin
 
     The lower bound is the first stage with an alpha-crossing real
     candidate that NULL does not strictly beat. The upper bound is the
-    tightest of: the discontent cutoff (NULL crossing beta, or alpha when
-    beta is unset), the gamma rule, and the last stage of the table.
+    tightest of: the stage before NULL crosses beta (or the stage where it
+    crosses alpha, when beta is unset), the stage where the gamma rule
+    fires, and the last stage of the table.
     """
     _check_table(st)
     if null_id not in st.candidates:
@@ -293,8 +275,6 @@ def stage_window(st: StageTable, cfg: SelectionConfig, null_id: str) -> StageWin
         crossing = _first_stage(rows, lambda row: row[nj] > bar_b)
         if crossing is None:
             last_by_beta = None
-        elif cfg.beta_mode is BetaMode.STOP_BEFORE:
-            last_by_beta = crossing
         else:
             last_by_beta = crossing - 1
     else:
@@ -302,16 +282,7 @@ def stage_window(st: StageTable, cfg: SelectionConfig, null_id: str) -> StageWin
         # usable but a real winner there must not be beaten by NULL.
         last_by_beta = _first_stage(rows, lambda row: row[nj] > bar_a)
 
-    if cfg.gamma.enabled:
-        crossing = _first_stage(rows, cfg.gamma.fires)
-        if crossing is None:
-            last_by_gamma = None
-        elif cfg.gamma_mode is GammaMode.STOP_AT_STAGE:
-            last_by_gamma = crossing
-        else:
-            last_by_gamma = crossing - 1
-    else:
-        last_by_gamma = None
+    last_by_gamma = _first_stage(rows, cfg.gamma.fires)
 
     end = _window_end(last_by_beta, last_by_gamma, st.num_stages)
     if first_by_alpha is None or first_by_alpha > end:
@@ -370,7 +341,6 @@ def beta_gamma_winner(st: StageTable, cfg: SelectionConfig, null_id: str) -> Dec
     rows = st.floats
     nj = st.candidates.index(null_id)
     rank = _tie_rank(st)
-    stats = st.stats
     real = [j for j in range(len(st.candidates)) if j != nj]
 
     def best_real_at(stage: Optional[int]) -> tuple[Optional[str], Optional[float]]:
@@ -381,24 +351,18 @@ def beta_gamma_winner(st: StageTable, cfg: SelectionConfig, null_id: str) -> Dec
 
     best_candidate, best_score = best_real_at(window.end if window.end >= 1 else None)
     diagnostics = {
-        "selector": cfg.selector.value,
-        "pool": window.pool,
-        "entropy": {i: stats.entropy[i - 1] for i in window.pool},
-        "variance": {i: stats.variance[i - 1] for i in window.pool},
         "best_candidate": best_candidate,
         "best_score": best_score,
         "best_by_alpha": best_real_at(window.first_by_alpha)[1],
         "best_by_beta": best_real_at(window.last_by_beta)[1],
         "best_by_gamma": best_real_at(window.last_by_gamma)[1],
-        "beta_below_alpha": cfg.beta is not None and cfg.beta < cfg.alpha,
     }
 
     if not window.pool:
         return Decision(winner=null_id, stage=None, score=None,
                         window=window, diagnostics=diagnostics)
 
-    chosen = select_stage(window, cfg.selector, stats)
-    diagnostics["selected_stage"] = chosen
+    chosen = select_stage(window, cfg.selector, st.stats)
     bar = 100.0 * cfg.alpha
     for s in reversed([p for p in window.pool if p <= chosen]):
         row = rows[s - 1]

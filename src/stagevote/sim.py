@@ -27,8 +27,6 @@ from . import baselines
 from .ballot import NULL_TOKEN, Ballot, CandidateRoster, expand_incomplete
 from .baselines import PredictionMatrix
 from .select import (
-    BetaMode,
-    GammaMode,
     GammaRule,
     SelectionConfig,
     Selector,
@@ -537,17 +535,16 @@ _IGNORED_CONFIG_KEYS = ("epochs", "trainableLayerCount")
 
 def _parse_algorithm(entry: dict, where: str) -> SelectionConfig:
     try:
+        unknown = ", ".join(sorted(set(entry) - {"alpha", "beta", "gamma", "selector"}))
+        if unknown:
+            raise SimConfigError(f"unknown keys: {unknown}")
         kwargs = {
-            "alpha": float(entry["alpha"]),
-            "beta": None if entry.get("beta") is None else float(entry["beta"]),
+            "alpha": _number("alpha", entry["alpha"]),
+            "beta": None if entry.get("beta") is None else _number("beta", entry["beta"]),
             "gamma": parse_gamma_spec(entry.get("gamma")),
         }
         if "selector" in entry:
             kwargs["selector"] = parse_selector(entry["selector"])
-        if "betaMode" in entry:
-            kwargs["beta_mode"] = BetaMode(entry["betaMode"])
-        if "gammaMode" in entry:
-            kwargs["gamma_mode"] = GammaMode(entry["gammaMode"])
         return SelectionConfig(**kwargs)
     except KeyError as exc:
         raise SimConfigError(f"{where}: missing key {exc.args[0]!r}") from exc
@@ -555,10 +552,17 @@ def _parse_algorithm(entry: dict, where: str) -> SelectionConfig:
         raise SimConfigError(f"{where}: {exc}") from exc
 
 
+def _number(key: str, value) -> float:
+    """``float(value)`` for a JSON number, refusing a string and a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SimConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _whole(key: str, value) -> int:
     """``int(value)``, refusing a float with a fractional part (or an
-    infinite or NaN one) that ``int`` would silently truncate, and a bool."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    infinite or NaN one) that ``int`` would silently truncate, a bool and a str."""
+    if isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer():
         raise SimConfigError(f"{key} must be a whole number, got {value!r}")
     return int(value)
 
@@ -654,8 +658,9 @@ def config_from_json_dict(doc: dict, seed_override: Optional[int] = None) -> Sim
             column_blindness=(tuple(_whole("columnBlindness", b) for b in blindness)
                               if isinstance(blindness, list)
                               else _whole("columnBlindness", blindness)),
-            quality_mean=float(method["mean"]),
-            quality_sd=float(method.get("standardDeviation", 0.0)),
+            quality_mean=_number("crowdBuildMethod.mean", method["mean"]),
+            quality_sd=_number("crowdBuildMethod.standardDeviation",
+                               method.get("standardDeviation", 0.0)),
             seed=_whole("seed", seed),
             algorithms=algorithms,
             **kwargs,

@@ -18,8 +18,6 @@ from stagevote.ballot import Ballot, CandidateRoster, expand_incomplete
 from stagevote.baselines import fptp_winner
 from stagevote.cli import main as cli_main
 from stagevote.select import (
-    BetaMode,
-    GammaMode,
     GammaRule,
     SelectionConfig,
     Selector,
@@ -222,8 +220,6 @@ def test_criterion_8_oracle_equivalence():
             gamma=rng.choice([GammaRule.none(), GammaRule.any_exceeds(0.66),
                               GammaRule.fraction_exceeds(0.8, 0.5),
                               GammaRule.count_exceeds(0.7, 2)]),
-            beta_mode=rng.choice(list(BetaMode)),
-            gamma_mode=rng.choice(list(GammaMode)),
         )
         window = stage_window(table, cfg, "NULL")
         assert (window.first_by_alpha, window.last_by_beta,

@@ -143,6 +143,18 @@ class TestParse:
             parse_ballots(data, None)
         assert exc.value.line == line
 
+    def test_cr_crlf_and_lf_line_ends_read_alike(self):
+        # The same split as `stagevote tally`, which opens files in text mode.
+        lines = [HEADER, "v1,A,B", "", "v2,NULL", "v3,C,D,E"]
+        expected = parse_ballots("\n".join(lines) + "\n", ROSTER)
+        assert [b.line for b in expected] == [2, 4, 5]
+        for newline in ("\r", "\r\n", "\n"):
+            text = newline.join(lines) + newline
+            for source in (text, text.encode(), b"\xef\xbb\xbf" + text.encode()):
+                ballots = parse_ballots(source, ROSTER)
+                assert ballots == expected
+                assert [b.line for b in ballots] == [b.line for b in expected]
+
     def test_str_with_byte_order_mark(self):
         # Text a caller read as plain utf-8 still starts with U+FEFF.
         text = f"{HEADER}\nv1,A,B,C,D,E,NULL\n"

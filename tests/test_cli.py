@@ -274,6 +274,20 @@ class TestSimulate:
         ("includeBaselines", "no"),
         ("workers", 2.5),
         ("numVoters", True),
+        # Quoted numbers once loaded as if they were numbers.
+        ("numCandidates", "5"),
+        ("numVoters", "12"),
+        ("seed", "3"),
+        ("numPrefs", "3"),
+        ("crowdBuildMethod", {"mean": "1500"}),
+        ("crowdBuildMethod", {"mean": 1500, "standardDeviation": "300"}),
+        ("crowdBuildMethod", {"mean": True}),
+        ("algorithms", [{"alpha": "0.5"}]),
+        ("algorithms", [{"alpha": True}]),
+        ("algorithms", [{"alpha": 0.5, "beta": "0.33"}]),
+        # An algorithms entry takes alpha, beta, gamma and selector only.
+        ("algorithms", [{"alpha": 0.5, "selecter": "Last"}]),
+        ("algorithms", [5]),
     ])
     def test_bad_value_is_a_config_error(self, sim_config, tmp_path, key, value):
         doc = json.loads(open(sim_config).read())
@@ -285,6 +299,14 @@ class TestSimulate:
         assert out == ""
         assert "bad config:" in err
         assert "Traceback" not in err
+
+    def test_unknown_algorithm_keys_are_named(self, sim_config, tmp_path):
+        doc = json.loads(open(sim_config).read())
+        doc["algorithms"] = [{"alpha": 0.5, "stopBefore": True, "selecter": "Last"}]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("simulate", str(path)) == (
+            1, "", "error: bad config: algorithms[0]: unknown keys: selecter, stopBefore\n")
 
     def test_whole_valued_floats_load_as_integers(self, sim_config, tmp_path):
         doc = json.loads(open(sim_config).read())

@@ -46,11 +46,11 @@ def rows(draw) -> str:
 
 @st.composite
 def ballot_files(draw) -> bytes:
-    """A header and ragged rows joined by LF or CRLF; sometimes a BOM,
+    """A header and ragged rows joined by LF, CRLF or CR; sometimes a BOM,
     sometimes random bytes spliced in."""
     header = draw(st.sampled_from(ODD_HEADERS) | st.just(HEADER) | st.just(HEADER))
     body = draw(st.lists(rows(), max_size=12))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     data = (newline.join([header] + body) + draw(st.sampled_from(["", newline]))).encode()
     if draw(st.booleans()):
         data = b"\xef\xbb\xbf" + data

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from stagevote import sim
 from stagevote.ballot import Ballot, CandidateRoster
 from stagevote.select import (
-    BetaMode,
     EmptyPoolError,
     EmptyTableError,
-    GammaMode,
     GammaRule,
     MissingNullColumnError,
     SelectionConfig,
@@ -79,14 +77,6 @@ class TestStageWindow:
         assert window.last_by_beta == 2
         assert window.pool == (2,)
 
-    def test_stop_before_keeps_crossing_stage(self, beta_tables):
-        _, _, table = beta_tables
-        cfg = SelectionConfig(alpha=0.5, beta=0.3333,
-                              beta_mode=BetaMode.STOP_BEFORE)
-        window = stage_window(table, cfg, "NULL")
-        assert window.last_by_beta == 3
-        assert window.pool == (2, 3)
-
     def test_unconstrained_window_runs_to_last_stage(self):
         table = make_score_table(
             ["A", "B", "NULL"],
@@ -116,16 +106,6 @@ class TestStageWindow:
             ["A", "B", "NULL"], [[40, 30, 0], [75, 60, 0], [90, 80, 0]],
         )
         cfg = SelectionConfig(alpha=0.5, gamma=GammaRule.any_exceeds(0.6666))
-        window = stage_window(table, cfg, "NULL")
-        assert window.last_by_gamma == 2
-        assert window.pool == (2,)
-
-    def test_gamma_exclude_mode(self):
-        table = make_score_table(
-            ["A", "B", "NULL"], [[40, 30, 0], [60, 55, 0], [90, 80, 0]],
-        )
-        cfg = SelectionConfig(alpha=0.5, gamma=GammaRule.any_exceeds(0.6666),
-                              gamma_mode=GammaMode.EXCLUDE_STAGE)
         window = stage_window(table, cfg, "NULL")
         assert window.last_by_gamma == 2
         assert window.pool == (2,)
@@ -305,24 +285,14 @@ def _window_oracle(table, cfg, null_id):
 
     if cfg.beta is not None:
         crossed = [i for i in stages if rows[i - 1][nj] > 100.0 * cfg.beta]
-        if not crossed:
-            last_b = None
-        elif cfg.beta_mode is BetaMode.STOP_BEFORE:
-            last_b = min(crossed)
-        else:
-            last_b = min(crossed) - 1
+        last_b = min(crossed) - 1 if crossed else None
     else:
         crossed = [i for i in stages if rows[i - 1][nj] > bar_a]
         last_b = min(crossed) if crossed else None
 
     if cfg.gamma.enabled:
         fired = [i for i in stages if cfg.gamma.fires(rows[i - 1])]
-        if not fired:
-            last_g = None
-        elif cfg.gamma_mode is GammaMode.STOP_AT_STAGE:
-            last_g = min(fired)
-        else:
-            last_g = min(fired) - 1
+        last_g = min(fired) if fired else None
     else:
         last_g = None
 
@@ -362,8 +332,6 @@ def test_window_matches_brute_force_scan():
                               GammaRule.fraction_exceeds(0.8, 0.5),
                               GammaRule.count_exceeds(0.7, 2)]),
             selector=rng.choice(selectors),
-            beta_mode=rng.choice(list(BetaMode)),
-            gamma_mode=rng.choice(list(GammaMode)),
         )
         window = stage_window(table, cfg, "NULL")
         expected = _window_oracle(table, cfg, "NULL")
