@@ -9,7 +9,10 @@ the default 126-config grid; it was recorded before stage tables cached
 their float rows, statistics and tie order. ``study-crowd-json`` builds a
 500-voter crowd with 2..8 hidden columns; it was recorded before the crowd
 build fitted each distinct visible column set once and calibrated every
-voter's noise in one batched bisection.
+voter's noise in one batched bisection. ``desk-study-text`` runs the
+shipped ``configs/desk_study.json`` (200 elections over the default grid);
+it was recorded before the windowed decision stopped building its
+report-only values.
 
 The error cases compare stderr with ``tests/golden/<case>.err`` instead and
 expect empty stdout. Their file repeats invalid ballots on non-adjacent
@@ -37,6 +40,7 @@ from stagevote.cli import main
 from conftest import BETA_PATTERNS, ballots_from_patterns, concrete_csv_text
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+DESK_STUDY = Path(__file__).parent.parent / "configs" / "desk_study.json"
 
 WINDOWED = ["--alpha", "0.5", "--beta", "0.3333", "--gamma", "any:0.6666",
             "--selector", "last"]
@@ -131,6 +135,7 @@ INPUTS = {
     "grid.json": json.dumps(GRID_STUDY),
     "crowd.json": json.dumps(CROWD_STUDY),
     "invalid.csv": INVALID_CSV,
+    "desk_study.json": DESK_STUDY.read_text(encoding="utf-8"),
 }
 
 # case name -> (argv with input file names, expected exit status)
@@ -154,6 +159,7 @@ CASES = {
     "study-text": (["simulate", "study.json"], 0),
     "study-grid-json": (["simulate", "grid.json", "--format", "json"], 0),
     "study-crowd-json": (["simulate", "crowd.json", "--format", "json"], 0),
+    "desk-study-text": (["simulate", "desk_study.json"], 0),
 }
 
 # case name -> (argv, expected exit status); golden file holds stderr
