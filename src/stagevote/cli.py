@@ -20,7 +20,6 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -88,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=None,
                           help=f"override the config seed (or set ${SEED_ENV_VAR})")
     simulate.add_argument("--workers", type=int, default=None,
-                          help="accepted for compatibility; elections run serially")
+                          help="ignored with a warning; elections run serially")
     simulate.add_argument("--format", choices=["text", "json"], default="text")
 
     stages = sub.add_parser("min-stages",
@@ -259,6 +258,9 @@ def cmd_simulate(args) -> int:
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid JSON in {args.config}: {exc}") from exc
 
+    if args.workers is not None:
+        print("warning: --workers is ignored; elections run serially", file=sys.stderr)
+
     seed_override = args.seed
     if seed_override is None and SEED_ENV_VAR in os.environ:
         try:
@@ -268,8 +270,6 @@ def cmd_simulate(args) -> int:
 
     try:
         cfg = sim.config_from_json_dict(doc, seed_override=seed_override)
-        if args.workers is not None:
-            cfg = replace(cfg, workers=args.workers)
     except sim.SimConfigError as exc:
         raise CliError(f"bad config: {exc}") from exc
 

@@ -11,6 +11,11 @@ Two families are provided:
   with a selector (pool endpoint, extremal entropy or variance); and never
   lets a real candidate win a stage where NULL scores strictly higher.
 
+A stage *qualifies* (``_qualifies``) when some real candidate scores
+strictly above alpha and NULL does not score strictly higher: the first
+one opens the window and a NULL veto walks back to the latest one. Reports
+derive their best-candidate fields from a decision's table when rendered.
+
 Scores are compared against thresholds in double precision with a strict
 ``>`` throughout. Every decision reads the table's float rows, stage
 statistics and tie-break column order from ``StageTable``, which computes
@@ -183,11 +188,11 @@ def _window_end(*bounds: Optional[int]) -> int:
 
 @dataclass(frozen=True)
 class Decision:
-    """Election outcome plus the window that produced it.
+    """Election outcome plus the window and table that produced it.
 
-    ``diagnostics`` keys: ``fallback`` (basic rule); ``best_candidate``,
-    ``best_score``, ``best_by_alpha``/``_beta``/``_gamma`` and, after a
-    NULL-veto walk-back, ``walked_back_from`` (windowed rule).
+    ``diagnostics`` keys: ``fallback`` (basic rule); ``walked_back_from``
+    after a NULL-veto walk-back (windowed rule). ``table`` is the table
+    decided on, kept out of equality and repr; reports read it.
     """
 
     winner: str
@@ -195,6 +200,7 @@ class Decision:
     score: Optional[Fraction]
     window: Optional[StageWindow] = None
     diagnostics: dict = field(default_factory=dict)
+    table: Optional[StageTable] = field(default=None, compare=False, repr=False)
 
 
 def _tie_rank(st: StageTable) -> dict[str, int]:
@@ -229,14 +235,20 @@ def basic_winner(st: StageTable, alpha: float) -> Decision:
         if row[best] > bar:
             return Decision(
                 winner=st.candidates[best], stage=i, score=st.row(i)[best],
-                diagnostics={"fallback": False},
+                diagnostics={"fallback": False}, table=st,
             )
     last = st.num_stages
     best = _argmax(rows[-1], everyone, st.candidates, rank)
     return Decision(
         winner=st.candidates[best], stage=last, score=st.row(last)[best],
-        diagnostics={"fallback": True},
+        diagnostics={"fallback": True}, table=st,
     )
+
+
+def _qualifies(row: Sequence[float], nj: int, bar: float) -> bool:
+    """Some real candidate scores strictly above ``bar`` (alpha in percent)
+    and NULL, column ``nj``, does not score strictly higher than it."""
+    return any(v > bar and row[nj] <= v for j, v in enumerate(row) if j != nj)
 
 
 def _first_stage(rows: Sequence[Sequence[float]], predicate) -> Optional[int]:
@@ -261,14 +273,7 @@ def stage_window(st: StageTable, cfg: SelectionConfig, null_id: str) -> StageWin
     rows = st.floats
     nj = st.candidates.index(null_id)
     bar_a = 100.0 * cfg.alpha
-
-    def alpha_ok(row: Sequence[float]) -> bool:
-        return any(
-            v > bar_a and row[nj] <= v
-            for j, v in enumerate(row) if j != nj
-        )
-
-    first_by_alpha = _first_stage(rows, alpha_ok)
+    first_by_alpha = _first_stage(rows, lambda row: _qualifies(row, nj, bar_a))
 
     if cfg.beta is not None:
         bar_b = 100.0 * cfg.beta
@@ -331,54 +336,29 @@ def beta_gamma_winner(st: StageTable, cfg: SelectionConfig, null_id: str) -> Dec
     """Run the windowed variant: cutoffs, stage selector, NULL veto.
 
     An empty window elects NULL outright. Otherwise the selector picks a
-    stage from the pool; the winner is the top-scoring real candidate
-    there among those strictly above alpha. If NULL scores strictly
-    higher than that candidate, the decision walks back to the latest
-    earlier pool stage where it does not (such a stage exists by
-    construction of the window's lower bound).
+    stage from the pool and the decision walks back to the latest
+    qualifying stage at or before it (the pool's first stage qualifies, so
+    one exists). The winner is the top-scoring real candidate there among
+    those strictly above alpha.
     """
     window = stage_window(st, cfg, null_id)
-    rows = st.floats
-    nj = st.candidates.index(null_id)
-    rank = _tie_rank(st)
-    real = [j for j in range(len(st.candidates)) if j != nj]
-
-    def best_real_at(stage: Optional[int]) -> tuple[Optional[str], Optional[float]]:
-        if stage is None or not 1 <= stage <= st.num_stages:
-            return None, None
-        j = _argmax(rows[stage - 1], real, st.candidates, rank)
-        return st.candidates[j], rows[stage - 1][j]
-
-    best_candidate, best_score = best_real_at(window.end if window.end >= 1 else None)
-    diagnostics = {
-        "best_candidate": best_candidate,
-        "best_score": best_score,
-        "best_by_alpha": best_real_at(window.first_by_alpha)[1],
-        "best_by_beta": best_real_at(window.last_by_beta)[1],
-        "best_by_gamma": best_real_at(window.last_by_gamma)[1],
-    }
-
     if not window.pool:
         return Decision(winner=null_id, stage=None, score=None,
-                        window=window, diagnostics=diagnostics)
+                        window=window, table=st)
 
-    chosen = select_stage(window, cfg.selector, st.stats)
+    rows = st.floats
+    nj = st.candidates.index(null_id)
     bar = 100.0 * cfg.alpha
-    for s in reversed([p for p in window.pool if p <= chosen]):
-        row = rows[s - 1]
-        eligible = [j for j in real if row[j] > bar]
-        if not eligible:
-            continue
-        best = _argmax(row, eligible, st.candidates, rank)
-        if row[best] >= row[nj]:
-            if s != chosen:
-                diagnostics["walked_back_from"] = chosen
-            return Decision(winner=st.candidates[best], stage=s,
-                            score=st.row(s)[best], window=window,
-                            diagnostics=diagnostics)
-    # Unreachable with a well-formed window; kept as a safe default.
-    return Decision(winner=null_id, stage=None, score=None,
-                    window=window, diagnostics=diagnostics)
+    chosen = select_stage(window, cfg.selector, st.stats)
+    stage = next(s for s in range(chosen, window.first_by_alpha - 1, -1)
+                 if _qualifies(rows[s - 1], nj, bar))
+    row = rows[stage - 1]
+    eligible = [j for j, v in enumerate(row) if j != nj and v > bar]
+    best = _argmax(row, eligible, st.candidates, _tie_rank(st))
+    return Decision(winner=st.candidates[best], stage=stage,
+                    score=st.row(stage)[best], window=window,
+                    diagnostics={} if stage == chosen else {"walked_back_from": chosen},
+                    table=st)
 
 
 def min_stages(n: int, k: int, alpha: Union[float, Fraction]) -> int:
@@ -411,24 +391,41 @@ def basic_report(decision: Decision, alpha: float) -> dict:
 
 
 def betagamma_report(decision: Decision, cfg: SelectionConfig, null_id: str) -> dict:
-    """Key/value block for a windowed decision, one key per line in text form."""
+    """Key/value block for a windowed decision, one key per line in text form.
+
+    The ``best*`` fields are the top real candidate and score (ties in
+    ``column_order``) at the window's end and at each bound, read from the
+    decision's table; a bound outside the table gives None.
+    """
     w = decision.window
-    d = decision.diagnostics
+    st = decision.table
+
+    def best_real(stage: Optional[int]) -> tuple[Optional[str], Optional[float]]:
+        if st is None or stage is None or not 1 <= stage <= st.num_stages:
+            return None, None
+        row = st.floats[stage - 1]
+        real = [j for j, c in enumerate(st.candidates) if c != null_id]
+        j = _argmax(row, real, st.candidates, _tie_rank(st))
+        return st.candidates[j], row[j]
+
+    first, last_b, last_g, end = ((w.first_by_alpha, w.last_by_beta, w.last_by_gamma,
+                                   w.end) if w is not None else (None,) * 4)
+    best_candidate, best_score = best_real(end)
     return {
         "algorithm": "BetaGamma",
         "NULLCandidate": null_id,
         "winner": decision.winner,
         "stage": decision.stage,
         "score": None if decision.score is None else float(decision.score),
-        "bestCandidate": d.get("best_candidate"),
-        "bestScore": d.get("best_score"),
-        "bestScoreStage": w.end if w is not None else None,
-        "lastStageByBeta": w.last_by_beta if w is not None else None,
-        "bestScoreByBeta": d.get("best_by_beta"),
-        "lastStageByGamma": w.last_by_gamma if w is not None else None,
-        "bestScoreByGamma": d.get("best_by_gamma"),
-        "firstStageByAlpha": w.first_by_alpha if w is not None else None,
-        "bestScoreByAlpha": d.get("best_by_alpha"),
+        "bestCandidate": best_candidate,
+        "bestScore": best_score,
+        "bestScoreStage": end,
+        "lastStageByBeta": last_b,
+        "bestScoreByBeta": best_real(last_b)[1],
+        "lastStageByGamma": last_g,
+        "bestScoreByGamma": best_real(last_g)[1],
+        "firstStageByAlpha": first,
+        "bestScoreByAlpha": best_real(first)[1],
         "alpha": cfg.alpha,
         "beta": cfg.beta,
         "gamma": cfg.gamma.threshold,

@@ -17,6 +17,7 @@ threads gave no speedup.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -107,28 +108,27 @@ class SimConfig:
     predicted_feature: str = "y"
     algorithms: Optional[tuple[SelectionConfig, ...]] = None
     include_baselines: bool = True
-    workers: int = 1  # validated for compatibility; elections run serially
 
     def __post_init__(self):
-        for name in ("num_candidates", "num_voters", "num_elections", "dataset_size",
-                     "seed", "workers"):
-            value = getattr(self, name)
+        lo, hi = self.blindness_range
+        counts = [(name, getattr(self, name)) for name in (
+            "num_candidates", "num_voters", "num_elections", "dataset_size", "seed")]
+        for name, value in counts + [("column_blindness", lo), ("column_blindness", hi)]:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise SimConfigError(f"{name} must be an int, got {value!r}")
         for name in ("num_candidates", "num_voters", "num_elections"):
             if getattr(self, name) < 1:
                 raise SimConfigError(f"{name} must be positive")
+        if not (math.isfinite(self.quality_mean) and math.isfinite(self.quality_sd)):
+            raise SimConfigError("crowd quality mean and standard deviation must be finite")
         if self.quality_mean <= 0:
             raise SimConfigError("crowd quality mean must be positive")
         if self.quality_sd < 0:
             raise SimConfigError("crowd quality standard deviation must be >= 0")
-        lo, hi = self.blindness_range
         if not (0 <= lo <= hi <= self.num_features):
             raise SimConfigError(
                 f"columnBlindness must lie within 0..{self.num_features}"
             )
-        if self.workers < 1:
-            raise SimConfigError("workers must be >= 1")
         k = self.num_candidates + 1  # slate plus NULL
         if self.num_prefs is not None and not (
                 isinstance(self.num_prefs, int) and not isinstance(self.num_prefs, bool)
@@ -139,10 +139,8 @@ class SimConfig:
 
     @property
     def blindness_range(self) -> tuple[int, int]:
-        if isinstance(self.column_blindness, int):
-            return self.column_blindness, self.column_blindness
-        lo, hi = self.column_blindness
-        return int(lo), int(hi)
+        b = self.column_blindness
+        return b if isinstance(b, tuple) else (b, b)
 
     @property
     def effective_num_prefs(self) -> int:
@@ -530,10 +528,12 @@ def config_echo_text(cfg: SimConfig) -> str:
     return "\n".join(lines)
 
 
-_IGNORED_CONFIG_KEYS = ("epochs", "trainableLayerCount")
+_IGNORED_CONFIG_KEYS = ("epochs", "trainableLayerCount", "workers")
 
 
 def _parse_algorithm(entry: dict, where: str) -> SelectionConfig:
+    if not isinstance(entry, dict):
+        raise SimConfigError(f"{where} must be an object, got {entry!r}")
     try:
         unknown = ", ".join(sorted(set(entry) - {"alpha", "beta", "gamma", "selector"}))
         if unknown:
@@ -553,9 +553,11 @@ def _parse_algorithm(entry: dict, where: str) -> SelectionConfig:
 
 
 def _number(key: str, value) -> float:
-    """``float(value)`` for a JSON number, refusing a string and a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SimConfigError(f"{key} must be a number, got {value!r}")
+    """``float(value)`` for a finite JSON number, refusing a string, a bool,
+    NaN and an infinity (Python's ``json`` reads ``NaN`` and ``Infinity``)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise SimConfigError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -571,8 +573,8 @@ def config_from_json_dict(doc: dict, seed_override: Optional[int] = None) -> Sim
     """Build a SimConfig from the printed header key set.
 
     Accepts both the ``numCandiates`` spelling found in older headers and
-    the corrected one. Neural-network training keys are accepted and
-    ignored with a warning so historical headers keep loading.
+    the corrected one. Neural-network training keys and ``workers`` are
+    accepted and ignored with a warning so historical headers keep loading.
     """
     if not isinstance(doc, dict):
         raise SimConfigError("config must be a JSON object")
@@ -634,7 +636,6 @@ def config_from_json_dict(doc: dict, seed_override: Optional[int] = None) -> Sim
         ("dataSetName", "dataset_name"),
         ("predictedFeature", "predicted_feature"),
         ("includeBaselines", "include_baselines"),
-        ("workers", "workers"),
     ):
         if json_key in doc:
             kwargs[attr] = doc.pop(json_key)
@@ -647,8 +648,7 @@ def config_from_json_dict(doc: dict, seed_override: Optional[int] = None) -> Sim
         raise SimConfigError(
             f"includeBaselines must be true or false, got {kwargs['include_baselines']!r}")
     try:
-        for json_key, attr in (("numPrefs", "num_prefs"), ("datasetSize", "dataset_size"),
-                               ("workers", "workers")):
+        for json_key, attr in (("numPrefs", "num_prefs"), ("datasetSize", "dataset_size")):
             if kwargs.get(attr) is not None:
                 kwargs[attr] = _whole(json_key, kwargs[attr])
         return SimConfig(

@@ -270,9 +270,10 @@ class TestSimulate:
         ("numElections", 2.5),
         ("columnBlindness", 2.5),
         ("columnBlindness", [2, 4.5]),
-        # Keys once taken on trust: a string is truthy, 2.5 workers loaded.
+        # Keys once taken on trust: a string is truthy.
         ("includeBaselines", "no"),
-        ("workers", 2.5),
+        # A string entry once had its characters named as unknown keys.
+        ("algorithms", ["alpha"]),
         ("numVoters", True),
         # Quoted numbers once loaded as if they were numbers.
         ("numCandidates", "5"),
@@ -288,6 +289,10 @@ class TestSimulate:
         # An algorithms entry takes alpha, beta, gamma and selector only.
         ("algorithms", [{"alpha": 0.5, "selecter": "Last"}]),
         ("algorithms", [5]),
+        # json reads NaN and Infinity; they once ran and printed inf MSE rows.
+        ("crowdBuildMethod", {"mean": float("nan")}),
+        ("crowdBuildMethod", {"mean": float("inf")}),
+        ("crowdBuildMethod", {"mean": 1500, "standardDeviation": float("inf")}),
     ])
     def test_bad_value_is_a_config_error(self, sim_config, tmp_path, key, value):
         doc = json.loads(open(sim_config).read())
@@ -308,10 +313,18 @@ class TestSimulate:
         assert run_cli("simulate", str(path)) == (
             1, "", "error: bad config: algorithms[0]: unknown keys: selecter, stopBefore\n")
 
+    def test_non_object_algorithm_entry_is_named(self, sim_config, tmp_path):
+        doc = json.loads(open(sim_config).read())
+        doc["algorithms"] = [{"alpha": 0.5}, "alpha"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("simulate", str(path)) == (
+            1, "", "error: bad config: algorithms[1] must be an object, got 'alpha'\n")
+
     def test_whole_valued_floats_load_as_integers(self, sim_config, tmp_path):
         doc = json.loads(open(sim_config).read())
         doc.update({"datasetSize": 300.0, "numVoters": 10.0, "seed": 11.0,
-                    "numElections": 4.0, "columnBlindness": 5.0, "workers": 1.0})
+                    "numElections": 4.0, "columnBlindness": 5.0})
         path = tmp_path / "floats.json"
         path.write_text(json.dumps(doc))
         assert run_cli("simulate", str(path)) == run_cli("simulate", sim_config)
@@ -333,6 +346,19 @@ class TestSimulate:
         serial = run_cli("simulate", sim_config, "--workers", "1")
         parallel = run_cli("simulate", sim_config, "--workers", "3")
         assert serial == parallel
+
+    def test_workers_flag_is_ignored_with_a_warning(self, sim_config):
+        code, out, err = run_cli("simulate", sim_config, "--workers", "3")
+        assert (code, out) == run_cli("simulate", sim_config)[:2]
+        assert err == "warning: --workers is ignored; elections run serially\n"
+
+    def test_workers_key_is_ignored_with_a_warning(self, sim_config, tmp_path):
+        doc = json.loads(open(sim_config).read())
+        path = tmp_path / "workers.json"
+        path.write_text(json.dumps(dict(doc, workers=2)))
+        with pytest.warns(UserWarning, match="'workers' is accepted but ignored"):
+            result = run_cli("simulate", str(path))
+        assert result == run_cli("simulate", sim_config)
 
     def test_seed_override_changes_output(self, sim_config):
         base = run_cli("simulate", sim_config)

@@ -339,6 +339,54 @@ def test_window_matches_brute_force_scan():
                 window.last_by_gamma, window.pool) == expected
 
 
+def test_decision_holds_no_report_values():
+    rng = random.Random(8086)
+    seen = set()
+    for trial in range(200):
+        table = _random_table(rng)
+        cfg = SelectionConfig(
+            alpha=rng.choice([0.3, 0.5, 0.66]),
+            beta=rng.choice([None, 0.33]),
+            gamma=rng.choice([GammaRule.none(), GammaRule.any_exceeds(0.8)]),
+            selector=rng.choice([Selector.FIRST, Selector.LAST]),
+        )
+        diagnostics = beta_gamma_winner(table, cfg, "NULL").diagnostics
+        assert set(diagnostics) <= {"walked_back_from"}
+        seen.add(bool(diagnostics))
+    assert seen == {False, True}
+
+
+def _best_real_oracle(table, stage):
+    """Top real score at ``stage`` and its candidate, ties in column order."""
+    if stage is None or not 1 <= stage <= table.num_stages:
+        return None, None
+    row = dict(zip(table.candidates, table.float_rows()[stage - 1]))
+    top = max(v for c, v in row.items() if c != "NULL")
+    return next(c for c in table.column_order if c != "NULL" and row[c] == top), top
+
+
+def test_report_best_fields_match_oracle():
+    rng = random.Random(4242)
+    grid = sim.default_algorithm_grid()
+    for trial in range(30):
+        table = _random_table(rng)
+        for cfg in grid:
+            try:
+                decision = beta_gamma_winner(table, cfg, "NULL")
+            except SelectionError:  # entropy selector on an empty row
+                continue
+            report = betagamma_report(decision, cfg, "NULL")
+            first, last_b, last_g, _ = _window_oracle(table, cfg, "NULL")
+            end = min(b for b in (last_b, last_g, table.num_stages) if b is not None)
+            expected = (*_best_real_oracle(table, end),
+                        _best_real_oracle(table, first)[1],
+                        _best_real_oracle(table, last_b)[1],
+                        _best_real_oracle(table, last_g)[1])
+            assert (report["bestCandidate"], report["bestScore"],
+                    report["bestScoreByAlpha"], report["bestScoreByBeta"],
+                    report["bestScoreByGamma"]) == expected, (trial, cfg)
+
+
 def test_winner_threshold_soundness():
     rng = random.Random(994422)
     for trial in range(300):

@@ -414,12 +414,6 @@ class TestRunSimulation:
         assert a.metrics == b.metrics
         assert a.to_text() == b.to_text()
 
-    def test_serial_equals_parallel(self):
-        serial = run_simulation(small_config(seed=8, workers=1))
-        parallel = run_simulation(small_config(seed=8, workers=4))
-        assert serial.metrics == parallel.metrics
-        assert serial.to_text() == parallel.to_text()
-
     def test_metric_bounds(self):
         res = run_simulation(small_config(seed=9))
         for row in res.metrics.rows:
@@ -505,7 +499,7 @@ class TestConfigParsing:
             small_config(num_candidates=200)  # test split too small
 
     @pytest.mark.parametrize("field", ["num_candidates", "num_voters", "num_elections",
-                                       "dataset_size", "seed", "workers"])
+                                       "dataset_size", "seed"])
     @pytest.mark.parametrize("value", [300.5, True, "7"])
     def test_integer_fields_must_be_ints(self, field, value):
         # Checked here, not deep inside run_simulation (300.5 used to reach
@@ -513,10 +507,22 @@ class TestConfigParsing:
         with pytest.raises(SimConfigError, match=field):
             small_config(**{field: value})
 
-    def test_whole_valued_num_prefs_and_workers_load_as_ints(self):
-        cfg = config_from_json_dict(dict(self.BASE, numPrefs=3.0, workers=2.0))
+    def test_whole_valued_num_prefs_loads_as_int(self):
+        cfg = config_from_json_dict(dict(self.BASE, numPrefs=3.0))
         assert cfg.num_prefs == 3 and type(cfg.num_prefs) is int
-        assert cfg.workers == 2 and type(cfg.workers) is int
+
+    @pytest.mark.parametrize("blindness", [2.7, (2.7, 3.9), (2, 3.0), (True, 3)])
+    def test_column_blindness_must_be_ints(self, blindness):
+        # A float bound was once truncated: (2.7, 3.9) ran as (2, 3).
+        with pytest.raises(SimConfigError, match="column_blindness must be an int"):
+            small_config(column_blindness=blindness)
+
+    @pytest.mark.parametrize("field, value", [
+        ("quality_mean", float("nan")), ("quality_mean", float("inf")),
+        ("quality_sd", float("nan")), ("quality_sd", float("inf"))])
+    def test_crowd_quality_must_be_finite(self, field, value):
+        with pytest.raises(SimConfigError, match="finite"):
+            small_config(**{field: value})
 
     def test_echo_layout(self):
         cfg = small_config()
