@@ -12,7 +12,10 @@ build fitted each distinct visible column set once and calibrated every
 voter's noise in one batched bisection. ``desk-study-text`` runs the
 shipped ``configs/desk_study.json`` (200 elections over the default grid);
 it was recorded before the windowed decision stopped building its
-report-only values.
+report-only values. ``wide-windowed-json`` tallies ``tests/data/wide_roster.csv``
+(ten real candidates, NULL and IDK, ballots cut after 0 to 6 stamps, so
+the missing mass is split over 6 to 11 candidates); it was recorded before
+the count summed integer numerators over one common denominator.
 
 The error cases compare stderr with ``tests/golden/<case>.err`` instead and
 expect empty stdout. Their file repeats invalid ballots on non-adjacent
@@ -41,6 +44,7 @@ from conftest import BETA_PATTERNS, ballots_from_patterns, concrete_csv_text
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DESK_STUDY = Path(__file__).parent.parent / "configs" / "desk_study.json"
+WIDE_CSV = Path(__file__).parent / "data" / "wide_roster.csv"
 
 WINDOWED = ["--alpha", "0.5", "--beta", "0.3333", "--gamma", "any:0.6666",
             "--selector", "last"]
@@ -136,6 +140,7 @@ INPUTS = {
     "crowd.json": json.dumps(CROWD_STUDY),
     "invalid.csv": INVALID_CSV,
     "desk_study.json": DESK_STUDY.read_text(encoding="utf-8"),
+    "wide.csv": WIDE_CSV.read_text(encoding="utf-8"),
 }
 
 # case name -> (argv with input file names, expected exit status)
@@ -156,6 +161,8 @@ CASES = {
                                "--format", "json"], 0),
     "protest-windowed-text": (["tally", "protest.csv", "--alpha", "0.5",
                                "--beta", "0.3333"], 2),
+    "wide-windowed-json": (["tally", "wide.csv", "--alpha", "0.4", "--beta", "0.45",
+                            "--selector", "max-variance", "--format", "json"], 0),
     "study-text": (["simulate", "study.json"], 0),
     "study-grid-json": (["simulate", "grid.json", "--format", "json"], 0),
     "study-crowd-json": (["simulate", "crowd.json", "--format", "json"], 0),
