@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -268,10 +269,17 @@ def cmd_simulate(args) -> int:
         except ValueError as exc:
             raise CliError(f"${SEED_ENV_VAR} must be an integer") from exc
 
-    try:
-        cfg = sim.config_from_json_dict(doc, seed_override=seed_override)
-    except sim.SimConfigError as exc:
-        raise CliError(f"bad config: {exc}") from exc
+    # An ignored config key is reported through ``warnings``; print each as
+    # one ``warning:`` line, also under ``python -W error``.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            cfg = sim.config_from_json_dict(doc, seed_override=seed_override)
+        except sim.SimConfigError as exc:
+            raise CliError(f"bad config: {exc}") from exc
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
 
     result = sim.run_simulation(cfg)
     if args.format == "json":

@@ -18,8 +18,8 @@ derive their best-candidate fields from a decision's table when rendered.
 
 Scores are compared against thresholds in double precision with a strict
 ``>`` throughout. Every decision reads the table's float rows, stage
-statistics and tie-break column order from ``StageTable``, which computes
-each once per table; running many configurations on one table shares them.
+statistics and tie rank from ``StageTable``, which computes each once per
+table; running many configurations on one table shares them.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .tally import StageStats, StageTable
@@ -66,8 +67,8 @@ class GammaRule:
     """Stage-invalidity rule fired by candidates exceeding a score cap.
 
     Variants: any candidate exceeds 100*threshold; at least
-    ``fraction``*k candidates exceed it; at least ``count`` candidates
-    exceed it.
+    ``fraction``*k candidates exceed it, with ``fraction`` taken exactly as
+    the decimal it was written as; at least ``count`` candidates exceed it.
     """
 
     threshold: Optional[float] = None
@@ -117,8 +118,15 @@ class GammaRule:
         if self.count is not None:
             return exceeding >= self.count
         if self.fraction is not None:
-            return exceeding >= self.fraction * len(scores)
+            return exceeding >= self._exact_fraction * len(scores)
         return exceeding >= 1
+
+    @cached_property
+    def _exact_fraction(self) -> Fraction:
+        """``fraction`` as the decimal it was typed as: ``str`` gives the
+        shortest text that reads back as the same float, so 0.28 is 7/25 and
+        0.28 of 25 candidates is 7, not 7.000000000000001."""
+        return Fraction(str(self.fraction))
 
     def label(self) -> str:
         if not self.enabled:
@@ -203,10 +211,6 @@ class Decision:
     table: Optional[StageTable] = field(default=None, compare=False, repr=False)
 
 
-def _tie_rank(st: StageTable) -> dict[str, int]:
-    return {c: i for i, c in enumerate(st.column_order)}
-
-
 def _argmax(row: Sequence[float], indices: Sequence[int],
             candidates: Sequence[str], rank: dict[str, int]) -> int:
     return min(indices, key=lambda j: (-row[j], rank[candidates[j]]))
@@ -226,7 +230,7 @@ def basic_winner(st: StageTable, alpha: float) -> Decision:
     fallback in the diagnostics.
     """
     _check_table(st)
-    rank = _tie_rank(st)
+    rank = st.tie_rank
     rows = st.floats
     bar = 100.0 * alpha
     everyone = range(len(st.candidates))
@@ -354,7 +358,7 @@ def beta_gamma_winner(st: StageTable, cfg: SelectionConfig, null_id: str) -> Dec
                  if _qualifies(rows[s - 1], nj, bar))
     row = rows[stage - 1]
     eligible = [j for j, v in enumerate(row) if j != nj and v > bar]
-    best = _argmax(row, eligible, st.candidates, _tie_rank(st))
+    best = _argmax(row, eligible, st.candidates, st.tie_rank)
     return Decision(winner=st.candidates[best], stage=stage,
                     score=st.row(stage)[best], window=window,
                     diagnostics={} if stage == chosen else {"walked_back_from": chosen},
@@ -400,12 +404,13 @@ def betagamma_report(decision: Decision, cfg: SelectionConfig, null_id: str) -> 
     w = decision.window
     st = decision.table
 
+    real = [] if st is None else [j for j, c in enumerate(st.candidates) if c != null_id]
+
     def best_real(stage: Optional[int]) -> tuple[Optional[str], Optional[float]]:
         if st is None or stage is None or not 1 <= stage <= st.num_stages:
             return None, None
         row = st.floats[stage - 1]
-        real = [j for j, c in enumerate(st.candidates) if c != null_id]
-        j = _argmax(row, real, st.candidates, _tie_rank(st))
+        j = _argmax(row, real, st.candidates, st.tie_rank)
         return st.candidates[j], row[j]
 
     first, last_b, last_g, end = ((w.first_by_alpha, w.last_by_beta, w.last_by_gamma,

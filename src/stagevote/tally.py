@@ -3,13 +3,18 @@
 The pipeline is ``count_votes`` -> ``cumulate`` -> ``score``, and each step
 returns a ``StageTable`` of its ``TableKind``. ``count_votes`` takes one
 fractional ballot per voter or a voter count per distinct ballot, and adds
-each distinct ballot once either way. Stage i of the cumulative table adds
-up preferences 1..i, so a candidate's score at stage i is the percentage
-of voters who ranked them within their first i preferences.
+each distinct ballot once either way. It counts exactly in integers: every
+cell is a numerator over one common denominator D, the lcm of the
+unstamped-set sizes m of the ballots with a missing row (1 when every
+ballot is complete), so a stamp adds D and a missing row adds D/m to each
+unstamped candidate; each cell becomes a ``Fraction`` once, at the end.
+Stage i of the cumulative table adds up preferences 1..i, so a candidate's
+score at stage i is the percentage of voters who ranked them within their
+first i preferences.
 All table entries are exact rationals; per-stage entropy and variance
 statistics are computed in floating point. A table's float rows, stage
-statistics and column order are computed once, on first use, and shared by
-every later reader of that table.
+statistics, column order and tie rank are computed once, on first use, and
+shared by every later reader of that table.
 """
 
 from __future__ import annotations
@@ -68,9 +73,9 @@ class StageTable:
     aggregates preferences 1..i (``PROCESSED``), or those sums as
     percentages of n in [0, 100] (``SCORES``). Columns stay in roster order.
 
-    ``floats``, ``stats`` and ``column_order`` are computed once per table
-    and cached on the instance, so every decision made on one table shares
-    them. The cache never enters equality or hashing, which use the fields.
+    ``floats``, ``stats``, ``column_order`` and ``tie_rank`` are computed
+    once per table and cached on the instance, so every decision made on
+    one table shares them. The cache never enters equality or hashing, which use the fields.
     """
 
     kind: TableKind
@@ -96,6 +101,11 @@ class StageTable:
     @cached_property
     def column_order(self) -> tuple[str, ...]:
         return sort_columns(self)
+
+    @cached_property
+    def tie_rank(self) -> dict[str, int]:
+        """Each candidate's position in ``column_order``; lower wins a tie."""
+        return {c: i for i, c in enumerate(self.column_order)}
 
     def float_rows(self) -> list[list[float]]:
         return [list(row) for row in self.floats]
@@ -139,25 +149,43 @@ def count_votes(
 
     ``ballots`` is one fractional ballot per voter, or a mapping from each
     distinct ballot to the number of voters who cast it (a ``Counter``).
-    Each distinct ballot's rows are added once, times that number, so the
-    cost grows with distinct ballots, not voters. Sums start at the int 0
-    so that stamped weight 1 stays integer arithmetic.
+    Each distinct ballot's stamps are added once, times that number, so the
+    cost grows with distinct ballots, not voters. The sums are ints over
+    one common denominator D, the lcm of the unstamped-set sizes m among
+    ballots with a missing row: a stamp adds D and a missing row D // m to
+    each of the m unstamped candidates. Each cell is divided by D once.
 
     All ballots must be expanded over the same roster and ``num_prefs``;
     anything else is a configuration error.
     """
     cands = roster.tally_candidates
-    totals = [dict.fromkeys(cands, 0) for _ in range(num_prefs)]
+    column = {c: j for j, c in enumerate(cands)}
     voters = Counter(ballots)
+    # (stamps, voters, column indices of the unstamped candidates or None
+    # when no row is missing), one entry per distinct ballot.
+    entries = []
     for fb, size in voters.items():
         if fb.candidates != cands or fb.num_prefs != num_prefs:
             raise TallyError(
                 "ballot expanded over a different roster or preference count"
             )
-        for slot, row in zip(totals, fb.rows):
-            for cand, w in row.items():
-                slot[cand] += w * size
-    counts = tuple(tuple(Fraction(slot[c]) for c in cands) for slot in totals)
+        free = None
+        if None in fb.stamps:
+            stamped = set(fb.stamps)
+            free = [j for j, c in enumerate(cands) if c not in stamped]
+        entries.append((fb.stamps, size, free))
+    denom = math.lcm(*(len(free) for _, _, free in entries if free is not None))
+    totals = [[0] * len(cands) for _ in range(num_prefs)]
+    for stamps, size, free in entries:
+        whole = denom * size
+        share = whole // len(free) if free is not None else 0
+        for slot, stamp in zip(totals, stamps):
+            if stamp is None:
+                for j in free:
+                    slot[j] += share
+            else:
+                slot[column[stamp]] += whole
+    counts = tuple(tuple(Fraction(v, denom) for v in slot) for slot in totals)
     return StageTable(TableKind.COUNTS, cands, counts, voters.total())
 
 

@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import threading
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -356,9 +358,33 @@ class TestSimulate:
         doc = json.loads(open(sim_config).read())
         path = tmp_path / "workers.json"
         path.write_text(json.dumps(dict(doc, workers=2)))
-        with pytest.warns(UserWarning, match="'workers' is accepted but ignored"):
-            result = run_cli("simulate", str(path))
-        assert result == run_cli("simulate", sim_config)
+        code, out, err = run_cli("simulate", str(path))
+        assert (code, out) == run_cli("simulate", sim_config)[:2]
+        assert err == "warning: config key 'workers' is accepted but ignored\n"
+
+    def test_ignored_keys_warn_one_line_each_under_w_error(self, sim_config, tmp_path):
+        doc = json.loads(open(sim_config).read())
+        path = tmp_path / "ignored.json"
+        path.write_text(json.dumps(dict(doc, workers=2, epochs=133)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"),
+             os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "stagevote.cli", "simulate", str(path)],
+            capture_output=True, text=True, env=env, check=False)
+        assert (proc.returncode, proc.stdout) == run_cli("simulate", sim_config)[:2]
+        assert proc.stderr == ("warning: config key 'epochs' is accepted but ignored\n"
+                               "warning: config key 'workers' is accepted but ignored\n")
+
+    def test_warnings_printed_before_a_config_error(self, sim_config, tmp_path):
+        doc = json.loads(open(sim_config).read())
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(doc, workers=2, numVoters=-1)))
+        code, out, err = run_cli("simulate", str(path))
+        assert (code, out) == (1, "")
+        first, second = err.splitlines()
+        assert first == "warning: config key 'workers' is accepted but ignored"
+        assert second.startswith("error: bad config: ")
 
     def test_seed_override_changes_output(self, sim_config):
         base = run_cli("simulate", sim_config)

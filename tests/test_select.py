@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -134,6 +135,12 @@ class TestGammaRule:
         rule = GammaRule.fraction_exceeds(0.9, 0.5)
         assert not rule.fires([95.0, 10.0, 10.0, 10.0])
         assert rule.fires([95.0, 95.0, 10.0, 10.0])
+
+    def test_fraction_is_the_typed_decimal(self):
+        # 0.28 * 25 == 7.000000000000001 in floats; 28% of 25 is exactly 7.
+        rule = parse_gamma_spec("frac:0.28:0.5")
+        assert rule.fires([60.0] * 7 + [10.0] * 18)
+        assert not rule.fires([60.0] * 6 + [10.0] * 19)
 
     def test_count_variant(self):
         rule = GammaRule.count_exceeds(0.95, 2)
@@ -458,6 +465,22 @@ class TestPerTableCache:
                                        grid, num_prefs=5, include_baselines=False)
             assert len(results) == len(grid) == 126
         assert table_builds == {"compute_stage_stats": 2, "sort_columns": 2}
+
+    def test_tie_rank_built_once_per_table(self, beta_tables, monkeypatch):
+        builds = []
+        real = StageTable.tie_rank.func
+
+        def counted(table):
+            builds.append(table)
+            return real(table)
+        rank = cached_property(counted)
+        rank.__set_name__(StageTable, "tie_rank")
+        monkeypatch.setattr(StageTable, "tie_rank", rank)
+        _, _, table = beta_tables
+        for cfg in sim.default_algorithm_grid():
+            betagamma_report(beta_gamma_winner(table, cfg, "NULL"), cfg, "NULL")
+        basic_winner(table, 0.5)
+        assert builds == [table]
 
     def test_mutating_float_rows_leaves_decisions_alone(self, beta_tables):
         _, _, table = beta_tables

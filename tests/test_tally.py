@@ -129,17 +129,18 @@ class TestGrouping:
     def test_matches_per_ballot_oracle(self):
         rng = random.Random(2024)
         for trial in range(150):
-            size = rng.randint(2, 6)
+            size = rng.randint(2, 12)
             names = [f"K{i}" for i in range(size - 1)] + ["NULL"]
             idk = "IDK" if rng.random() < 0.5 else None
             roster = CandidateRoster(tuple(names + ([idk] if idk else [])),
                                      null_id="NULL", idk_id=idk)
             num_prefs = rng.randint(1, roster.k)
-            # A few distinct patterns, some longer than num_prefs, cast
-            # many times, so the list holds duplicates in shuffled order.
+            # A few distinct patterns, cut at random lengths (some longer
+            # than num_prefs), cast many times, so the list holds duplicates
+            # in shuffled order.
             patterns = [tuple(rng.sample(roster.candidates,
                                          rng.randint(0, len(roster.candidates))))
-                        for _ in range(rng.randint(1, 5))]
+                        for _ in range(rng.randint(1, 8))]
             ballots = [Ballot(f"v{i}", rng.choice(patterns))
                        for i in range(rng.randint(1, 40))]
             rng.shuffle(ballots)
@@ -148,6 +149,21 @@ class TestGrouping:
             assert vc.rows == _per_ballot_counts(ballots, roster, num_prefs)
             assert all(type(v) is Fraction for row in vc.rows for v in row)
             assert vc.n == len(ballots)
+
+    def test_wide_roster_common_denominator(self):
+        # Eleven real candidates, NULL and IDK; ballots cut after 1..11
+        # stamps, one with an IDK row, leave 1..11 candidates unstamped, so
+        # the common denominator is lcm(1..11) = 27720.
+        names = tuple(f"K{i}" for i in range(11)) + ("NULL", "IDK")
+        roster = CandidateRoster(names, null_id="NULL", idk_id="IDK")
+        ballots = [Ballot(f"v{i}", names[:i]) for i in range(1, 12)]
+        ballots += [Ballot("w", ("K3", "IDK", "K1")), Ballot("c", names[:12])] * 3
+        expanded = [expand_incomplete(b, roster, roster.k) for b in ballots]
+        vc = count_votes(expanded, roster, roster.k)
+        assert vc.rows == _per_ballot_counts(ballots, roster, roster.k)
+        assert vc.rows == count_votes(Counter(expanded), roster, roster.k).rows
+        assert math.lcm(*(v.denominator for row in vc.rows for v in row)) == 27720
+        assert all(sum(row) == len(ballots) for row in vc.rows)
 
     def test_mutating_returned_rows_changes_no_count(self):
         roster = CandidateRoster(("A", "B", "NULL"), null_id="NULL")
@@ -158,20 +174,25 @@ class TestGrouping:
         assert count_votes([fb, fb], roster, 2) == before
         assert before.rows == ((2, 0, 0), (0, 1, 1))
 
-    def test_rows_built_once_per_distinct_ballot(self, monkeypatch):
-        built: Counter = Counter()
-        real = FractionalBallot.rows
-
-        def counted(fb):
-            built[fb] += 1
-            return real.fget(fb)
-        monkeypatch.setattr(FractionalBallot, "rows", property(counted))
-        prefs = [("A",), ("A", "B"), ("A",), ("B", "NULL"), ("A", "B"), ("A",)]
-        fbs = [expand_incomplete(Ballot(f"v{i}", p), ROSTER_SIX, 2)
+    def test_count_never_reads_rows(self, monkeypatch):
+        def refused(fb):
+            raise AssertionError("count_votes read FractionalBallot.rows")
+        prefs = [("A",), ("A", "B"), ("A",), ("B", "NULL"), ("IDK", "B"), ()]
+        roster = CandidateRoster(ROSTER_SIX.candidates + ("IDK",), idk_id="IDK")
+        fbs = [expand_incomplete(Ballot(f"v{i}", p), roster, 2)
                for i, p in enumerate(prefs)]
-        count_votes(fbs, ROSTER_SIX, 2)
-        assert built == Counter(set(fbs))
-        assert len(built) == 3
+        expected = _per_ballot_counts(
+            [Ballot(f"v{i}", p) for i, p in enumerate(prefs)], roster, 2)
+        monkeypatch.setattr(FractionalBallot, "rows", property(refused))
+        assert count_votes(fbs, roster, 2).rows == expected
+        assert count_votes(Counter(fbs), roster, 2).rows == expected
+
+    def test_complete_ballots_count_whole_numbers(self):
+        fbs = [expand_incomplete(Ballot(f"v{i}", p), ROSTER_SIX, 2)
+               for i, p in enumerate([("A", "B"), ("B", "NULL"), ("A", "B")])]
+        vc = count_votes(fbs, ROSTER_SIX, 2)
+        assert vc.rows == ((2, 1, 0, 0, 0, 0), (0, 2, 0, 0, 0, 1))
+        assert all(v.denominator == 1 for row in vc.rows for v in row)
 
     def test_mismatch_in_a_group_rejected(self):
         good = expand_incomplete(Ballot("v", ("A",)), ROSTER_SIX, 2)
@@ -394,9 +415,11 @@ class TestPerTableCache:
     def test_each_member_is_built_once(self, concrete_tables, table_builds):
         _, _, table = concrete_tables
         for _ in range(3):
-            table.stats, table.column_order, table.floats
+            table.stats, table.column_order, table.floats, table.tie_rank
         assert table_builds == {"compute_stage_stats": 1, "sort_columns": 1}
         assert table.floats is table.floats
+        assert table.tie_rank is table.tie_rank
+        assert table.tie_rank == {c: i for i, c in enumerate(table.column_order)}
 
     def test_float_rows_are_fresh_lists(self, concrete_tables):
         _, _, table = concrete_tables
