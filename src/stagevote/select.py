@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .tally import StageStats, StageTable
@@ -118,15 +117,10 @@ class GammaRule:
         if self.count is not None:
             return exceeding >= self.count
         if self.fraction is not None:
-            return exceeding >= self._exact_fraction * len(scores)
+            # str() is the shortest decimal that reads back as this float:
+            # 0.28 is 7/25, and 0.28 of 25 is 7, not 7.000000000000001.
+            return exceeding >= Fraction(str(self.fraction)) * len(scores)
         return exceeding >= 1
-
-    @cached_property
-    def _exact_fraction(self) -> Fraction:
-        """``fraction`` as the decimal it was typed as: ``str`` gives the
-        shortest text that reads back as the same float, so 0.28 is 7/25 and
-        0.28 of 25 candidates is 7, not 7.000000000000001."""
-        return Fraction(str(self.fraction))
 
     def label(self) -> str:
         if not self.enabled:
@@ -404,12 +398,11 @@ def betagamma_report(decision: Decision, cfg: SelectionConfig, null_id: str) -> 
     w = decision.window
     st = decision.table
 
-    real = [] if st is None else [j for j, c in enumerate(st.candidates) if c != null_id]
-
     def best_real(stage: Optional[int]) -> tuple[Optional[str], Optional[float]]:
         if st is None or stage is None or not 1 <= stage <= st.num_stages:
             return None, None
         row = st.floats[stage - 1]
+        real = [j for j, c in enumerate(st.candidates) if c != null_id]
         j = _argmax(row, real, st.candidates, st.tie_rank)
         return st.candidates[j], row[j]
 

@@ -3,11 +3,8 @@
 The pipeline is ``count_votes`` -> ``cumulate`` -> ``score``, and each step
 returns a ``StageTable`` of its ``TableKind``. ``count_votes`` takes one
 fractional ballot per voter or a voter count per distinct ballot, and adds
-each distinct ballot once either way. It counts exactly in integers: every
-cell is a numerator over one common denominator D, the lcm of the
-unstamped-set sizes m of the ballots with a missing row (1 when every
-ballot is complete), so a stamp adds D and a missing row adds D/m to each
-unstamped candidate; each cell becomes a ``Fraction`` once, at the end.
+each distinct ballot once either way, summing exact integer numerators
+over one common denominator and making each cell a ``Fraction`` once.
 Stage i of the cumulative table adds up preferences 1..i, so a candidate's
 score at stage i is the percentage of voters who ranked them within their
 first i preferences.
@@ -75,7 +72,8 @@ class StageTable:
 
     ``floats``, ``stats``, ``column_order`` and ``tie_rank`` are computed
     once per table and cached on the instance, so every decision made on
-    one table shares them. The cache never enters equality or hashing, which use the fields.
+    one table shares them. The cache never enters equality or hashing,
+    which use the fields.
     """
 
     kind: TableKind
