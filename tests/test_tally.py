@@ -187,13 +187,6 @@ class TestGrouping:
         assert count_votes(fbs, roster, 2).rows == expected
         assert count_votes(Counter(fbs), roster, 2).rows == expected
 
-    def test_complete_ballots_count_whole_numbers(self):
-        fbs = [expand_incomplete(Ballot(f"v{i}", p), ROSTER_SIX, 2)
-               for i, p in enumerate([("A", "B"), ("B", "NULL"), ("A", "B")])]
-        vc = count_votes(fbs, ROSTER_SIX, 2)
-        assert vc.rows == ((2, 1, 0, 0, 0, 0), (0, 2, 0, 0, 0, 1))
-        assert all(v.denominator == 1 for row in vc.rows for v in row)
-
     def test_mismatch_in_a_group_rejected(self):
         good = expand_incomplete(Ballot("v", ("A",)), ROSTER_SIX, 2)
         short = expand_incomplete(Ballot("v", ("A",)), ROSTER_SIX, 1)
