@@ -11,15 +11,18 @@ Two families are provided:
   with a selector (pool endpoint, extremal entropy or variance); and never
   lets a real candidate win a stage where NULL scores strictly higher.
 
-A stage *qualifies* (``_qualifies``) when some real candidate scores
+A stage *qualifies* (``_qualifies``) when its top real candidate scores
 strictly above alpha and NULL does not score strictly higher: the first
 one opens the window and a NULL veto walks back to the latest one. Reports
 derive their best-candidate fields from a decision's table when rendered.
 
-Scores are compared against thresholds in double precision with a strict
-``>`` throughout. Every decision reads the table's float rows, stage
-statistics and tie rank from ``StageTable``, which computes each once per
-table; running many configurations on one table shares them.
+Each threshold (alpha, beta, the gamma cap) is read as typed: its bar is
+the double nearest 100 times the decimal as written, so 0.57 is 57.0, not
+``100.0 * 0.57 == 56.99999999999999``. Float scores are compared against
+it with a strict ``>`` throughout. Every decision reads the table's float
+rows, stage statistics and per-stage ranking from ``StageTable``, which
+computes each once per table; running many configurations on one table
+shares them.
 """
 
 from __future__ import annotations
@@ -28,9 +31,16 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from functools import lru_cache
+from typing import Iterable, Optional, Sequence, Union
 
 from .tally import StageStats, StageTable
+
+
+@lru_cache(maxsize=None)
+def _percent(threshold: float) -> float:
+    """The bar for a threshold: the double nearest 100 times its decimal."""
+    return float(100 * Fraction(str(threshold)))
 
 
 class SelectionError(ValueError):
@@ -112,7 +122,7 @@ class GammaRule:
         """True if this stage row trips the rule."""
         if self.threshold is None:
             return False
-        bar = 100.0 * self.threshold
+        bar = _percent(self.threshold)
         exceeding = sum(1 for s in scores if s > bar)
         if self.count is not None:
             return exceeding >= self.count
@@ -205,11 +215,6 @@ class Decision:
     table: Optional[StageTable] = field(default=None, compare=False, repr=False)
 
 
-def _argmax(row: Sequence[float], indices: Sequence[int],
-            candidates: Sequence[str], rank: dict[str, int]) -> int:
-    return min(indices, key=lambda j: (-row[j], rank[candidates[j]]))
-
-
 def _check_table(st: StageTable) -> None:
     if st.num_stages == 0 or not st.candidates:
         raise EmptyTableError("score table has no stages or candidates")
@@ -224,36 +229,32 @@ def basic_winner(st: StageTable, alpha: float) -> Decision:
     fallback in the diagnostics.
     """
     _check_table(st)
-    rank = st.tie_rank
-    rows = st.floats
-    bar = 100.0 * alpha
-    everyone = range(len(st.candidates))
-    for i, row in enumerate(rows, start=1):
-        best = _argmax(row, everyone, st.candidates, rank)
-        if row[best] > bar:
-            return Decision(
-                winner=st.candidates[best], stage=i, score=st.row(i)[best],
-                diagnostics={"fallback": False}, table=st,
-            )
-    last = st.num_stages
-    best = _argmax(rows[-1], everyone, st.candidates, rank)
-    return Decision(
-        winner=st.candidates[best], stage=last, score=st.row(last)[best],
-        diagnostics={"fallback": True}, table=st,
-    )
+    bar = _percent(alpha)
+    stage = next((i for i, (row, order) in enumerate(zip(st.floats, st.ranking), start=1)
+                  if row[order[0]] > bar), None)
+    fallback = stage is None
+    stage = stage or st.num_stages
+    best = st.ranking[stage - 1][0]
+    return Decision(winner=st.candidates[best], stage=stage, score=st.row(stage)[best],
+                    diagnostics={"fallback": fallback}, table=st)
 
 
-def _qualifies(row: Sequence[float], nj: int, bar: float) -> bool:
-    """Some real candidate scores strictly above ``bar`` (alpha in percent)
-    and NULL, column ``nj``, does not score strictly higher than it."""
-    return any(v > bar and row[nj] <= v for j, v in enumerate(row) if j != nj)
+def _top_real(order: Sequence[int], nj: int) -> int:
+    """The first column of one stage's ranking that is not NULL's ``nj``."""
+    return order[order[0] == nj]
 
 
-def _first_stage(rows: Sequence[Sequence[float]], predicate) -> Optional[int]:
-    for i, row in enumerate(rows, start=1):
-        if predicate(row):
-            return i
-    return None
+def _qualifies(row: Sequence[float], order: Sequence[int], nj: int, bar: float) -> bool:
+    """The top real candidate scores strictly above ``bar`` (alpha in
+    percent) and NULL, column ``nj``, does not score strictly higher: as
+    every real score is at most the top one, this holds exactly when some
+    real candidate crosses alpha without NULL above it."""
+    top = row[_top_real(order, nj)]
+    return top > bar and row[nj] <= top
+
+
+def _first_stage(stages: Iterable, predicate) -> Optional[int]:
+    return next((i for i, stage in enumerate(stages, start=1) if predicate(stage)), None)
 
 
 def stage_window(st: StageTable, cfg: SelectionConfig, null_id: str) -> StageWindow:
@@ -268,18 +269,18 @@ def stage_window(st: StageTable, cfg: SelectionConfig, null_id: str) -> StageWin
     _check_table(st)
     if null_id not in st.candidates:
         raise MissingNullColumnError(f"{null_id!r} is not a column of the table")
+    if len(st.candidates) < 2:
+        raise EmptyTableError("score table has no real candidate")
     rows = st.floats
     nj = st.candidates.index(null_id)
-    bar_a = 100.0 * cfg.alpha
-    first_by_alpha = _first_stage(rows, lambda row: _qualifies(row, nj, bar_a))
+    bar_a = _percent(cfg.alpha)
+    first_by_alpha = _first_stage(zip(rows, st.ranking),
+                                  lambda row_order: _qualifies(*row_order, nj, bar_a))
 
     if cfg.beta is not None:
-        bar_b = 100.0 * cfg.beta
+        bar_b = _percent(cfg.beta)
         crossing = _first_stage(rows, lambda row: row[nj] > bar_b)
-        if crossing is None:
-            last_by_beta = None
-        else:
-            last_by_beta = crossing - 1
+        last_by_beta = None if crossing is None else crossing - 1
     else:
         # No beta: stop once NULL itself passes alpha; that stage stays
         # usable but a real winner there must not be beaten by NULL.
@@ -288,17 +289,10 @@ def stage_window(st: StageTable, cfg: SelectionConfig, null_id: str) -> StageWin
     last_by_gamma = _first_stage(rows, cfg.gamma.fires)
 
     end = _window_end(last_by_beta, last_by_gamma, st.num_stages)
-    if first_by_alpha is None or first_by_alpha > end:
-        pool: tuple[int, ...] = ()
-    else:
-        pool = tuple(range(first_by_alpha, end + 1))
-    return StageWindow(
-        first_by_alpha=first_by_alpha,
-        last_by_beta=last_by_beta,
-        last_by_gamma=last_by_gamma,
-        num_stages=st.num_stages,
-        pool=pool,
-    )
+    # Empty when nothing qualifies or the first qualifying stage is past end.
+    pool = () if first_by_alpha is None else tuple(range(first_by_alpha, end + 1))
+    return StageWindow(first_by_alpha=first_by_alpha, last_by_beta=last_by_beta,
+                       last_by_gamma=last_by_gamma, num_stages=st.num_stages, pool=pool)
 
 
 def select_stage(window: StageWindow, selector: Selector, stats: StageStats) -> int:
@@ -312,22 +306,16 @@ def select_stage(window: StageWindow, selector: Selector, stats: StageStats) -> 
         return pool[-1]
 
     if selector in (Selector.MIN_ENTROPY, Selector.MAX_ENTROPY):
-        values = []
-        for i in pool:
-            h = stats.entropy[i - 1]
-            if h is None:
-                raise SelectionError(f"stage {i} has no entropy (empty row)")
-            values.append(h)
+        values = stats.entropy
+        empty = next((i for i in pool if values[i - 1] is None), None)
+        if empty is not None:
+            raise SelectionError(f"stage {empty} has no entropy (empty row)")
     elif selector is Selector.MAX_STDDEV:
-        values = [math.sqrt(stats.variance[i - 1]) for i in pool]
+        values = [math.sqrt(v) for v in stats.variance]
     else:
-        values = [stats.variance[i - 1] for i in pool]
-
-    if selector in (Selector.MIN_ENTROPY, Selector.MIN_VARIANCE):
-        pick = min(zip(values, pool), key=lambda t: (t[0], t[1]))
-    else:
-        pick = min(zip(values, pool), key=lambda t: (-t[0], t[1]))
-    return pick[1]
+        values = stats.variance
+    sign = 1 if selector in (Selector.MIN_ENTROPY, Selector.MIN_VARIANCE) else -1
+    return min(pool, key=lambda i: (sign * values[i - 1], i))
 
 
 def beta_gamma_winner(st: StageTable, cfg: SelectionConfig, null_id: str) -> Decision:
@@ -336,23 +324,21 @@ def beta_gamma_winner(st: StageTable, cfg: SelectionConfig, null_id: str) -> Dec
     An empty window elects NULL outright. Otherwise the selector picks a
     stage from the pool and the decision walks back to the latest
     qualifying stage at or before it (the pool's first stage qualifies, so
-    one exists). The winner is the top-scoring real candidate there among
-    those strictly above alpha.
+    one exists). The winner is the top-scoring real candidate there, who
+    scores strictly above alpha.
     """
     window = stage_window(st, cfg, null_id)
     if not window.pool:
         return Decision(winner=null_id, stage=None, score=None,
                         window=window, table=st)
 
-    rows = st.floats
+    rows, ranking = st.floats, st.ranking
     nj = st.candidates.index(null_id)
-    bar = 100.0 * cfg.alpha
+    bar = _percent(cfg.alpha)
     chosen = select_stage(window, cfg.selector, st.stats)
     stage = next(s for s in range(chosen, window.first_by_alpha - 1, -1)
-                 if _qualifies(rows[s - 1], nj, bar))
-    row = rows[stage - 1]
-    eligible = [j for j, v in enumerate(row) if j != nj and v > bar]
-    best = _argmax(row, eligible, st.candidates, st.tie_rank)
+                 if _qualifies(rows[s - 1], ranking[s - 1], nj, bar))
+    best = _top_real(ranking[stage - 1], nj)
     return Decision(winner=st.candidates[best], stage=stage,
                     score=st.row(stage)[best], window=window,
                     diagnostics={} if stage == chosen else {"walked_back_from": chosen},
@@ -401,10 +387,8 @@ def betagamma_report(decision: Decision, cfg: SelectionConfig, null_id: str) -> 
     def best_real(stage: Optional[int]) -> tuple[Optional[str], Optional[float]]:
         if st is None or stage is None or not 1 <= stage <= st.num_stages:
             return None, None
-        row = st.floats[stage - 1]
-        real = [j for j, c in enumerate(st.candidates) if c != null_id]
-        j = _argmax(row, real, st.candidates, st.tie_rank)
-        return st.candidates[j], row[j]
+        j = _top_real(st.ranking[stage - 1], st.candidates.index(null_id))
+        return st.candidates[j], st.floats[stage - 1][j]
 
     first, last_b, last_g, end = ((w.first_by_alpha, w.last_by_beta, w.last_by_gamma,
                                    w.end) if w is not None else (None,) * 4)

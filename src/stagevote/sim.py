@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
@@ -93,6 +93,9 @@ class Voter:
 class SimConfig:
     """Everything a simulation depends on, seed included."""
 
+    num_features: ClassVar[int] = 10
+    test_fraction: ClassVar[float] = 0.3
+
     num_candidates: int
     num_voters: int
     num_elections: int
@@ -102,8 +105,6 @@ class SimConfig:
     seed: int
     num_prefs: Optional[int] = None
     dataset_size: int = 3000
-    num_features: int = 10
-    test_fraction: float = 0.3
     dataset_name: str = "synthetic"
     predicted_feature: str = "y"
     algorithms: Optional[tuple[SelectionConfig, ...]] = None
@@ -165,8 +166,9 @@ def default_algorithm_grid() -> tuple[SelectionConfig, ...]:
     return tuple(configs)
 
 
-def generate_dataset(seed, num_candidates: int = 3000, num_features: int = 10,
-                     test_fraction: float = 0.3) -> Dataset:
+def generate_dataset(seed, num_candidates: int = 3000,
+                     num_features: int = SimConfig.num_features,
+                     test_fraction: float = SimConfig.test_fraction) -> Dataset:
     """Draw the synthetic dataset: features uniform in [5, 10), one weight
     vector uniform in [-10, 10), quality = weighted sum, 70/30 split."""
     rng = np.random.default_rng(seed)
@@ -465,9 +467,7 @@ class SimulationResult:
 
 def run_simulation(cfg: SimConfig) -> SimulationResult:
     """Build the dataset and crowd once, then run the seeded elections."""
-    dataset = generate_dataset([cfg.seed, 0], num_candidates=cfg.dataset_size,
-                               num_features=cfg.num_features,
-                               test_fraction=cfg.test_fraction)
+    dataset = generate_dataset([cfg.seed, 0], num_candidates=cfg.dataset_size)
     crowd = build_crowd(cfg, dataset, np.random.default_rng([cfg.seed, 1]))
     y_test = dataset.y[dataset.test_idx]
     algorithms = cfg.effective_algorithms()

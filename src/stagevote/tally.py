@@ -10,8 +10,8 @@ score at stage i is the percentage of voters who ranked them within their
 first i preferences.
 All table entries are exact rationals; per-stage entropy and variance
 statistics are computed in floating point. A table's float rows, stage
-statistics, column order and tie rank are computed once, on first use, and
-shared by every later reader of that table.
+statistics, column order, tie rank and per-stage ranking are computed
+once, on first use, and shared by every later reader of that table.
 """
 
 from __future__ import annotations
@@ -70,10 +70,10 @@ class StageTable:
     aggregates preferences 1..i (``PROCESSED``), or those sums as
     percentages of n in [0, 100] (``SCORES``). Columns stay in roster order.
 
-    ``floats``, ``stats``, ``column_order`` and ``tie_rank`` are computed
-    once per table and cached on the instance, so every decision made on
-    one table shares them. The cache never enters equality or hashing,
-    which use the fields.
+    ``floats``, ``stats``, ``column_order``, ``tie_rank`` and ``ranking`` are
+    computed once per table and cached on the instance, so every decision
+    made on one table shares them. The cache never enters equality or
+    hashing, which use the fields.
     """
 
     kind: TableKind
@@ -104,6 +104,14 @@ class StageTable:
     def tie_rank(self) -> dict[str, int]:
         """Each candidate's position in ``column_order``; lower wins a tie."""
         return {c: i for i, c in enumerate(self.column_order)}
+
+    @cached_property
+    def ranking(self) -> tuple[tuple[int, ...], ...]:
+        """Per stage, the column indices from highest score to lowest, ties
+        by ``tie_rank``; ``ranking[i][0]`` leads stage i + 1."""
+        tie = [self.tie_rank[c] for c in self.candidates]
+        return tuple(tuple(sorted(range(len(tie)), key=lambda j: (-row[j], tie[j])))
+                     for row in self.floats)
 
     def float_rows(self) -> list[list[float]]:
         return [list(row) for row in self.floats]
@@ -153,11 +161,12 @@ def count_votes(
     ballots with a missing row: a stamp adds D and a missing row D // m to
     each of the m unstamped candidates. Each cell is divided by D once.
 
-    All ballots must be expanded over the same roster and ``num_prefs``;
-    anything else is a configuration error.
+    All ballots must be expanded over the same roster and ``num_prefs`` and
+    stamp no candidate twice; anything else raises ``TallyError``.
     """
     cands = roster.tally_candidates
     column = {c: j for j, c in enumerate(cands)}
+    names = frozenset(cands)
     voters = Counter(ballots)
     # (stamps, voters, column indices of the unstamped candidates or None
     # when no row is missing), one entry per distinct ballot.
@@ -167,10 +176,15 @@ def count_votes(
             raise TallyError(
                 "ballot expanded over a different roster or preference count"
             )
-        free = None
-        if None in fb.stamps:
-            stamped = set(fb.stamps)
-            free = [j for j, c in enumerate(cands) if c not in stamped]
+        stamped = set(fb.stamps)
+        stamped.discard(None)
+        if not stamped <= names:
+            raise TallyError(f"ballot {fb.stamps!r} stamps a candidate not on the roster")
+        # A repeated stamp leaves fewer None rows than this.
+        missing = num_prefs - len(stamped)
+        if missing and fb.stamps.count(None) != missing:
+            raise TallyError(f"ballot {fb.stamps!r} stamps a candidate more than once")
+        free = [j for j, c in enumerate(cands) if c not in stamped] if missing else None
         entries.append((fb.stamps, size, free))
     denom = math.lcm(*(len(free) for _, _, free in entries if free is not None))
     totals = [[0] * len(cands) for _ in range(num_prefs)]

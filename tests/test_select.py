@@ -372,6 +372,64 @@ def _best_real_oracle(table, stage):
     return next(c for c in table.column_order if c != "NULL" and row[c] == top), top
 
 
+class TestRanking:
+    def test_each_stage_is_an_independent_sort(self):
+        rng = random.Random(6061)
+        for trial in range(300):
+            table = _random_table(rng)
+            for i, row in enumerate(table.rows):
+                expected = sorted(range(len(row)), key=lambda j: (
+                    -float(row[j]), table.column_order.index(table.candidates[j])))
+                assert list(table.ranking[i]) == expected, (trial, i)
+
+    def test_first_real_entry_is_the_best_real_candidate(self):
+        rng = random.Random(7177)
+        for trial in range(300):
+            table = _random_table(rng)
+            for stage, order in enumerate(table.ranking, start=1):
+                j = next(j for j in order if table.candidates[j] != "NULL")
+                assert (table.candidates[j], table.floats[stage - 1][j]) == \
+                    _best_real_oracle(table, stage), (trial, stage)
+
+
+class TestTypedThresholds:
+    """A bar is 100 times the decimal as typed, for every whole percent:
+    exactly a% never crosses it and anything above a% does."""
+
+    @staticmethod
+    def _crossings(a, score):
+        table = make_score_table(["A", "NULL"], [[score, score]])
+        typed = a / 100  # str() gives back the decimal "0.a" as typed
+        alpha = stage_window(table, SelectionConfig(alpha=typed), "NULL")
+        beta = stage_window(table, SelectionConfig(alpha=0.99, beta=typed), "NULL")
+        gamma = stage_window(table, SelectionConfig(
+            alpha=0.99, gamma=GammaRule.any_exceeds(typed)), "NULL")
+        return {
+            "basic": not basic_winner(table, typed).diagnostics["fallback"],
+            "alpha": alpha.first_by_alpha == 1,
+            "beta": beta.last_by_beta == 0,
+            "gamma": gamma.last_by_gamma == 1,
+        }
+
+    def test_whole_percent_bars(self):
+        exactly = {a: self._crossings(a, Fraction(a)) for a in range(1, 100)}
+        above = {a: self._crossings(a, Fraction(10 * a + 1, 10)) for a in range(1, 100)}
+        assert {a: c for a, c in exactly.items() if any(c.values())} == {}
+        assert {a: c for a, c in above.items() if not all(c.values())} == {}
+
+    def test_fifty_seven_of_a_hundred_voters(self):
+        roster = CandidateRoster(("A", "B", "NULL"), null_id="NULL")
+        ballots = ([Ballot(f"a{i}", ("A", "B")) for i in range(57)]
+                   + [Ballot(f"b{i}", ("B", "A")) for i in range(43)])
+        _, _, table = pipeline(roster, ballots, 2)
+        assert table.row(1) == (57, 43, 0)
+        basic = basic_winner(table, 0.57)
+        assert (basic.winner, basic.stage) == ("A", 2)
+        window = stage_window(table, SelectionConfig(
+            alpha=0.57, gamma=parse_gamma_spec("any:0.57")), "NULL")
+        assert (window.first_by_alpha, window.last_by_gamma) == (2, 2)
+
+
 def test_report_best_fields_match_oracle():
     rng = random.Random(4242)
     grid = sim.default_algorithm_grid()
@@ -476,6 +534,22 @@ class TestPerTableCache:
         rank = cached_property(counted)
         rank.__set_name__(StageTable, "tie_rank")
         monkeypatch.setattr(StageTable, "tie_rank", rank)
+        _, _, table = beta_tables
+        for cfg in sim.default_algorithm_grid():
+            betagamma_report(beta_gamma_winner(table, cfg, "NULL"), cfg, "NULL")
+        basic_winner(table, 0.5)
+        assert builds == [table]
+
+    def test_ranking_built_once_per_table(self, beta_tables, monkeypatch):
+        builds = []
+        real = StageTable.ranking.func
+
+        def counted(table):
+            builds.append(table)
+            return real(table)
+        ranking = cached_property(counted)
+        ranking.__set_name__(StageTable, "ranking")
+        monkeypatch.setattr(StageTable, "ranking", ranking)
         _, _, table = beta_tables
         for cfg in sim.default_algorithm_grid():
             betagamma_report(beta_gamma_winner(table, cfg, "NULL"), cfg, "NULL")

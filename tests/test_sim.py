@@ -63,6 +63,13 @@ class TestDataset:
         ds = generate_dataset(11, num_candidates=101)
         assert ds.null_y == sorted(ds.y)[50]
 
+    def test_feature_count_and_test_share_are_constants(self):
+        assert (SimConfig.num_features, SimConfig.test_fraction) == (10, 0.3)
+        cfg = small_config()
+        assert (cfg.num_features, cfg.test_fraction) == (10, 0.3)
+        with pytest.raises(TypeError):
+            small_config(num_features=4)
+
     def test_seed_determinism(self):
         a = generate_dataset(5, num_candidates=50)
         b = generate_dataset(5, num_candidates=50)

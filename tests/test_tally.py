@@ -105,6 +105,21 @@ class TestCountVotes:
         with pytest.raises(TallyError):
             count_votes([fb], ROSTER_SIX, 2)
 
+    def test_off_roster_stamp_rejected(self):
+        # An unvalidated ballot: expand_incomplete copies the stamp as is.
+        fb = expand_incomplete(Ballot("v", ("Z",)), ROSTER_SIX, 2)
+        good = expand_incomplete(Ballot("w", ("A",)), ROSTER_SIX, 2)
+        for ballots in ([good, fb], Counter({good: 3, fb: 1})):
+            with pytest.raises(TallyError, match="not on the roster"):
+                count_votes(ballots, ROSTER_SIX, 2)
+
+    def test_repeated_stamp_rejected(self):
+        for stamps in (("A", "A", "B"), ("A", None, "A")):
+            fb = FractionalBallot(ROSTER_SIX.tally_candidates, stamps)
+            for ballots in ([fb], Counter({fb: 2})):
+                with pytest.raises(TallyError, match="more than once"):
+                    count_votes(ballots, ROSTER_SIX, 3)
+
 
 def _per_ballot_counts(ballots, roster, num_prefs):
     """The README rule, ballot by ballot: a stamp puts 1 on its candidate;
