@@ -11,28 +11,35 @@ Two families are provided:
   with a selector (pool endpoint, extremal entropy or variance); and never
   lets a real candidate win a stage where NULL scores strictly higher.
 
-A stage *qualifies* (``_qualifies``) when its top real candidate scores
-strictly above alpha and NULL does not score strictly higher: the first
-one opens the window and a NULL veto walks back to the latest one. Reports
-derive their best-candidate fields from a decision's table when rendered.
+A stage *qualifies* when its top real candidate scores strictly above
+alpha and NULL does not score strictly higher: the first one opens the
+window and a NULL veto walks back to the latest one. Reports derive their
+best-candidate fields from a decision's table when rendered.
 
 Each threshold (alpha, beta, the gamma cap) is read as typed: its bar is
 the double nearest 100 times the decimal as written, so 0.57 is 57.0, not
 ``100.0 * 0.57 == 56.99999999999999``. Float scores are compared against
-it with a strict ``>`` throughout. Every decision reads the table's float
-rows, stage statistics and per-stage ranking from ``StageTable``, which
-computes each once per table; running many configurations on one table
-shares them.
+it with a strict ``>`` throughout.
+
+Windows are decided from a crossing profile (``_Crossings``), built once
+per table and NULL column and cached on the table: per stage, the top real
+score where NULL is not above it, and running maxima of that score, of
+NULL's score and of every c-th largest score. Each window bound is then
+one ``bisect``, and each distinct (alpha, beta, gamma) window is built
+once per table, so the many configurations of a grid decided on one table
+share it, along with the table's stage statistics.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from typing import Optional, Sequence, Union
 
 from .tally import StageStats, StageTable
 
@@ -118,28 +125,41 @@ class GammaRule:
     def enabled(self) -> bool:
         return self.threshold is not None
 
-    def fires(self, scores: Sequence[float]) -> bool:
-        """True if this stage row trips the rule."""
+    def needed(self, k: int) -> Optional[int]:
+        """How many of a k-column row's scores must exceed the cap for the
+        rule to fire (None with no rule); more than k never fires."""
         if self.threshold is None:
-            return False
-        bar = _percent(self.threshold)
-        exceeding = sum(1 for s in scores if s > bar)
+            return None
         if self.count is not None:
-            return exceeding >= self.count
+            return self.count
         if self.fraction is not None:
             # str() is the shortest decimal that reads back as this float:
             # 0.28 is 7/25, and 0.28 of 25 is 7, not 7.000000000000001.
-            return exceeding >= Fraction(str(self.fraction)) * len(scores)
-        return exceeding >= 1
+            return math.ceil(Fraction(str(self.fraction)) * k)
+        return 1
+
+    def fires(self, scores: Sequence[float]) -> bool:
+        """True if this stage row trips the rule."""
+        needed = self.needed(len(scores))
+        return needed is not None and sum(
+            1 for s in scores if s > _percent(self.threshold)) >= needed
 
     def label(self) -> str:
         if not self.enabled:
             return "____"
+        cap = _fmt_typed(self.threshold, ".2f")
         if self.count is not None:
-            return f"{self.threshold:.2f}@n{self.count}"
+            return f"{cap}@n{self.count}"
         if self.fraction is not None:
-            return f"{self.threshold:.2f}@f{self.fraction:g}"
-        return f"{self.threshold:.2f}"
+            return f"{cap}@f{_fmt_typed(self.fraction, 'g')}"
+        return cap
+
+
+def _fmt_typed(x: float, spec: str) -> str:
+    """``x`` formatted by ``spec`` when that reads back as ``x``, else its
+    shortest repr, so distinct thresholds never print alike."""
+    text = format(x, spec)
+    return text if float(text) == x else repr(x)
 
 
 @dataclass(frozen=True)
@@ -164,9 +184,13 @@ class SelectionConfig:
             raise ValueError("beta must be in (0, 1)")
 
     def label(self) -> str:
-        beta = "____" if self.beta is None else f"{self.beta:.2f}"
+        return self._label
+
+    @cached_property
+    def _label(self) -> str:
+        beta = "____" if self.beta is None else _fmt_typed(self.beta, ".2f")
         return (
-            f"<α={self.alpha:.2f}, β={beta}, "
+            f"<α={_fmt_typed(self.alpha, '.2f')}, β={beta}, "
             f"γ={self.gamma.label()}, {self.selector.value}>"
         )
 
@@ -244,17 +268,78 @@ def _top_real(order: Sequence[int], nj: int) -> int:
     return order[order[0] == nj]
 
 
-def _qualifies(row: Sequence[float], order: Sequence[int], nj: int, bar: float) -> bool:
-    """The top real candidate scores strictly above ``bar`` (alpha in
-    percent) and NULL, column ``nj``, does not score strictly higher: as
-    every real score is at most the top one, this holds exactly when some
-    real candidate crosses alpha without NULL above it."""
-    top = row[_top_real(order, nj)]
-    return top > bar and row[nj] <= top
+def _first_above(running: Sequence[float], bar: float) -> Optional[int]:
+    """The first stage whose running maximum exceeds ``bar``, which is the
+    first stage whose own value does (None if none)."""
+    i = bisect_right(running, bar)
+    return i + 1 if i < len(running) else None
 
 
-def _first_stage(stages: Iterable, predicate) -> Optional[int]:
-    return next((i for i, stage in enumerate(stages, start=1) if predicate(stage)), None)
+class _Crossings:
+    """One table's crossing profile for NULL column ``nj``, and the windows
+    decided from it, keyed by (alpha, beta, gamma).
+
+    Per stage i (0-based), ``top[i]`` is the top real column and
+    ``best[i]`` its score when NULL does not score strictly higher, else
+    -inf: the stage qualifies for alpha exactly when ``best[i]`` exceeds
+    the bar. ``best_max``, ``null_max`` and ``kth_max[c - 1]`` are running
+    maxima of ``best``, of NULL's score and of the c-th largest score.
+    """
+
+    def __init__(self, st: StageTable, nj: int):
+        rows, ranking = st.floats, st.ranking
+        self.num_stages = st.num_stages
+        self.top = [_top_real(order, nj) for order in ranking]
+        self.best = [row[j] if row[nj] <= row[j] else -math.inf
+                     for row, j in zip(rows, self.top)]
+        self.best_max = list(accumulate(self.best, max))
+        self.null_max = list(accumulate((row[nj] for row in rows), max))
+        self.kth_max = [list(accumulate((row[order[c]] for row, order in zip(rows, ranking)),
+                                        max))
+                        for c in range(len(st.candidates))]
+        self.windows: dict[tuple, StageWindow] = {}
+
+    def window(self, cfg: SelectionConfig) -> StageWindow:
+        key = (cfg.alpha, cfg.beta, cfg.gamma)
+        window = self.windows.get(key)
+        if window is None:
+            window = self.windows[key] = self._decide(cfg)
+        return window
+
+    def _decide(self, cfg: SelectionConfig) -> StageWindow:
+        bar_a = _percent(cfg.alpha)
+        first_by_alpha = _first_above(self.best_max, bar_a)
+        if cfg.beta is not None:
+            crossing = _first_above(self.null_max, _percent(cfg.beta))
+            last_by_beta = None if crossing is None else crossing - 1
+        else:
+            # No beta: stop once NULL itself passes alpha; that stage stays
+            # usable but a real winner there must not be beaten by NULL.
+            last_by_beta = _first_above(self.null_max, bar_a)
+        # The rule fires where the c-th largest score exceeds the cap.
+        c = cfg.gamma.needed(len(self.kth_max))
+        last_by_gamma = (None if c is None or c > len(self.kth_max) else
+                         _first_above(self.kth_max[c - 1], _percent(cfg.gamma.threshold)))
+
+        end = _window_end(last_by_beta, last_by_gamma, self.num_stages)
+        # Empty when nothing qualifies or the first qualifying stage is past end.
+        pool = () if first_by_alpha is None else tuple(range(first_by_alpha, end + 1))
+        return StageWindow(first_by_alpha=first_by_alpha, last_by_beta=last_by_beta,
+                           last_by_gamma=last_by_gamma, num_stages=self.num_stages,
+                           pool=pool)
+
+
+def _crossings(st: StageTable, null_id: str) -> _Crossings:
+    """The table's crossing profile for ``null_id``, built on first use."""
+    profile = st.crossings.get(null_id)
+    if profile is None:
+        _check_table(st)
+        if null_id not in st.candidates:
+            raise MissingNullColumnError(f"{null_id!r} is not a column of the table")
+        if len(st.candidates) < 2:
+            raise EmptyTableError("score table has no real candidate")
+        profile = st.crossings[null_id] = _Crossings(st, st.candidates.index(null_id))
+    return profile
 
 
 def stage_window(st: StageTable, cfg: SelectionConfig, null_id: str) -> StageWindow:
@@ -264,35 +349,10 @@ def stage_window(st: StageTable, cfg: SelectionConfig, null_id: str) -> StageWin
     candidate that NULL does not strictly beat. The upper bound is the
     tightest of: the stage before NULL crosses beta (or the stage where it
     crosses alpha, when beta is unset), the stage where the gamma rule
-    fires, and the last stage of the table.
+    fires, and the last stage of the table. The window is decided once
+    per table and (alpha, beta, gamma), and shared by later calls.
     """
-    _check_table(st)
-    if null_id not in st.candidates:
-        raise MissingNullColumnError(f"{null_id!r} is not a column of the table")
-    if len(st.candidates) < 2:
-        raise EmptyTableError("score table has no real candidate")
-    rows = st.floats
-    nj = st.candidates.index(null_id)
-    bar_a = _percent(cfg.alpha)
-    first_by_alpha = _first_stage(zip(rows, st.ranking),
-                                  lambda row_order: _qualifies(*row_order, nj, bar_a))
-
-    if cfg.beta is not None:
-        bar_b = _percent(cfg.beta)
-        crossing = _first_stage(rows, lambda row: row[nj] > bar_b)
-        last_by_beta = None if crossing is None else crossing - 1
-    else:
-        # No beta: stop once NULL itself passes alpha; that stage stays
-        # usable but a real winner there must not be beaten by NULL.
-        last_by_beta = _first_stage(rows, lambda row: row[nj] > bar_a)
-
-    last_by_gamma = _first_stage(rows, cfg.gamma.fires)
-
-    end = _window_end(last_by_beta, last_by_gamma, st.num_stages)
-    # Empty when nothing qualifies or the first qualifying stage is past end.
-    pool = () if first_by_alpha is None else tuple(range(first_by_alpha, end + 1))
-    return StageWindow(first_by_alpha=first_by_alpha, last_by_beta=last_by_beta,
-                       last_by_gamma=last_by_gamma, num_stages=st.num_stages, pool=pool)
+    return _crossings(st, null_id).window(cfg)
 
 
 def select_stage(window: StageWindow, selector: Selector, stats: StageStats) -> int:
@@ -327,18 +387,17 @@ def beta_gamma_winner(st: StageTable, cfg: SelectionConfig, null_id: str) -> Dec
     one exists). The winner is the top-scoring real candidate there, who
     scores strictly above alpha.
     """
-    window = stage_window(st, cfg, null_id)
+    profile = _crossings(st, null_id)
+    window = profile.window(cfg)
     if not window.pool:
         return Decision(winner=null_id, stage=None, score=None,
                         window=window, table=st)
 
-    rows, ranking = st.floats, st.ranking
-    nj = st.candidates.index(null_id)
     bar = _percent(cfg.alpha)
     chosen = select_stage(window, cfg.selector, st.stats)
     stage = next(s for s in range(chosen, window.first_by_alpha - 1, -1)
-                 if _qualifies(rows[s - 1], ranking[s - 1], nj, bar))
-    best = _top_real(ranking[stage - 1], nj)
+                 if profile.best[s - 1] > bar)
+    best = profile.top[stage - 1]
     return Decision(winner=st.candidates[best], stage=stage,
                     score=st.row(stage)[best], window=window,
                     diagnostics={} if stage == chosen else {"walked_back_from": chosen},

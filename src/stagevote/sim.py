@@ -137,6 +137,13 @@ class SimConfig:
             raise SimConfigError(f"numPrefs must be an integer in 1..{k}")
         if int(self.dataset_size * self.test_fraction) < self.num_candidates:
             raise SimConfigError("test split too small for the slate size")
+        # Each staged variant's results are keyed by its label; distinct
+        # configs have distinct labels.
+        first: dict[SelectionConfig, int] = {}
+        for j, algo in enumerate(self.algorithms or ()):
+            i = first.setdefault(algo, j)
+            if i != j:
+                raise SimConfigError(f"algorithms[{j}] repeats algorithms[{i}]")
 
     @property
     def blindness_range(self) -> tuple[int, int]:
@@ -347,9 +354,13 @@ def run_election(
     table = score(cumulate(count_votes(expanded, roster, num_prefs)))
     with_null = PredictionMatrix(slate=ids, values=values)
 
-    def outcome(winner: str) -> ElectionOutcome:
-        y_w = null_y if winner == roster.null_id else float(slate_y[ids.index(winner)])
-        return ElectionOutcome(winner, 1 + int(np.sum(slate_y > y_w)), y_w < null_y)
+    # Every candidate's outcome, NULL's included, ranked once: the number
+    # of slate qualities strictly above its own is len minus those <= it.
+    qualities = np.append(slate_y, null_y)
+    above = len(slate_y) - np.searchsorted(np.sort(slate_y), qualities, side="right")
+    outcomes = {c: ElectionOutcome(c, 1 + a, y < null_y)
+                for c, a, y in zip(ids, above.tolist(), qualities.tolist())}
+    outcome = outcomes.__getitem__
 
     results: dict[str, ElectionOutcome] = {}
     for cfg in algorithms:

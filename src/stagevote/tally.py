@@ -4,14 +4,18 @@ The pipeline is ``count_votes`` -> ``cumulate`` -> ``score``, and each step
 returns a ``StageTable`` of its ``TableKind``. ``count_votes`` takes one
 fractional ballot per voter or a voter count per distinct ballot, and adds
 each distinct ballot once either way, summing exact integer numerators
-over one common denominator and making each cell a ``Fraction`` once.
+over one common denominator D. Every view keeps those ints: the cumulative
+table is their prefix sums over the same D, and the score table the same
+numerators read as ``100 * v / (n * D)``.
 Stage i of the cumulative table adds up preferences 1..i, so a candidate's
 score at stage i is the percentage of voters who ranked them within their
 first i preferences.
-All table entries are exact rationals; per-stage entropy and variance
-statistics are computed in floating point. A table's float rows, stage
-statistics, column order, tie rank and per-stage ranking are computed
-once, on first use, and shared by every later reader of that table.
+All table entries are exact rationals. Float scores are int / int true
+divisions, entropy reads the int rows and the column order compares ints;
+the ``Fraction`` cells are built only when read (text/JSON readers,
+``row()``). A table's Fraction and float rows, stage statistics, column
+order, tie rank and per-stage ranking are computed once, on first use,
+and shared by every later reader of that table.
 """
 
 from __future__ import annotations
@@ -22,11 +26,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Mapping, Optional, Sequence, Union
 
 from .ballot import CandidateRoster, FractionalBallot
 
 Row = tuple[Fraction, ...]
+IntRow = tuple[int, ...]
 
 
 class TallyError(ValueError):
@@ -41,8 +47,7 @@ class DegenerateDistributionError(TallyError):
     """A stage row with no vote mass has no candidate distribution."""
 
 
-def _fmt_num(value) -> str:
-    f = float(value)
+def _fmt_num(f: float) -> str:
     if f == int(f):
         return str(int(f))
     return f"{f:.2f}"
@@ -61,36 +66,85 @@ class TableKind(Enum):
         self.json_key = json_key
 
 
-@dataclass(frozen=True)
 class StageTable:
-    """One exact-rational row per stage, one column per candidate.
+    """One row per stage, one column per candidate, in exact integers.
 
     ``kind`` says what the rows hold: raw stamp mass per preference
     (``COUNTS``, rows sum to n with expansion), running sums where stage i
     aggregates preferences 1..i (``PROCESSED``), or those sums as
     percentages of n in [0, 100] (``SCORES``). Columns stay in roster order.
 
-    ``floats``, ``stats``, ``column_order``, ``tie_rank`` and ``ranking`` are
-    computed once per table and cached on the instance, so every decision
-    made on one table shares them. The cache never enters equality or
-    hashing, which use the fields.
+    Cell (i, j) is ``ints[i][j] / denom``: int numerators over one common
+    denominator. ``count_votes``, ``cumulate`` and ``score`` build tables
+    from them with ``from_ints``; the constructor takes exact-rational rows
+    (``Fraction`` or int cells) and derives the numerators over the lcm of
+    their denominators.
+
+    ``rows`` (the cells as ``Fraction``s), ``floats``, ``stats``,
+    ``column_order``, ``tie_rank``, ``ranking`` and ``crossings`` are
+    computed once per table, on first read, and cached on the instance, so
+    every decision made on one table shares them. Equality and hashing
+    compare kind, candidates, cell values and n; the cache never enters them.
     """
 
     kind: TableKind
     candidates: tuple[str, ...]
-    rows: tuple[Row, ...]
+    ints: tuple[IntRow, ...]
+    denom: int
     n: int
+
+    def __init__(self, kind: TableKind, candidates: tuple[str, ...],
+                 rows: Sequence[Sequence[Fraction]], n: int):
+        rows = tuple(tuple(row) for row in rows)
+        denom = math.lcm(*(v.denominator for row in rows for v in row))
+        ints = tuple(tuple(v.numerator * (denom // v.denominator) for v in row)
+                     for row in rows)
+        vars(self).update(kind=kind, candidates=candidates, ints=ints, denom=denom,
+                          n=n, rows=rows)
+
+    @classmethod
+    def from_ints(cls, kind: TableKind, candidates: tuple[str, ...],
+                  ints: tuple[IntRow, ...], denom: int, n: int) -> StageTable:
+        """The table whose cell (i, j) is ``ints[i][j] / denom``."""
+        table = cls.__new__(cls)
+        vars(table).update(kind=kind, candidates=candidates, ints=ints, denom=denom, n=n)
+        return table
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"StageTable is immutable; cannot set {name!r}")
+
+    def _key(self) -> tuple:
+        return self.kind, self.candidates, self.rows, self.n
+
+    def __eq__(self, other):
+        if not isinstance(other, StageTable):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"StageTable(kind={self.kind!r}, candidates={self.candidates!r}, "
+                f"rows={self.rows!r}, n={self.n!r})")
 
     @property
     def num_stages(self) -> int:
-        return len(self.rows)
+        return len(self.ints)
 
     def row(self, stage: int) -> Row:
         return self.rows[stage - 1]
 
     @cached_property
+    def rows(self) -> tuple[Row, ...]:
+        d = self.denom
+        return tuple(tuple(Fraction(v, d) for v in row) for row in self.ints)
+
+    @cached_property
     def floats(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(float(v) for v in row) for row in self.rows)
+        # int / int rounds correctly, as float(Fraction) does: the same doubles.
+        d = self.denom
+        return tuple(tuple(v / d for v in row) for row in self.ints)
 
     @cached_property
     def stats(self) -> StageStats:
@@ -113,12 +167,18 @@ class StageTable:
         return tuple(tuple(sorted(range(len(tie)), key=lambda j: (-row[j], tie[j])))
                      for row in self.floats)
 
+    @cached_property
+    def crossings(self) -> dict:
+        """The window rule's crossing profiles of this table, by NULL id;
+        ``select`` builds and fills them."""
+        return {}
+
     def float_rows(self) -> list[list[float]]:
         return [list(row) for row in self.floats]
 
     def to_text(self) -> str:
         labels = [f"{self.kind.row_label}{i}" for i in range(1, self.num_stages + 1)]
-        cells = [[_fmt_num(v) for v in row] for row in self.rows]
+        cells = [[_fmt_num(v) for v in row] for row in self.floats]
         label_w = max(len(r) for r in labels) if labels else 0
         widths = [max([len(c)] + [len(row[j]) for row in cells])
                   for j, c in enumerate(self.candidates)]
@@ -159,7 +219,7 @@ def count_votes(
     cost grows with distinct ballots, not voters. The sums are ints over
     one common denominator D, the lcm of the unstamped-set sizes m among
     ballots with a missing row: a stamp adds D and a missing row D // m to
-    each of the m unstamped candidates. Each cell is divided by D once.
+    each of the m unstamped candidates. The table keeps those ints over D.
 
     All ballots must be expanded over the same roster and ``num_prefs`` and
     stamp no candidate twice; anything else raises ``TallyError``.
@@ -197,18 +257,19 @@ def count_votes(
                     slot[j] += share
             else:
                 slot[column[stamp]] += whole
-    counts = tuple(tuple(Fraction(v, denom) for v in slot) for slot in totals)
-    return StageTable(TableKind.COUNTS, cands, counts, voters.total())
+    return StageTable.from_ints(TableKind.COUNTS, cands, tuple(map(tuple, totals)),
+                                denom, voters.total())
 
 
 def cumulate(vc: StageTable) -> StageTable:
-    """Build the cumulative table with the incremental row recurrence."""
-    rows: list[Row] = []
-    prev = tuple(Fraction(0) for _ in vc.candidates)
-    for row in vc.rows:
-        prev = tuple(p + x for p, x in zip(prev, row))
+    """Build the cumulative table: prefix sums of the int rows, same D."""
+    rows: list[IntRow] = []
+    prev = (0,) * len(vc.candidates)
+    for row in vc.ints:
+        prev = tuple(map(add, prev, row))
         rows.append(prev)
-    return StageTable(TableKind.PROCESSED, vc.candidates, tuple(rows), vc.n)
+    return StageTable.from_ints(TableKind.PROCESSED, vc.candidates, tuple(rows),
+                                vc.denom, vc.n)
 
 
 def score(pt: StageTable) -> StageTable:
@@ -217,36 +278,43 @@ def score(pt: StageTable) -> StageTable:
     A candidate's score at stage i is 100 * f1 / n: the share of voters
     who placed them within their first i preferences. (The alternative
     i*n denominator is inconsistent with every worked table; with it a
-    full final stage could not read 100%.)
+    full final stage could not read 100%.) The numerators v over D of the
+    cumulative table become 100 * v over n * D.
     """
     if pt.n == 0:
         raise UndefinedScoreError("scores are undefined with zero ballots")
-    hundred = Fraction(100)
-    rows = tuple(
-        tuple(hundred * v / pt.n for v in row) for row in pt.rows
-    )
-    return StageTable(TableKind.SCORES, pt.candidates, rows, pt.n)
+    rows = tuple(tuple(100 * v for v in row) for row in pt.ints)
+    return StageTable.from_ints(TableKind.SCORES, pt.candidates, rows,
+                                pt.n * pt.denom, pt.n)
+
+
+def _stage_mass(st: StageTable, stage: int) -> tuple[IntRow, int]:
+    """A stage's int row and its sum; raises ``TallyError`` for a stage out
+    of range and ``DegenerateDistributionError`` for one with no vote mass."""
+    if not 1 <= stage <= st.num_stages:
+        raise TallyError(f"stage {stage} out of range 1..{st.num_stages}")
+    row = st.ints[stage - 1]
+    total = sum(row)
+    if total == 0:
+        raise DegenerateDistributionError(f"stage {stage} carries no vote mass")
+    return row, total
 
 
 def stage_distribution(st: StageTable, stage: int) -> tuple[Fraction, ...]:
     """Normalize a stage row into a probability vector over candidates."""
-    if not 1 <= stage <= st.num_stages:
-        raise TallyError(f"stage {stage} out of range 1..{st.num_stages}")
-    row = st.row(stage)
-    total = sum(row)
-    if total == 0:
-        raise DegenerateDistributionError(f"stage {stage} carries no vote mass")
-    return tuple(v / total for v in row)
+    row, total = _stage_mass(st, stage)
+    return tuple(Fraction(v, total) for v in row)
 
 
 def stage_entropy(st: StageTable, stage: int) -> float:
-    """Shannon entropy in bits of the stage's candidate distribution."""
-    dist = stage_distribution(st, stage)
+    """Shannon entropy in bits of the stage's candidate distribution, each
+    share read from the int row as ``v / total`` (the double nearest it)."""
+    row, total = _stage_mass(st, stage)
     h = 0.0
-    for p in dist:
-        if p > 0:
-            fp = float(p)
-            h -= fp * math.log2(fp)
+    for v in row:
+        if v > 0:
+            p = v / total
+            h -= p * math.log2(p)
     return h
 
 
@@ -284,7 +352,7 @@ def sort_columns(st: StageTable) -> tuple[str, ...]:
     itself stays in roster order.
     """
     keys = {
-        cand: tuple(st.rows[i][j] for i in range(st.num_stages - 1, -1, -1))
+        cand: tuple(st.ints[i][j] for i in range(st.num_stages - 1, -1, -1))
         for j, cand in enumerate(st.candidates)
     }
     return tuple(sorted(st.candidates, key=lambda c: keys[c], reverse=True))

@@ -323,6 +323,15 @@ class TestSimulate:
         assert run_cli("simulate", str(path)) == (
             1, "", "error: bad config: algorithms[1] must be an object, got 'alpha'\n")
 
+    def test_repeated_algorithm_entry_is_named(self, sim_config, tmp_path):
+        doc = json.loads(open(sim_config).read())
+        doc["algorithms"] = [{"alpha": 0.5, "selector": "first"}, {"alpha": 0.8},
+                             {"alpha": 0.5}]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("simulate", str(path)) == (
+            1, "", "error: bad config: algorithms[2] repeats algorithms[0]\n")
+
     def test_whole_valued_floats_load_as_integers(self, sim_config, tmp_path):
         doc = json.loads(open(sim_config).read())
         doc.update({"datasetSize": 300.0, "numVoters": 10.0, "seed": 11.0,

@@ -6,10 +6,10 @@ from functools import cached_property
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stagevote import sim
+from stagevote import select, sim
 from stagevote.ballot import Ballot, CandidateRoster
 from stagevote.select import (
     EmptyPoolError,
@@ -346,6 +346,130 @@ def test_window_matches_brute_force_scan():
                 window.last_by_gamma, window.pool) == expected
 
 
+def _typed_bar(x):
+    return float(100 * Fraction(str(x)))
+
+
+def _scan_decision(table, cfg, null_id):
+    """Linear-scan oracle: the per-stage ``_first_stage`` scans the crossing
+    profile replaced. Returns (window, winner, stage, score, diagnostics)."""
+    rows, ranking = table.floats, table.ranking
+    nj = table.candidates.index(null_id)
+    stages = range(1, table.num_stages + 1)
+
+    def first_stage(predicate):
+        return next((i for i in stages if predicate(rows[i - 1])), None)
+
+    def top_real(stage):
+        return next(j for j in ranking[stage - 1] if j != nj)
+
+    def qualifies(stage):
+        row = rows[stage - 1]
+        top = row[top_real(stage)]
+        return top > _typed_bar(cfg.alpha) and row[nj] <= top
+
+    def fires(row):
+        g = cfg.gamma
+        if not g.enabled:
+            return False
+        exceeding = sum(1 for v in row if v > _typed_bar(g.threshold))
+        if g.count is not None:
+            return exceeding >= g.count
+        if g.fraction is not None:
+            return exceeding >= Fraction(str(g.fraction)) * len(row)
+        return exceeding >= 1
+
+    first = next((i for i in stages if qualifies(i)), None)
+    if cfg.beta is not None:
+        crossing = first_stage(lambda row: row[nj] > _typed_bar(cfg.beta))
+        last_b = None if crossing is None else crossing - 1
+    else:
+        last_b = first_stage(lambda row: row[nj] > _typed_bar(cfg.alpha))
+    last_g = first_stage(fires)
+    end = min(b for b in (last_b, last_g, table.num_stages) if b is not None)
+    pool = () if first is None else tuple(range(first, end + 1))
+    window = StageWindow(first_by_alpha=first, last_by_beta=last_b, last_by_gamma=last_g,
+                         num_stages=table.num_stages, pool=pool)
+    if not pool:
+        return window, null_id, None, None, {}
+    chosen = select_stage(window, cfg.selector, table.stats)
+    stage = next(s for s in range(chosen, first - 1, -1) if qualifies(s))
+    best = top_real(stage)
+    return (window, table.candidates[best], stage, table.row(stage)[best],
+            {} if stage == chosen else {"walked_back_from": chosen})
+
+
+# Few distinct values, some exactly on a bar, so scores tie often.
+_SCORES = [0, 10, 25, 28, 33, 34, 50, 51, 55, 56, 60, 66, 67, 80, 81, 100]
+_THRESHOLDS = [0.2, 0.28, 0.33, 0.5, 0.55, 0.66, 0.8]
+
+
+@st.composite
+def _tables_and_configs(draw):
+    k = draw(st.integers(min_value=2, max_value=12))
+    names = [f"K{i}" for i in range(k - 1)]
+    names.insert(draw(st.integers(min_value=0, max_value=k - 1)), "NULL")
+    stages = draw(st.integers(min_value=1, max_value=8))
+    rows = [[draw(st.sampled_from(_SCORES)) for _ in range(k)] for _ in range(stages)]
+    threshold = st.sampled_from(_THRESHOLDS)
+    gamma = st.one_of(
+        st.just(GammaRule.none()),
+        st.builds(GammaRule.any_exceeds, threshold),
+        st.builds(GammaRule.count_exceeds, threshold, st.integers(min_value=1, max_value=k + 2)),
+        st.builds(GammaRule.fraction_exceeds, threshold,
+                  st.sampled_from([0.1, 0.28, 0.5, 2 / 3, 1.0])))
+    configs = st.builds(SelectionConfig, alpha=threshold,
+                        beta=st.one_of(st.none(), threshold), gamma=gamma,
+                        selector=st.sampled_from(list(Selector)))
+    return (make_score_table(names, rows),
+            draw(st.lists(configs, min_size=1, max_size=4)))
+
+
+def _outcome(decide, *args):
+    try:
+        return decide(*args)
+    except SelectionError as exc:  # entropy selector on an empty row
+        return type(exc), str(exc)
+
+
+def _profiled_decision(table, cfg, null_id):
+    d = beta_gamma_winner(table, cfg, null_id)
+    assert d.window == stage_window(table, cfg, null_id)
+    return d.window, d.winner, d.stage, d.score, d.diagnostics
+
+
+# 0.28 of 25 columns is exactly 7: seven scores above the cap fire the rule.
+_TWENTY_FIVE = make_score_table(
+    [f"K{i}" for i in range(24)] + ["NULL"],
+    [[70] * 6 + [0] * 19, [70] * 7 + [0] * 18, [70] * 8 + [0] * 17])
+
+
+@given(_tables_and_configs())
+@example((_TWENTY_FIVE, [SelectionConfig(alpha=0.5, gamma=GammaRule.fraction_exceeds(0.6, 0.28),
+                                         selector=Selector.LAST)]))
+@settings(max_examples=300, deadline=None)
+def test_window_and_decision_match_linear_scan(table_and_configs):
+    table, configs = table_and_configs
+    for cfg in configs:  # several configs on one table share its profile
+        assert _outcome(_profiled_decision, table, cfg, "NULL") == \
+            _outcome(_scan_decision, table, cfg, "NULL")
+    if table is _TWENTY_FIVE:
+        assert stage_window(table, configs[0], "NULL").last_by_gamma == 2
+
+
+def test_null_veto_walks_back_past_vetoed_stages():
+    # NULL is column 0. Stage 2's top real score sits exactly on alpha and
+    # NULL beats stage 3's; beta cuts after stage 3, LAST picks stage 3 and
+    # the veto walks back to stage 1, where A and B tie and A ranks first.
+    table = make_score_table(["NULL", "A", "B"],
+                             [[10, 60, 60], [40, 50, 35], [90, 85, 40], [96, 100, 100]])
+    cfg = SelectionConfig(alpha=0.5, beta=0.95, selector=Selector.LAST)
+    decision = beta_gamma_winner(table, cfg, "NULL")
+    assert decision.window.pool == (1, 2, 3)
+    assert (decision.winner, decision.stage, decision.score) == ("A", 1, 60)
+    assert decision.diagnostics == {"walked_back_from": 3}
+
+
 def test_decision_holds_no_report_values():
     rng = random.Random(8086)
     seen = set()
@@ -556,6 +680,21 @@ class TestPerTableCache:
         basic_winner(table, 0.5)
         assert builds == [table]
 
+    def test_each_distinct_window_decided_once_per_table(self, beta_tables, monkeypatch):
+        decided = []
+        real = select._Crossings._decide
+
+        def counted(profile, cfg):
+            decided.append((cfg.alpha, cfg.beta, cfg.gamma))
+            return real(profile, cfg)
+        monkeypatch.setattr(select._Crossings, "_decide", counted)
+        _, _, table = beta_tables
+        grid = sim.default_algorithm_grid()
+        windows = {cfg: beta_gamma_winner(table, cfg, "NULL").window for cfg in grid}
+        assert len(decided) == len(set(decided)) == 18
+        assert all(stage_window(table, cfg, "NULL") is windows[cfg] for cfg in grid)
+        assert len(decided) == 18
+
     def test_mutating_float_rows_leaves_decisions_alone(self, beta_tables):
         _, _, table = beta_tables
         cfg = SelectionConfig(alpha=0.5, beta=0.3333,
@@ -646,3 +785,11 @@ class TestParsing:
                               selector=Selector.MIN_ENTROPY)
         assert cfg.label() == "<α=0.50, β=0.33, γ=0.66, MinEntropy>"
         assert SelectionConfig(alpha=0.8).label() == "<α=0.80, β=____, γ=____, First>"
+
+    def test_labels_keep_thresholds_past_two_decimals(self):
+        assert SelectionConfig(alpha=0.504, beta=0.3333).label() == \
+            "<α=0.504, β=0.3333, γ=____, First>"
+        assert GammaRule.any_exceeds(0.555).label() == "0.555"
+        assert GammaRule.any_exceeds(0.56).label() == "0.56"
+        assert GammaRule.count_exceeds(0.125, 2).label() == "0.125@n2"
+        assert GammaRule.fraction_exceeds(0.5, 0.1234567).label() == "0.50@f0.1234567"

@@ -428,6 +428,26 @@ class TestRunSimulation:
             assert 0.0 <= row.rate_true_winners <= 1.0
             assert 0.0 <= row.rate_winner_below_null <= 1.0
 
+    @pytest.mark.parametrize("pair", [
+        (SelectionConfig(alpha=0.5), SelectionConfig(alpha=0.504)),
+        (SelectionConfig(alpha=0.5, gamma=GammaRule.any_exceeds(0.555)),
+         SelectionConfig(alpha=0.5, gamma=GammaRule.any_exceeds(0.56))),
+    ])
+    def test_thresholds_past_two_decimals_keep_their_own_rows(self, pair):
+        res = run_simulation(small_config(num_elections=2, algorithms=pair,
+                                          include_baselines=False))
+        assert sorted(r.algorithm for r in res.metrics.rows) == sorted(
+            STAGED_PREFIX + cfg.label() for cfg in pair)
+        assert len(set(cfg.label() for cfg in pair)) == 2
+
+    def test_repeated_algorithm_rejected(self):
+        twice = FAST_ALGOS + (SelectionConfig(alpha=0.8), FAST_ALGOS[1])
+        with pytest.raises(SimConfigError, match=r"^algorithms\[3\] repeats algorithms\[1\]$"):
+            small_config(algorithms=twice)
+        # Equal configs, though -0.0 prints unlike 0.0.
+        with pytest.raises(SimConfigError, match=r"^algorithms\[1\] repeats algorithms\[0\]$"):
+            small_config(algorithms=(SelectionConfig(alpha=0.0), SelectionConfig(alpha=-0.0)))
+
     def test_val_mse_reported_for_comparators(self):
         res = run_simulation(small_config(seed=10))
         labels = [label for label, _ in res.metrics.val_mse]

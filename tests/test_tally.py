@@ -5,12 +5,20 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagevote.ballot import Ballot, CandidateRoster, FractionalBallot, expand_incomplete
+from stagevote.ballot import (
+    Ballot,
+    CandidateRoster,
+    FractionalBallot,
+    csv_preference_columns,
+    expand_incomplete,
+    parse_ballots,
+)
 from stagevote.tally import (
     DegenerateDistributionError,
     StageTable,
@@ -444,6 +452,88 @@ class TestPerTableCache:
         fresh = StageTable(used.kind, used.candidates, used.rows, used.n)
         assert fresh == used
         assert hash(fresh) == hash(used)
+
+
+WIDE_CSV = Path(__file__).parent / "data" / "wide_roster.csv"
+
+
+def _wide_roster_counts() -> StageTable:
+    """``count_votes`` on the wide-roster file, roster inferred as the CLI
+    does: real candidates sorted, then NULL, then IDK."""
+    text = WIDE_CSV.read_text(encoding="utf-8")
+    ballots = parse_ballots(text, None)
+    seen = {c for b in ballots for c in b.prefs}
+    real = sorted(seen - {"NULL", "IDK"})
+    roster = CandidateRoster(tuple(real + ["NULL", "IDK"]), null_id="NULL", idk_id="IDK")
+    num_prefs = min(csv_preference_columns(text), roster.k)
+    return count_votes([expand_incomplete(b, roster, num_prefs) for b in ballots],
+                       roster, num_prefs)
+
+
+class TestIntegerViews:
+    """Every view read from the int numerators is bit-identical to the same
+    view of a table built from the ``Fraction`` cells."""
+
+    @staticmethod
+    def _views(table: StageTable) -> tuple:
+        return (table.floats, table.stats, table.column_order, table.ranking,
+                table.rows, [stage_distribution(table, i)
+                             for i in range(1, table.num_stages + 1)
+                             if any(table.ints[i - 1])])
+
+    @staticmethod
+    def _fraction_views(table: StageTable) -> tuple:
+        """Floats, entropies and column order computed in ``Fraction``s."""
+        floats = tuple(tuple(float(v) for v in row) for row in table.rows)
+        entropy = []
+        for row in table.rows:
+            total = sum(row)
+            h = None if total == 0 else 0.0
+            for v in row:
+                if v > 0:
+                    p = float(v / total)
+                    h -= p * math.log2(p)
+            entropy.append(h)
+        order = sorted(range(len(table.candidates)),
+                       key=lambda j: [row[j] for row in reversed(table.rows)], reverse=True)
+        return floats, tuple(entropy), tuple(table.candidates[j] for j in order)
+
+    def _check(self, vc: StageTable) -> None:
+        assert all(type(v) is Fraction for row in vc.rows for v in row)
+        for table in (vc, cumulate(vc), score(cumulate(vc))):
+            assert (table.floats, table.stats.entropy, table.column_order) == \
+                self._fraction_views(table)
+            oracle = StageTable(table.kind, table.candidates, table.rows, table.n)
+            assert self._views(table) == self._views(oracle)
+            assert table == oracle and hash(table) == hash(oracle)
+            for dist in self._views(table)[-1]:
+                assert all(type(p) is Fraction for p in dist)
+
+    def test_random_ballots(self):
+        rng = random.Random(1212)
+        for trial in range(150):
+            size = rng.randint(2, 12)
+            names = [f"K{i}" for i in range(size - 1)] + ["NULL"]
+            idk = "IDK" if rng.random() < 0.5 else None
+            roster = CandidateRoster(tuple(names + ([idk] if idk else [])),
+                                     null_id="NULL", idk_id=idk)
+            num_prefs = rng.randint(1, roster.k)
+            ballots = [Ballot(f"v{i}", tuple(rng.sample(roster.candidates,
+                                                        rng.randint(0, roster.k))))
+                       for i in range(rng.randint(1, 30))]
+            self._check(count_votes([expand_incomplete(b, roster, num_prefs)
+                                     for b in ballots], roster, num_prefs))
+
+    def test_wide_roster_file(self):
+        vc = _wide_roster_counts()
+        assert vc.denom == 27720
+        self._check(vc)
+
+    def test_fraction_rows_derive_ints_over_their_lcm(self):
+        table = make_score_table(["A", "B", "NULL"],
+                                 [[Fraction(1, 2), Fraction(1, 3), 0], [1, 2, 3]])
+        assert (table.ints, table.denom) == (((3, 2, 0), (6, 12, 18)), 6)
+        assert table.floats == ((0.5, 1 / 3, 0.0), (1.0, 2.0, 3.0))
 
 
 class TestSerialization:
