@@ -16,38 +16,45 @@ alpha and NULL does not score strictly higher: the first one opens the
 window and a NULL veto walks back to the latest one. Reports derive their
 best-candidate fields from a decision's table when rendered.
 
-Each threshold (alpha, beta, the gamma cap) is read as typed: its bar is
-the double nearest 100 times the decimal as written, so 0.57 is 57.0, not
-``100.0 * 0.57 == 56.99999999999999``. Float scores are compared against
-it with a strict ``>`` throughout.
+Each threshold (alpha, beta, the gamma cap) is read as typed, as the
+exact decimal written (0.57 is 57/100), and every crossing is decided on
+the score table's int numerators over its denominator D: a cell v / D
+strictly exceeds 100 * p / q exactly when v > 100 * p * D // q. No score
+is compared as a float, so a cell just above the typed bar crosses it.
 
 Windows are decided from a crossing profile (``_Crossings``), built once
 per table and NULL column and cached on the table: per stage, the top real
-score where NULL is not above it, and running maxima of that score, of
-NULL's score and of every c-th largest score. Each window bound is then
-one ``bisect``, and each distinct (alpha, beta, gamma) window is built
-once per table, so the many configurations of a grid decided on one table
-share it, along with the table's stage statistics.
+column and its numerator where NULL is not above it, and NULL's
+numerator. Each window bound is one scan for the first stage above its
+bar, and each distinct (alpha, beta, gamma) window is built once per
+table, so the many configurations of a grid decided on one table share
+it, along with the table's stage statistics.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .tally import StageStats, StageTable
 
 
 @lru_cache(maxsize=None)
-def _percent(threshold: float) -> float:
-    """The bar for a threshold: the double nearest 100 times its decimal."""
-    return float(100 * Fraction(str(threshold)))
+def _typed(threshold: float) -> Fraction:
+    """A threshold as typed: str() is the shortest decimal that reads back
+    as this float, so 0.57 is 57/100, not the double below it."""
+    return Fraction(str(threshold))
+
+
+def _bar(threshold: float, denom: int) -> int:
+    """The bar for a threshold over a table's denominator: a cell v / denom
+    exceeds 100 times the typed threshold exactly when v > the bar."""
+    t = _typed(threshold)
+    return 100 * t.numerator * denom // t.denominator
 
 
 class SelectionError(ValueError):
@@ -133,16 +140,15 @@ class GammaRule:
         if self.count is not None:
             return self.count
         if self.fraction is not None:
-            # str() is the shortest decimal that reads back as this float:
             # 0.28 is 7/25, and 0.28 of 25 is 7, not 7.000000000000001.
-            return math.ceil(Fraction(str(self.fraction)) * k)
+            return math.ceil(_typed(self.fraction) * k)
         return 1
 
     def fires(self, scores: Sequence[float]) -> bool:
-        """True if this stage row trips the rule."""
+        """True if this stage row trips the rule (compared exactly)."""
         needed = self.needed(len(scores))
         return needed is not None and sum(
-            1 for s in scores if s > _percent(self.threshold)) >= needed
+            1 for s in scores if s > 100 * _typed(self.threshold)) >= needed
 
     def label(self) -> str:
         if not self.enabled:
@@ -253,50 +259,38 @@ def basic_winner(st: StageTable, alpha: float) -> Decision:
     fallback in the diagnostics.
     """
     _check_table(st)
-    bar = _percent(alpha)
-    stage = next((i for i, (row, order) in enumerate(zip(st.floats, st.ranking), start=1)
-                  if row[order[0]] > bar), None)
+    leaders = (row[order[0]] for row, order in zip(st.ints, st.ranking))
+    stage = _first_above(leaders, _bar(alpha, st.denom))
     fallback = stage is None
     stage = stage or st.num_stages
     best = st.ranking[stage - 1][0]
-    return Decision(winner=st.candidates[best], stage=stage, score=st.row(stage)[best],
+    return Decision(winner=st.candidates[best], stage=stage,
+                    score=Fraction(st.ints[stage - 1][best], st.denom),
                     diagnostics={"fallback": fallback}, table=st)
 
 
-def _top_real(order: Sequence[int], nj: int) -> int:
-    """The first column of one stage's ranking that is not NULL's ``nj``."""
-    return order[order[0] == nj]
-
-
-def _first_above(running: Sequence[float], bar: float) -> Optional[int]:
-    """The first stage whose running maximum exceeds ``bar``, which is the
-    first stage whose own value does (None if none)."""
-    i = bisect_right(running, bar)
-    return i + 1 if i < len(running) else None
+def _first_above(values: Iterable[int], bar: int) -> Optional[int]:
+    """The first stage (1-based) whose value exceeds ``bar``, or None."""
+    return next((i for i, v in enumerate(values, 1) if v > bar), None)
 
 
 class _Crossings:
     """One table's crossing profile for NULL column ``nj``, and the windows
     decided from it, keyed by (alpha, beta, gamma).
 
-    Per stage i (0-based), ``top[i]`` is the top real column and
-    ``best[i]`` its score when NULL does not score strictly higher, else
-    -inf: the stage qualifies for alpha exactly when ``best[i]`` exceeds
-    the bar. ``best_max``, ``null_max`` and ``kth_max[c - 1]`` are running
-    maxima of ``best``, of NULL's score and of the c-th largest score.
+    Per stage i (0-based), ``top[i]`` is the top real column (the first of
+    the stage's ranking that is not NULL) and ``best[i]`` its numerator
+    when NULL does not score strictly higher, else -1: every bar is >= 0,
+    so the stage qualifies for alpha exactly when ``best[i]`` exceeds the
+    bar. ``null[i]`` is NULL's numerator.
     """
 
     def __init__(self, st: StageTable, nj: int):
-        rows, ranking = st.floats, st.ranking
-        self.num_stages = st.num_stages
-        self.top = [_top_real(order, nj) for order in ranking]
-        self.best = [row[j] if row[nj] <= row[j] else -math.inf
-                     for row, j in zip(rows, self.top)]
-        self.best_max = list(accumulate(self.best, max))
-        self.null_max = list(accumulate((row[nj] for row in rows), max))
-        self.kth_max = [list(accumulate((row[order[c]] for row, order in zip(rows, ranking)),
-                                        max))
-                        for c in range(len(st.candidates))]
+        self.ints, self.ranking, self.denom = st.ints, st.ranking, st.denom
+        self.top = [order[order[0] == nj] for order in self.ranking]
+        self.null = [row[nj] for row in self.ints]
+        self.best = [row[j] if null <= row[j] else -1
+                     for row, j, null in zip(self.ints, self.top, self.null)]
         self.windows: dict[tuple, StageWindow] = {}
 
     def window(self, cfg: SelectionConfig) -> StageWindow:
@@ -307,25 +301,28 @@ class _Crossings:
         return window
 
     def _decide(self, cfg: SelectionConfig) -> StageWindow:
-        bar_a = _percent(cfg.alpha)
-        first_by_alpha = _first_above(self.best_max, bar_a)
+        bar_a = _bar(cfg.alpha, self.denom)
+        first_by_alpha = _first_above(self.best, bar_a)
         if cfg.beta is not None:
-            crossing = _first_above(self.null_max, _percent(cfg.beta))
+            crossing = _first_above(self.null, _bar(cfg.beta, self.denom))
             last_by_beta = None if crossing is None else crossing - 1
         else:
             # No beta: stop once NULL itself passes alpha; that stage stays
             # usable but a real winner there must not be beaten by NULL.
-            last_by_beta = _first_above(self.null_max, bar_a)
+            last_by_beta = _first_above(self.null, bar_a)
         # The rule fires where the c-th largest score exceeds the cap.
-        c = cfg.gamma.needed(len(self.kth_max))
-        last_by_gamma = (None if c is None or c > len(self.kth_max) else
-                         _first_above(self.kth_max[c - 1], _percent(cfg.gamma.threshold)))
+        k = len(self.ranking[0])
+        c = cfg.gamma.needed(k)
+        last_by_gamma = (None if c is None or c > k else _first_above(
+            (row[order[c - 1]] for row, order in zip(self.ints, self.ranking)),
+            _bar(cfg.gamma.threshold, self.denom)))
 
-        end = _window_end(last_by_beta, last_by_gamma, self.num_stages)
+        num_stages = len(self.ints)
+        end = _window_end(last_by_beta, last_by_gamma, num_stages)
         # Empty when nothing qualifies or the first qualifying stage is past end.
         pool = () if first_by_alpha is None else tuple(range(first_by_alpha, end + 1))
         return StageWindow(first_by_alpha=first_by_alpha, last_by_beta=last_by_beta,
-                           last_by_gamma=last_by_gamma, num_stages=self.num_stages,
+                           last_by_gamma=last_by_gamma, num_stages=num_stages,
                            pool=pool)
 
 
@@ -393,13 +390,13 @@ def beta_gamma_winner(st: StageTable, cfg: SelectionConfig, null_id: str) -> Dec
         return Decision(winner=null_id, stage=None, score=None,
                         window=window, table=st)
 
-    bar = _percent(cfg.alpha)
+    bar = _bar(cfg.alpha, st.denom)
     chosen = select_stage(window, cfg.selector, st.stats)
     stage = next(s for s in range(chosen, window.first_by_alpha - 1, -1)
                  if profile.best[s - 1] > bar)
     best = profile.top[stage - 1]
     return Decision(winner=st.candidates[best], stage=stage,
-                    score=st.row(stage)[best], window=window,
+                    score=Fraction(st.ints[stage - 1][best], st.denom), window=window,
                     diagnostics={} if stage == chosen else {"walked_back_from": chosen},
                     table=st)
 
@@ -446,8 +443,8 @@ def betagamma_report(decision: Decision, cfg: SelectionConfig, null_id: str) -> 
     def best_real(stage: Optional[int]) -> tuple[Optional[str], Optional[float]]:
         if st is None or stage is None or not 1 <= stage <= st.num_stages:
             return None, None
-        j = _top_real(st.ranking[stage - 1], st.candidates.index(null_id))
-        return st.candidates[j], st.floats[stage - 1][j]
+        j = _crossings(st, null_id).top[stage - 1]
+        return st.candidates[j], st.ints[stage - 1][j] / st.denom
 
     first, last_b, last_g, end = ((w.first_by_alpha, w.last_by_beta, w.last_by_gamma,
                                    w.end) if w is not None else (None,) * 4)

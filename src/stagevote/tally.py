@@ -11,7 +11,8 @@ Stage i of the cumulative table adds up preferences 1..i, so a candidate's
 score at stage i is the percentage of voters who ranked them within their
 first i preferences.
 All table entries are exact rationals. Float scores are int / int true
-divisions, entropy reads the int rows and the column order compares ints;
+divisions, entropy reads the int rows, and the column order and per-stage
+ranking compare ints;
 the ``Fraction`` cells are built only when read (text/JSON readers,
 ``row()``). A table's Fraction and float rows, stage statistics, column
 order, tie rank and per-stage ranking are computed once, on first use,
@@ -165,7 +166,7 @@ class StageTable:
         by ``tie_rank``; ``ranking[i][0]`` leads stage i + 1."""
         tie = [self.tie_rank[c] for c in self.candidates]
         return tuple(tuple(sorted(range(len(tie)), key=lambda j: (-row[j], tie[j])))
-                     for row in self.floats)
+                     for row in self.ints)
 
     @cached_property
     def crossings(self) -> dict:

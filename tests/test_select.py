@@ -277,11 +277,12 @@ class TestBetaGammaWinner:
 
 
 def _window_oracle(table, cfg, null_id):
-    """Independent per-stage predicate scan (no early exits)."""
-    rows = table.float_rows()
+    """Independent per-stage predicate scan (no early exits), on the exact
+    ``Fraction`` cells against 100 times each threshold as typed."""
+    rows = table.rows
     nj = table.candidates.index(null_id)
     stages = range(1, table.num_stages + 1)
-    bar_a = 100.0 * cfg.alpha
+    bar_a = _typed_bar(cfg.alpha)
 
     alpha_ok = [
         i for i in stages
@@ -291,7 +292,7 @@ def _window_oracle(table, cfg, null_id):
     first = min(alpha_ok) if alpha_ok else None
 
     if cfg.beta is not None:
-        crossed = [i for i in stages if rows[i - 1][nj] > 100.0 * cfg.beta]
+        crossed = [i for i in stages if rows[i - 1][nj] > _typed_bar(cfg.beta)]
         last_b = min(crossed) - 1 if crossed else None
     else:
         crossed = [i for i in stages if rows[i - 1][nj] > bar_a]
@@ -347,13 +348,14 @@ def test_window_matches_brute_force_scan():
 
 
 def _typed_bar(x):
-    return float(100 * Fraction(str(x)))
+    """100 times the threshold as the decimal it was typed as, exactly."""
+    return 100 * Fraction(str(x))
 
 
 def _scan_decision(table, cfg, null_id):
-    """Linear-scan oracle: the per-stage ``_first_stage`` scans the crossing
-    profile replaced. Returns (window, winner, stage, score, diagnostics)."""
-    rows, ranking = table.floats, table.ranking
+    """Linear-scan oracle on the exact ``Fraction`` cells: one predicate per
+    stage, no profile. Returns (window, winner, stage, score, diagnostics)."""
+    rows, ranking = table.rows, table.ranking
     nj = table.candidates.index(null_id)
     stages = range(1, table.num_stages + 1)
 
@@ -399,9 +401,12 @@ def _scan_decision(table, cfg, null_id):
             {} if stage == chosen else {"walked_back_from": chosen})
 
 
-# Few distinct values, some exactly on a bar, so scores tie often.
-_SCORES = [0, 10, 25, 28, 33, 34, 50, 51, 55, 56, 60, 66, 67, 80, 81, 100]
-_THRESHOLDS = [0.2, 0.28, 0.33, 0.5, 0.55, 0.66, 0.8]
+# Few distinct values, some exactly on a bar, so scores tie often; the last
+# four sit 1e-15 above a bar, where the nearest double is the bar itself.
+_SUB_ULP = Fraction(1, 10**15)
+_SCORES = [0, 10, 25, 28, 33, 34, 50, 51, 55, 56, 60, 66, 67, 80, 81, 100,
+           33 + _SUB_ULP, 50 + _SUB_ULP, 66 + _SUB_ULP, 80 + _SUB_ULP]
+_THRESHOLDS = [0.2, 0.28, 0.33, 0.3333, 0.5, 0.55, 0.66, 0.8]
 
 
 @st.composite
@@ -503,7 +508,7 @@ class TestRanking:
             table = _random_table(rng)
             for i, row in enumerate(table.rows):
                 expected = sorted(range(len(row)), key=lambda j: (
-                    -float(row[j]), table.column_order.index(table.candidates[j])))
+                    -row[j], table.column_order.index(table.candidates[j])))
                 assert list(table.ranking[i]) == expected, (trial, i)
 
     def test_first_real_entry_is_the_best_real_candidate(self):
@@ -521,9 +526,8 @@ class TestTypedThresholds:
     exactly a% never crosses it and anything above a% does."""
 
     @staticmethod
-    def _crossings(a, score):
+    def _crossings(typed, score):
         table = make_score_table(["A", "NULL"], [[score, score]])
-        typed = a / 100  # str() gives back the decimal "0.a" as typed
         alpha = stage_window(table, SelectionConfig(alpha=typed), "NULL")
         beta = stage_window(table, SelectionConfig(alpha=0.99, beta=typed), "NULL")
         gamma = stage_window(table, SelectionConfig(
@@ -533,13 +537,21 @@ class TestTypedThresholds:
             "alpha": alpha.first_by_alpha == 1,
             "beta": beta.last_by_beta == 0,
             "gamma": gamma.last_by_gamma == 1,
+            "fires": GammaRule.any_exceeds(typed).fires(table.rows[0]),
         }
 
     def test_whole_percent_bars(self):
-        exactly = {a: self._crossings(a, Fraction(a)) for a in range(1, 100)}
-        above = {a: self._crossings(a, Fraction(10 * a + 1, 10)) for a in range(1, 100)}
+        # a / 100 is the float whose str() is the decimal "0.a" as typed.
+        exactly = {a: self._crossings(a / 100, Fraction(a)) for a in range(1, 100)}
+        above = {a: self._crossings(a / 100, Fraction(10 * a + 1, 10))
+                 for a in range(1, 100)}
         assert {a: c for a, c in exactly.items() if any(c.values())} == {}
         assert {a: c for a, c in above.items() if not all(c.values())} == {}
+
+    def test_bar_between_numerators(self):
+        # Over D = 3, the 0.3333 bar is 99.99: a third (100 / 3) crosses it.
+        assert all(self._crossings(0.3333, Fraction(100, 3)).values())
+        assert not any(self._crossings(0.3334, Fraction(100, 3)).values())
 
     def test_fifty_seven_of_a_hundred_voters(self):
         roster = CandidateRoster(("A", "B", "NULL"), null_id="NULL")
@@ -552,6 +564,46 @@ class TestTypedThresholds:
         window = stage_window(table, SelectionConfig(
             alpha=0.57, gamma=parse_gamma_spec("any:0.57")), "NULL")
         assert (window.first_by_alpha, window.last_by_gamma) == (2, 2)
+
+
+class TestSubUlpCells:
+    """A cell 1e-15 above the typed bar crosses it, although the nearest
+    double of the cell is the bar itself."""
+
+    def test_basic_rule_crosses_at_stage_one(self):
+        table = make_score_table(["A", "B", "NULL"],
+                                 [[50 + _SUB_ULP, 40, 0], [70, 60, 0]])
+        assert float(table.rows[0][0]) == 50.0
+        decision = basic_winner(table, 0.5)
+        assert (decision.winner, decision.stage, decision.score) == ("A", 1, 50 + _SUB_ULP)
+        assert decision.diagnostics["fallback"] is False
+
+    def test_windowed_alpha_opens_at_stage_one(self):
+        table = make_score_table(["A", "B", "NULL"], [[50 + _SUB_ULP, 40, 0]])
+        window = stage_window(table, SelectionConfig(alpha=0.5), "NULL")
+        assert (window.first_by_alpha, window.pool) == (1, (1,))
+
+    def test_beta_cuts_before_stage_one(self):
+        table = make_score_table(["A", "B", "NULL"],
+                                 [[40, 27, 33 + _SUB_ULP], [60, 30, 40]])
+        window = stage_window(table, SelectionConfig(alpha=0.5, beta=0.33), "NULL")
+        assert (window.last_by_beta, window.pool) == (0, ())
+
+    def test_gamma_cap_fires_at_stage_one(self):
+        table = make_score_table(["A", "B", "NULL"],
+                                 [[66 + _SUB_ULP, 30, 4], [70, 30, 0]])
+        window = stage_window(table, SelectionConfig(
+            alpha=0.5, gamma=parse_gamma_spec("any:0.66")), "NULL")
+        assert (window.last_by_gamma, window.pool) == (1, (1,))
+        assert GammaRule.any_exceeds(0.66).fires(table.rows[0])
+
+    def test_higher_cell_leads_although_the_doubles_tie(self):
+        # A leads the column order, but B is 1e-15 ahead at stage 1.
+        table = make_score_table(["A", "B", "NULL"],
+                                 [[50, 50 + _SUB_ULP, 0], [90, 60, 0]])
+        assert table.column_order[0] == "A"
+        assert basic_winner(table, 0.4).winner == "B"
+        assert beta_gamma_winner(table, SelectionConfig(alpha=0.4), "NULL").winner == "B"
 
 
 def test_report_best_fields_match_oracle():
@@ -591,7 +643,7 @@ def test_winner_threshold_soundness():
             assert decision.window.pool == ()
             continue
         assert decision.stage in decision.window.pool
-        assert float(decision.score) > 100.0 * cfg.alpha
+        assert decision.score > _typed_bar(cfg.alpha)
 
 
 def test_scale_invariance():
@@ -647,6 +699,14 @@ class TestPerTableCache:
                                        grid, num_prefs=5, include_baselines=False)
             assert len(results) == len(grid) == 126
         assert table_builds == {"compute_stage_stats": 2, "sort_columns": 2}
+
+    def test_decisions_build_no_fraction_rows(self, beta_tables):
+        _, _, table = beta_tables
+        assert "rows" not in vars(table)
+        for cfg in sim.default_algorithm_grid():
+            beta_gamma_winner(table, cfg, "NULL")
+        basic_winner(table, 0.5)
+        assert "rows" not in vars(table)
 
     def test_tie_rank_built_once_per_table(self, beta_tables, monkeypatch):
         builds = []
