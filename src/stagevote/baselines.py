@@ -38,61 +38,79 @@ class PredictionMatrix:
             raise BaselineError("predictions must be finite")
 
 
-def _roster_rank(roster: CandidateRoster) -> dict[str, int]:
-    return {c: i for i, c in enumerate(roster.tally_candidates)}
+def leader(counts: Sequence[int]) -> int:
+    """Index of the highest count; the lowest index, roster order, wins a tie."""
+    return int(np.argmax(counts))
 
 
-def _sincere_top(ballot: Ballot, roster: CandidateRoster) -> str | None:
-    # First stamp that is not the abstention marker.
-    for cand in ballot.prefs:
-        if cand != roster.idk_id:
-            return cand
-    return None
+def _roster_index(ballots: Sequence[Ballot], roster: CandidateRoster) -> dict[str, int]:
+    """Each tallyable candidate's roster index, once every stamp is checked:
+    a stamp off the roster raises ``BaselineError`` naming voter and stamp."""
+    index = {c: j for j, c in enumerate(roster.tally_candidates)}
+    known = index.keys() | {roster.idk_id}
+    for b in ballots:
+        if not known.issuperset(b.prefs):
+            off = next(c for c in b.prefs if c not in known)
+            raise BaselineError(f"voter {b.voter_id!r} stamps {off!r}, not on the roster")
+    return index
 
 
 def fptp_winner(ballots: Sequence[Ballot], roster: CandidateRoster) -> str:
     """Plurality on sincere first preferences; ties go to roster order."""
     if not ballots:
         raise BaselineError("no ballots")
-    rank = _roster_rank(roster)
-    counts = {c: 0 for c in roster.tally_candidates}
+    index = _roster_index(ballots, roster)
+    counts = [0] * roster.k
     for b in ballots:
         if not b.prefs:
             raise BaselineError(f"empty ballot from voter {b.voter_id!r}")
-        top = _sincere_top(b, roster)
-        if top is not None:
-            counts[top] += 1
-    return min(counts, key=lambda c: (-counts[c], rank[c]))
+        for cand in b.prefs:
+            if cand in index:  # IDK is skipped
+                counts[index[cand]] += 1
+                break
+    return roster.tally_candidates[leader(counts)]
+
+
+def irv_index(order: np.ndarray, k: int) -> int:
+    """Instant-runoff on an int rank matrix over k candidates: row i lists
+    voter i's preferences as candidate indices, best first, and any entry
+    ``k`` is padding. Each round counts every row's first surviving entry;
+    someone with a strict majority of the non-exhausted rows wins, or else
+    the weakest survivor (lowest index on ties) is eliminated and only the
+    rows it headed move on. When every row is exhausted the lowest
+    surviving index wins."""
+    active = np.ones(k + 1, dtype=bool)
+    active[k] = False  # the padding index never survives
+    tops = order[:, 0].copy()  # each row's first survivor; k once exhausted
+    while True:
+        counts = np.bincount(tops, minlength=k + 1)[:k]
+        live = int(counts.sum())
+        if live == 0:
+            return leader(active[:k])
+        best = leader(counts)
+        if 2 * counts[best] > live or active.sum() == 1:
+            return best
+        loser = int(np.argmin(np.where(active[:k], counts, live + 1)))
+        active[loser] = False
+        moved = np.flatnonzero(tops == loser)
+        survivors = active[order[moved]]
+        tops[moved] = np.where(survivors.any(axis=1),
+                               order[moved, survivors.argmax(axis=1)], k)
 
 
 def irv_winner(ballots: Sequence[Ballot], roster: CandidateRoster) -> str:
     """Instant-runoff: eliminate the weakest first-preference candidate
     (roster order on ties), transferring ballots to their next surviving
     stamp, until someone holds a strict majority of non-exhausted ballots.
+    IDK stamps are skipped. This is ``irv_index`` on the ballots' ranks.
     """
     if not ballots:
         raise BaselineError("no ballots")
-    rank = _roster_rank(roster)
-    active = set(roster.tally_candidates)
-    prefs = [[c for c in b.prefs if c != roster.idk_id] for b in ballots]
-
-    while True:
-        counts = {c: 0 for c in active}
-        live = 0
-        for pref in prefs:
-            for cand in pref:
-                if cand in active:
-                    counts[cand] += 1
-                    live += 1
-                    break
-        if live == 0:
-            # Every ballot exhausted; fall back to roster order.
-            return min(active, key=lambda c: rank[c])
-        leader = min(active, key=lambda c: (-counts[c], rank[c]))
-        if 2 * counts[leader] > live or len(active) == 1:
-            return leader
-        loser = min(active, key=lambda c: (counts[c], rank[c]))
-        active.remove(loser)
+    index = _roster_index(ballots, roster)
+    rows = [[index[c] for c in b.prefs if c in index] for b in ballots]
+    width = max(1, *map(len, rows))
+    order = np.array([row + [roster.k] * (width - len(row)) for row in rows])
+    return roster.tally_candidates[irv_index(order, roster.k)]
 
 
 def crowd_mean_ranking(pm: PredictionMatrix) -> tuple[str, ...]:

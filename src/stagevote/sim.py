@@ -6,9 +6,11 @@ slates drawn from the held-out split. The crowd build fits each distinct
 set of visible columns once and calibrates every voter's noise scale in
 one batched bisection; its output is bit-identical to fitting and
 calibrating voter by voter. Each election ranks one voters x
-(slate + NULL) prediction matrix once, row i giving voter i's ballot, and
-every algorithm (the staged-voting variants, plurality, instant-runoff,
-and the crowd/best-voter comparators) sees those ballots and predictions.
+(slate + NULL) prediction matrix once into an int rank matrix, row i
+holding voter i's preferences as roster indices, and every algorithm reads
+that matrix or the predictions: the staged-voting variants count it, as do
+plurality and instant-runoff, and the best voter's pick is the top of
+their row. No per-voter ballot is built.
 The whole run is a pure function of the config (seed included): per-election
 randomness comes from a stream keyed on (master seed, election index).
 Elections run serially: the work is pure Python and holds the GIL, so
@@ -25,7 +27,7 @@ from typing import ClassVar, Optional, Sequence, Union
 import numpy as np
 
 from . import baselines
-from .ballot import NULL_TOKEN, Ballot, CandidateRoster, expand_incomplete
+from .ballot import NULL_TOKEN, Ballot, CandidateRoster
 from .baselines import PredictionMatrix
 from .select import (
     GammaRule,
@@ -35,7 +37,7 @@ from .select import (
     parse_gamma_spec,
     parse_selector,
 )
-from .tally import count_votes, cumulate, score
+from .tally import StageTable, TableKind, cumulate, score
 
 LABEL_CROWD_MEAN = "crowd-Mean"
 LABEL_CROWD_MEDIAN = "crowd-Median"
@@ -297,25 +299,17 @@ def slate_roster(slate: Sequence[int]) -> CandidateRoster:
     return CandidateRoster(candidates=ids + (NULL_TOKEN,), null_id=NULL_TOKEN)
 
 
-def _rank_ballots(crowd: Sequence[Voter], values: np.ndarray,
-                  roster: CandidateRoster, num_prefs: int) -> list[Ballot]:
-    """One ballot per row of a voters x (slate + NULL) value matrix: the
-    row's candidates by descending value, ties in slate order (NULL last),
-    cut to the first ``num_prefs`` preferences."""
-    ids = roster.tally_candidates
-    order = np.argsort(-values, axis=1, kind="stable")[:, :num_prefs].tolist()
-    return [Ballot(voter_id=f"v{voter.index}", prefs=tuple([ids[j] for j in row]))
-            for voter, row in zip(crowd, order)]
-
-
 def cast_ballot(voter: Voter, slate: Sequence[int], null_y: float,
                 num_prefs: int, roster: Optional[CandidateRoster] = None) -> Ballot:
-    """The voter's row of ``run_election``'s ranking: the slate by predicted
-    quality (NULL at exactly the agreed median), first ``num_prefs`` kept."""
+    """The voter's row of ``run_election``'s ranking as a ballot: the slate
+    by descending predicted quality (NULL at exactly the agreed median),
+    ties in slate order (NULL last), first ``num_prefs`` kept."""
     if roster is None:
         roster = slate_roster(slate)
+    ids = roster.tally_candidates
     values = np.append(voter.predictions[np.asarray(slate)], null_y)
-    return _rank_ballots([voter], values[None, :], roster, num_prefs)[0]
+    order = np.argsort(-values, kind="stable")[:num_prefs].tolist()
+    return Ballot(voter_id=f"v{voter.index}", prefs=tuple([ids[j] for j in order]))
 
 
 @dataclass(frozen=True)
@@ -336,22 +330,30 @@ def run_election(
     num_prefs: int,
     include_baselines: bool = True,
 ) -> dict[str, ElectionOutcome]:
-    """Evaluate every algorithm on one slate using shared ballots.
+    """Evaluate every algorithm on one slate from one ranking.
 
-    One voters x (slate + NULL) matrix, ranked once, gives the ballots and
-    feeds the crowd comparators; the best voter picks their ballot's top.
-    The true rank of a winner is its 1-based position by true quality
-    within the slate; a NULL winner ranks where the median quality falls
-    and never counts as below-NULL.
+    Row i of ``order``, the voters x (slate + NULL) predictions ranked
+    once, is voter i's ``cast_ballot`` as roster indices. Those ballots
+    stamp ``num_prefs`` distinct candidates each, so the count table's row
+    p is the bincount of column p over D = 1, what ``count_votes`` gives.
+    Plurality leads its first row, instant-runoff is ``baselines.irv_index``
+    on ``order`` and the best voter picks their row's top. The true rank of
+    a winner is its 1-based position by true quality within the slate; a
+    NULL winner ranks where the median quality falls and never counts as
+    below-NULL.
     """
     slate = np.asarray(slate)
     roster = slate_roster(slate)
     ids = roster.tally_candidates
+    k = len(ids)
     values = np.column_stack([np.stack([v.predictions[slate] for v in crowd]),
                               np.full(len(crowd), null_y)])
-    ballots = _rank_ballots(crowd, values, roster, num_prefs)
-    expanded = [expand_incomplete(b, roster, num_prefs) for b in ballots]
-    table = score(cumulate(count_votes(expanded, roster, num_prefs)))
+    order = np.argsort(-values, axis=1, kind="stable")[:, :num_prefs]
+    # Column p's stamps land in bins p * k .. p * k + k - 1: one bincount.
+    counts = np.bincount((order + k * np.arange(num_prefs)).ravel(),
+                         minlength=k * num_prefs).reshape(num_prefs, k)
+    table = score(cumulate(StageTable.from_ints(
+        TableKind.COUNTS, ids, tuple(map(tuple, counts.tolist())), 1, len(crowd))))
     with_null = PredictionMatrix(slate=ids, values=values)
 
     # Every candidate's outcome, NULL's included, ranked once: the number
@@ -367,14 +369,14 @@ def run_election(
         decision = beta_gamma_winner(table, cfg, roster.null_id)
         results[STAGED_PREFIX + cfg.label()] = outcome(decision.winner)
     if include_baselines:
-        results[LABEL_FPTP] = outcome(baselines.fptp_winner(ballots, roster))
-        results[LABEL_IRV] = outcome(baselines.irv_winner(ballots, roster))
+        results[LABEL_FPTP] = outcome(ids[baselines.leader(counts[0])])
+        results[LABEL_IRV] = outcome(ids[baselines.irv_index(order, k)])
         results[LABEL_CROWD_MEAN] = outcome(
             baselines.crowd_mean_ranking(with_null)[0])
         results[LABEL_CROWD_MEDIAN] = outcome(
             baselines.crowd_median_ranking(with_null)[0])
-        best = min(range(len(crowd)), key=lambda i: crowd[i].achieved_mse)
-        results[LABEL_BEST_VOTER] = outcome(ballots[best].prefs[0])
+        best = int(np.argmin([v.achieved_mse for v in crowd]))
+        results[LABEL_BEST_VOTER] = outcome(ids[order[best, 0]])
     return results
 
 

@@ -57,6 +57,11 @@ class TestFptp:
         with pytest.raises(BaselineError):
             fptp_winner([Ballot("v", ())], ROSTER_AB)
 
+    def test_stamp_off_the_roster_rejected(self):
+        ballots = [Ballot("v", ("Z", "A")), Ballot("w", ("B",))]
+        with pytest.raises(BaselineError, match="voter 'v' stamps 'Z'"):
+            fptp_winner(ballots, ROSTER_AB)
+
 
 class TestIrv:
     def test_majority_short_circuit(self):
@@ -90,6 +95,63 @@ class TestIrv:
             rest = [Ballot(f"r{i}", tuple(rng.sample(roster.candidates, 2)))
                     for i in range(5)]
             assert irv_winner(majority + rest, roster) == "C"
+
+    def test_stamp_off_the_roster_rejected(self):
+        # Off the roster even below the first preference.
+        ballots = [Ballot("v", ("A",)), Ballot("w", ("B", "Z"))]
+        with pytest.raises(BaselineError, match="voter 'w' stamps 'Z'"):
+            irv_winner(ballots, ROSTER_AB)
+
+    def test_matches_per_ballot_loop(self):
+        roster = CandidateRoster(("A", "B", "C", "D", "E", "NULL", "IDK"),
+                                 null_id="NULL", idk_id="IDK")
+        rng = random.Random(14)
+        seen = {"exhausted": 0, "all_exhausted": 0}
+        for trial in range(2000):
+            names = roster.candidates[:rng.randint(3, 7)]
+            ballots = [Ballot(f"v{i}", tuple(rng.sample(names, rng.randint(0, 3))))
+                       for i in range(rng.randint(1, 12))]
+            expected = _irv_oracle(ballots, roster, seen)
+            assert irv_winner(ballots, roster) == expected, (trial, ballots)
+            if all(b.prefs for b in ballots):
+                assert fptp_winner(ballots, roster) == _fptp_oracle(ballots, roster)
+        # The profiles reach rounds with exhausted ballots, and with nothing left.
+        assert seen["exhausted"] > 100 and seen["all_exhausted"] > 10, seen
+
+
+def _irv_oracle(ballots, roster, seen):
+    """Instant-runoff as a loop over stamp lists, one ballot at a time; it
+    notes in ``seen`` the rounds with exhausted ballots and with none live."""
+    rank = {c: i for i, c in enumerate(roster.tally_candidates)}
+    active = set(roster.tally_candidates)
+    prefs = [[c for c in b.prefs if c != roster.idk_id] for b in ballots]
+    while True:
+        counts = {c: 0 for c in active}
+        live = 0
+        for pref in prefs:
+            for cand in pref:
+                if cand in active:
+                    counts[cand] += 1
+                    live += 1
+                    break
+        seen["exhausted"] += live < len(prefs)
+        if live == 0:
+            seen["all_exhausted"] += 1
+            return min(active, key=lambda c: rank[c])
+        leader = min(active, key=lambda c: (-counts[c], rank[c]))
+        if 2 * counts[leader] > live or len(active) == 1:
+            return leader
+        active.remove(min(active, key=lambda c: (counts[c], rank[c])))
+
+
+def _fptp_oracle(ballots, roster):
+    """Plurality on the first non-IDK stamp, roster order on ties."""
+    counts = {c: 0 for c in roster.tally_candidates}
+    for b in ballots:
+        top = next((c for c in b.prefs if c != roster.idk_id), None)
+        if top is not None:
+            counts[top] += 1
+    return min(roster.tally_candidates, key=lambda c: -counts[c])
 
 
 class TestCrowdRankings:

@@ -16,6 +16,11 @@ report-only values. ``wide-windowed-json`` tallies ``tests/data/wide_roster.csv`
 (ten real candidates, NULL and IDK, ballots cut after 0 to 6 stamps, so
 the missing mass is split over 6 to 11 candidates); it was recorded before
 the count summed integer numerators over one common denominator.
+``study-short-json`` runs ``tests/data/short_ballots.json`` (ten
+candidates, 200 voters, ballots cut after 3 of 11 preferences, so
+instant-runoff exhausts ballots and the count table has 3 rows); it was
+recorded before each election counted its int rank matrix instead of
+per-voter ballots.
 
 The error cases compare stderr with ``tests/golden/<case>.err`` instead and
 expect empty stdout. Their file repeats invalid ballots on non-adjacent
@@ -45,6 +50,7 @@ from conftest import BETA_PATTERNS, ballots_from_patterns, concrete_csv_text
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DESK_STUDY = Path(__file__).parent.parent / "configs" / "desk_study.json"
 WIDE_CSV = Path(__file__).parent / "data" / "wide_roster.csv"
+SHORT_STUDY = Path(__file__).parent / "data" / "short_ballots.json"
 
 WINDOWED = ["--alpha", "0.5", "--beta", "0.3333", "--gamma", "any:0.6666",
             "--selector", "last"]
@@ -141,6 +147,7 @@ INPUTS = {
     "invalid.csv": INVALID_CSV,
     "desk_study.json": DESK_STUDY.read_text(encoding="utf-8"),
     "wide.csv": WIDE_CSV.read_text(encoding="utf-8"),
+    "short_ballots.json": SHORT_STUDY.read_text(encoding="utf-8"),
 }
 
 # case name -> (argv with input file names, expected exit status)
@@ -167,6 +174,7 @@ CASES = {
     "study-grid-json": (["simulate", "grid.json", "--format", "json"], 0),
     "study-crowd-json": (["simulate", "crowd.json", "--format", "json"], 0),
     "desk-study-text": (["simulate", "desk_study.json"], 0),
+    "study-short-json": (["simulate", "short_ballots.json", "--format", "json"], 0),
 }
 
 # case name -> (argv, expected exit status); golden file holds stderr

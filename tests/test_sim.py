@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stagevote import baselines
+from stagevote import ballot, baselines, sim
 from stagevote.ballot import expand_incomplete
 from stagevote.select import GammaRule, SelectionConfig, Selector, beta_gamma_winner
 from stagevote.sim import (
@@ -390,6 +390,47 @@ class TestOneRankingPerElection:
 
             results = run_election(crowd, slate, slate_y, null_y, self.ALGOS, num_prefs)
             assert {label: results[label].winner for label in expected} == expected, seed
+
+    def test_rank_matrix_count_table_equals_count_votes(self, monkeypatch):
+        counted = []
+
+        def spy(table):
+            counted.append(table)
+            return cumulate(table)
+
+        monkeypatch.setattr(sim, "cumulate", spy)
+        for seed in range(40):
+            rng = np.random.default_rng([seed, 14])
+            num_candidates = int(rng.integers(1, 8))
+            num_voters = 1 if seed % 4 == 0 else int(rng.integers(2, 16))
+            crowd = tied_crowd(rng, num_voters, 12)
+            slate = rng.choice(12, size=num_candidates, replace=False)
+            null_y = float(rng.integers(0, 4))
+            roster = slate_roster(slate)
+            for num_prefs in range(1, num_candidates + 2):
+                want = count_votes(
+                    [expand_incomplete(cast_ballot(v, slate, null_y, num_prefs, roster),
+                                       roster, num_prefs) for v in crowd],
+                    roster, num_prefs)
+                counted.clear()
+                run_election(crowd, slate, rng.normal(size=num_candidates), null_y,
+                             (), num_prefs, include_baselines=False)
+                (got,) = counted
+                assert (got.kind, got.candidates, got.ints, got.denom, got.n) == (
+                    want.kind, want.candidates, want.ints, want.denom, want.n), seed
+                assert all(type(v) is int for row in got.ints for v in row)
+
+    def test_run_election_builds_no_ballot(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_election built a ballot")
+
+        monkeypatch.setattr(sim, "Ballot", refuse)
+        monkeypatch.setattr(ballot, "FractionalBallot", refuse)
+        rng = np.random.default_rng(15)
+        crowd = tied_crowd(rng, 9, 12)
+        slate = rng.choice(12, size=5, replace=False)
+        results = run_election(crowd, slate, rng.normal(size=5), 1.0, self.ALGOS, 3)
+        assert LABEL_IRV in results and LABEL_BEST_VOTER in results
 
 
 class TestRunSimulation:
