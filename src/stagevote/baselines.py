@@ -43,32 +43,32 @@ def leader(counts: Sequence[int]) -> int:
     return int(np.argmax(counts))
 
 
-def _roster_index(ballots: Sequence[Ballot], roster: CandidateRoster) -> dict[str, int]:
-    """Each tallyable candidate's roster index, once every stamp is checked:
-    a stamp off the roster raises ``BaselineError`` naming voter and stamp."""
+def _rank_matrix(ballots: Sequence[Ballot], roster: CandidateRoster) -> np.ndarray:
+    """The ballots as ``irv_index``'s int rank matrix, ``IDK`` dropped and
+    rows padded with k. Raises ``BaselineError`` for no ballots, then for
+    the first stamp off the roster (naming voter and stamp)."""
+    if not ballots:
+        raise BaselineError("no ballots")
     index = {c: j for j, c in enumerate(roster.tally_candidates)}
     known = index.keys() | {roster.idk_id}
     for b in ballots:
         if not known.issuperset(b.prefs):
             off = next(c for c in b.prefs if c not in known)
             raise BaselineError(f"voter {b.voter_id!r} stamps {off!r}, not on the roster")
-    return index
+    rows = [[index[c] for c in b.prefs if c in index] for b in ballots]
+    width = max(1, *map(len, rows))
+    return np.array([row + [roster.k] * (width - len(row)) for row in rows])
 
 
 def fptp_winner(ballots: Sequence[Ballot], roster: CandidateRoster) -> str:
-    """Plurality on sincere first preferences; ties go to roster order."""
-    if not ballots:
-        raise BaselineError("no ballots")
-    index = _roster_index(ballots, roster)
-    counts = [0] * roster.k
-    for b in ballots:
-        if not b.prefs:
-            raise BaselineError(f"empty ballot from voter {b.voter_id!r}")
-        for cand in b.prefs:
-            if cand in index:  # IDK is skipped
-                counts[index[cand]] += 1
-                break
-    return roster.tally_candidates[leader(counts)]
+    """Plurality on sincere first preferences (``IDK`` skipped), ties to
+    roster order: the leader of the rank matrix's first column."""
+    order = _rank_matrix(ballots, roster)
+    empty = next((b for b in ballots if not b.prefs), None)
+    if empty is not None:
+        raise BaselineError(f"empty ballot from voter {empty.voter_id!r}")
+    k = roster.k
+    return roster.tally_candidates[leader(np.bincount(order[:, 0], minlength=k + 1)[:k])]
 
 
 def irv_index(order: np.ndarray, k: int) -> int:
@@ -104,13 +104,7 @@ def irv_winner(ballots: Sequence[Ballot], roster: CandidateRoster) -> str:
     stamp, until someone holds a strict majority of non-exhausted ballots.
     IDK stamps are skipped. This is ``irv_index`` on the ballots' ranks.
     """
-    if not ballots:
-        raise BaselineError("no ballots")
-    index = _roster_index(ballots, roster)
-    rows = [[index[c] for c in b.prefs if c in index] for b in ballots]
-    width = max(1, *map(len, rows))
-    order = np.array([row + [roster.k] * (width - len(row)) for row in rows])
-    return roster.tally_candidates[irv_index(order, roster.k)]
+    return roster.tally_candidates[irv_index(_rank_matrix(ballots, roster), roster.k)]
 
 
 def crowd_mean_ranking(pm: PredictionMatrix) -> tuple[str, ...]:

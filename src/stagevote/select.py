@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from numbers import Real
 from typing import Iterable, Optional, Sequence, Union
 
 from .tally import StageStats, StageTable
@@ -184,6 +185,10 @@ class SelectionConfig:
     selector: Selector = Selector.FIRST
 
     def __post_init__(self):
+        given = [("alpha", self.alpha)] + ([] if self.beta is None else [("beta", self.beta)])
+        for name, value in given:
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0 <= self.alpha <= 1:
             raise ValueError("alpha must be in [0, 1]")
         if self.beta is not None and not 0 < self.beta < 1:

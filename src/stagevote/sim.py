@@ -5,12 +5,12 @@ feature-blind noisy estimators, then runs many independent elections on
 slates drawn from the held-out split. The crowd build fits each distinct
 set of visible columns once and calibrates every voter's noise scale in
 one batched bisection; its output is bit-identical to fitting and
-calibrating voter by voter. Each election ranks one voters x
-(slate + NULL) prediction matrix once into an int rank matrix, row i
-holding voter i's preferences as roster indices, and every algorithm reads
-that matrix or the predictions: the staged-voting variants count it, as do
-plurality and instant-runoff, and the best voter's pick is the top of
-their row. No per-voter ballot is built.
+calibrating voter by voter. The study stacks the crowd's predictions and
+picks the best voter once. Each election ranks the voters x (slate + NULL)
+slice once into an int rank matrix, row i holding voter i's preferences as
+roster indices, that every algorithm reads: the staged variants, plurality
+and instant-runoff count it, and the best voter's pick is the top of their
+row. No per-voter ballot is built.
 The whole run is a pure function of the config (seed included): per-election
 randomness comes from a stream keyed on (master seed, election index).
 Elections run serially: the work is pure Python and holds the GIL, so
@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
+from numbers import Real
 from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
@@ -122,8 +123,14 @@ class SimConfig:
         for name in ("num_candidates", "num_voters", "num_elections"):
             if getattr(self, name) < 1:
                 raise SimConfigError(f"{name} must be positive")
-        if not (math.isfinite(self.quality_mean) and math.isfinite(self.quality_sd)):
-            raise SimConfigError("crowd quality mean and standard deviation must be finite")
+        for name in ("quality_mean", "quality_sd"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or not math.isfinite(value)):
+                raise SimConfigError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.include_baselines, bool):
+            raise SimConfigError(
+                f"includeBaselines must be true or false, got {self.include_baselines!r}")
         if self.quality_mean <= 0:
             raise SimConfigError("crowd quality mean must be positive")
         if self.quality_sd < 0:
@@ -322,7 +329,8 @@ class ElectionOutcome:
 
 
 def run_election(
-    crowd: Sequence[Voter],
+    predictions: np.ndarray,
+    best: int,
     slate: Sequence[int],
     slate_y: np.ndarray,
     null_y: float,
@@ -332,28 +340,28 @@ def run_election(
 ) -> dict[str, ElectionOutcome]:
     """Evaluate every algorithm on one slate from one ranking.
 
-    Row i of ``order``, the voters x (slate + NULL) predictions ranked
-    once, is voter i's ``cast_ballot`` as roster indices. Those ballots
-    stamp ``num_prefs`` distinct candidates each, so the count table's row
-    p is the bincount of column p over D = 1, what ``count_votes`` gives.
-    Plurality leads its first row, instant-runoff is ``baselines.irv_index``
-    on ``order`` and the best voter picks their row's top. The true rank of
-    a winner is its 1-based position by true quality within the slate; a
-    NULL winner ranks where the median quality falls and never counts as
-    below-NULL.
+    Row i of ``order``, the slate's (and NULL's) columns of the voters x
+    test-items ``predictions`` ranked once, is voter i's ``cast_ballot`` as
+    roster indices. Those ballots stamp ``num_prefs`` distinct candidates
+    each, so the count table's row p is the bincount of column p over D = 1,
+    what ``count_votes`` gives. Plurality leads its first row, instant-runoff
+    is ``baselines.irv_index`` on ``order`` and the study's best voter, row
+    ``best``, picks their row's top. The true rank of a winner is its
+    1-based position by true quality within the slate; a NULL winner ranks
+    where the median quality falls and never counts as below-NULL.
     """
     slate = np.asarray(slate)
     roster = slate_roster(slate)
     ids = roster.tally_candidates
     k = len(ids)
-    values = np.column_stack([np.stack([v.predictions[slate] for v in crowd]),
-                              np.full(len(crowd), null_y)])
+    n = len(predictions)
+    values = np.column_stack([predictions[:, slate], np.full(n, null_y)])
     order = np.argsort(-values, axis=1, kind="stable")[:, :num_prefs]
     # Column p's stamps land in bins p * k .. p * k + k - 1: one bincount.
     counts = np.bincount((order + k * np.arange(num_prefs)).ravel(),
                          minlength=k * num_prefs).reshape(num_prefs, k)
     table = score(cumulate(StageTable.from_ints(
-        TableKind.COUNTS, ids, tuple(map(tuple, counts.tolist())), 1, len(crowd))))
+        TableKind.COUNTS, ids, tuple(map(tuple, counts.tolist())), 1, n)))
     with_null = PredictionMatrix(slate=ids, values=values)
 
     # Every candidate's outcome, NULL's included, ranked once: the number
@@ -375,7 +383,6 @@ def run_election(
             baselines.crowd_mean_ranking(with_null)[0])
         results[LABEL_CROWD_MEDIAN] = outcome(
             baselines.crowd_median_ranking(with_null)[0])
-        best = int(np.argmin([v.achieved_mse for v in crowd]))
         results[LABEL_BEST_VOTER] = outcome(ids[order[best, 0]])
     return results
 
@@ -479,10 +486,13 @@ class SimulationResult:
 
 
 def run_simulation(cfg: SimConfig) -> SimulationResult:
-    """Build the dataset and crowd once, then run the seeded elections."""
+    """Build the dataset, the crowd, its predictions matrix and best voter
+    once, then run the seeded elections."""
     dataset = generate_dataset([cfg.seed, 0], num_candidates=cfg.dataset_size)
     crowd = build_crowd(cfg, dataset, np.random.default_rng([cfg.seed, 1]))
     y_test = dataset.y[dataset.test_idx]
+    predictions = np.stack([v.predictions for v in crowd])
+    best = baselines.best_voter(predictions, y_test)
     algorithms = cfg.effective_algorithms()
     num_prefs = cfg.effective_num_prefs
     n_test = len(dataset.test_idx)
@@ -491,25 +501,19 @@ def run_simulation(cfg: SimConfig) -> SimulationResult:
     for index in range(cfg.num_elections):
         rng = np.random.default_rng([cfg.seed, 2, index])
         slate = rng.choice(n_test, size=cfg.num_candidates, replace=False)
-        per_election.append(run_election(crowd, slate, y_test[slate], dataset.null_y,
-                                         algorithms, num_prefs, cfg.include_baselines))
+        per_election.append(run_election(predictions, best, slate, y_test[slate],
+                                         dataset.null_y, algorithms, num_prefs,
+                                         cfg.include_baselines))
 
     order = list(per_election[0].keys())
-    outcomes = {
-        label: tuple(result[label] for result in per_election) for label in order
-    }
+    outcomes = {label: tuple(result[label] for result in per_election) for label in order}
 
     val_mse: list[tuple[str, float]] = []
     if cfg.include_baselines:
-        all_preds = np.stack([v.predictions for v in crowd])
-        mean_mse = float(np.mean((all_preds.mean(axis=0) - y_test) ** 2))
-        median_mse = float(np.mean((np.median(all_preds, axis=0) - y_test) ** 2))
-        best = baselines.best_voter(all_preds, y_test)
-        val_mse = [
-            (LABEL_CROWD_MEAN, mean_mse),
-            (LABEL_CROWD_MEDIAN, median_mse),
-            (LABEL_BEST_VOTER, crowd[best].achieved_mse),
-        ]
+        val_mse = [(label, float(np.mean((guess - y_test) ** 2))) for label, guess in (
+            (LABEL_CROWD_MEAN, predictions.mean(axis=0)),
+            (LABEL_CROWD_MEDIAN, np.median(predictions, axis=0)),
+            (LABEL_BEST_VOTER, predictions[best]))]
 
     metrics = metrics_from_outcomes(order, outcomes, val_mse)
     return SimulationResult(config=cfg, metrics=metrics, outcomes=outcomes)
@@ -535,10 +539,7 @@ def config_echo_dict(cfg: SimConfig) -> dict:
 
 
 def config_echo_text(cfg: SimConfig) -> str:
-    lines = []
-    for key, value in config_echo_dict(cfg).items():
-        lines.append(f"{key} : {value}")
-    return "\n".join(lines)
+    return "\n".join(f"{key} : {value}" for key, value in config_echo_dict(cfg).items())
 
 
 _IGNORED_CONFIG_KEYS = ("epochs", "trainableLayerCount", "workers")
@@ -551,14 +552,11 @@ def _parse_algorithm(entry: dict, where: str) -> SelectionConfig:
         unknown = ", ".join(sorted(set(entry) - {"alpha", "beta", "gamma", "selector"}))
         if unknown:
             raise SimConfigError(f"unknown keys: {unknown}")
-        kwargs = {
-            "alpha": _number("alpha", entry["alpha"]),
-            "beta": None if entry.get("beta") is None else _number("beta", entry["beta"]),
-            "gamma": parse_gamma_spec(entry.get("gamma")),
-        }
-        if "selector" in entry:
-            kwargs["selector"] = parse_selector(entry["selector"])
-        return SelectionConfig(**kwargs)
+        return SelectionConfig(
+            alpha=_number("alpha", entry["alpha"]),
+            beta=None if entry.get("beta") is None else _number("beta", entry["beta"]),
+            gamma=parse_gamma_spec(entry.get("gamma")),
+            selector=parse_selector(entry.get("selector", Selector.FIRST.value)))
     except KeyError as exc:
         raise SimConfigError(f"{where}: missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
@@ -575,11 +573,62 @@ def _number(key: str, value) -> float:
 
 
 def _whole(key: str, value) -> int:
-    """``int(value)``, refusing a float with a fractional part (or an
-    infinite or NaN one) that ``int`` would silently truncate, a bool and a str."""
-    if isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer():
+    """``int(value)`` for a whole JSON number, refusing a non-number, a bool
+    and a float that ``int`` would truncate (fractional, infinite or NaN)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
         raise SimConfigError(f"{key} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _optional_whole(key: str, value) -> Optional[int]:
+    return None if value is None else _whole(key, value)
+
+
+def _blindness(key: str, value) -> Blindness:
+    if isinstance(value, list) and len(value) != 2:
+        raise SimConfigError("columnBlindness interval must be [lo, hi]")
+    return tuple(_whole(key, b) for b in value) if isinstance(value, list) else _whole(key, value)
+
+
+def _crowd_quality(key: str, method) -> tuple[float, float]:
+    """(mean, standard deviation) of a ``standardDistribution`` crowd."""
+    if not isinstance(method, dict):
+        raise SimConfigError("crowdBuildMethod must be an object")
+    name = method.get("name", "standardDistribution")
+    if name not in ("standardDistribution", "normal"):
+        raise SimConfigError(f"unknown crowdBuildMethod name {name!r}")
+    if "mean" not in method:
+        raise SimConfigError("missing key 'crowdBuildMethod.mean'")
+    return (_number("crowdBuildMethod.mean", method["mean"]),
+            _number("crowdBuildMethod.standardDeviation", method.get("standardDeviation", 0.0)))
+
+
+def _algorithms(key: str, entries) -> tuple[SelectionConfig, ...]:
+    if not isinstance(entries, list):
+        raise SimConfigError("'algorithms' must be a list")
+    return tuple(_parse_algorithm(e, f"algorithms[{i}]") for i, e in enumerate(entries))
+
+
+# JSON key -> (SimConfig field, reader of its value, None to take it as is). A
+# key is required when its field has no default. crowdBuildMethod's reader
+# returns the pair (quality_mean, quality_sd).
+_CONFIG_KEYS = {
+    "numCandidates": ("num_candidates", _whole),
+    "numVoters": ("num_voters", _whole),
+    "numElections": ("num_elections", _whole),
+    "columnBlindness": ("column_blindness", _blindness),
+    "crowdBuildMethod": ("quality_mean", _crowd_quality),
+    "seed": ("seed", _whole),
+    "algorithms": ("algorithms", _algorithms),
+    "numPrefs": ("num_prefs", _optional_whole),
+    "datasetSize": ("dataset_size", _whole),
+    "dataSetName": ("dataset_name", None),
+    "predictedFeature": ("predicted_feature", None),
+    "includeBaselines": ("include_baselines", None),
+}
+_REQUIRED_CONFIG_KEYS = [key for key, (attr, _) in _CONFIG_KEYS.items()
+                         if SimConfig.__dataclass_fields__[attr].default is MISSING]
 
 
 def config_from_json_dict(doc: dict, seed_override: Optional[int] = None) -> SimConfig:
@@ -595,90 +644,21 @@ def config_from_json_dict(doc: dict, seed_override: Optional[int] = None) -> Sim
 
     for key in _IGNORED_CONFIG_KEYS:
         if key in doc:
-            warnings.warn(f"config key {key!r} is accepted but ignored",
-                          stacklevel=2)
-            doc.pop(key)
+            del doc[key]
+            warnings.warn(f"config key {key!r} is accepted but ignored", stacklevel=2)
+    if "numCandiates" in doc:
+        doc.setdefault("numCandidates", doc.pop("numCandiates"))
+    if seed_override is not None:
+        doc["seed"] = seed_override
 
-    if "numCandidates" in doc:
-        num_candidates = doc.pop("numCandidates")
-        doc.pop("numCandiates", None)
-    elif "numCandiates" in doc:
-        num_candidates = doc.pop("numCandiates")
-    else:
-        raise SimConfigError("missing key 'numCandidates'")
-
-    def require(key):
+    for key in _REQUIRED_CONFIG_KEYS:
         if key not in doc:
             raise SimConfigError(f"missing key {key!r}")
-        return doc.pop(key)
-
-    num_voters = require("numVoters")
-    num_elections = require("numElections")
-    blindness = require("columnBlindness")
-    if isinstance(blindness, list) and len(blindness) != 2:
-        raise SimConfigError("columnBlindness interval must be [lo, hi]")
-
-    method = require("crowdBuildMethod")
-    if not isinstance(method, dict):
-        raise SimConfigError("crowdBuildMethod must be an object")
-    name = method.get("name", "standardDistribution")
-    if name not in ("standardDistribution", "normal"):
-        raise SimConfigError(f"unknown crowdBuildMethod name {name!r}")
-    if "mean" not in method:
-        raise SimConfigError("missing key 'crowdBuildMethod.mean'")
-
-    if seed_override is not None:
-        seed = seed_override
-        doc.pop("seed", None)
-    else:
-        seed = require("seed")
-
-    algorithms = None
-    if "algorithms" in doc:
-        entries = doc.pop("algorithms")
-        if not isinstance(entries, list):
-            raise SimConfigError("'algorithms' must be a list")
-        algorithms = tuple(
-            _parse_algorithm(e, f"algorithms[{i}]") for i, e in enumerate(entries)
-        )
-
-    kwargs = {}
-    for json_key, attr in (
-        ("numPrefs", "num_prefs"),
-        ("datasetSize", "dataset_size"),
-        ("dataSetName", "dataset_name"),
-        ("predictedFeature", "predicted_feature"),
-        ("includeBaselines", "include_baselines"),
-    ):
-        if json_key in doc:
-            kwargs[attr] = doc.pop(json_key)
-
-    if doc:
-        unknown = ", ".join(sorted(doc))
+    unknown = ", ".join(sorted(doc.keys() - _CONFIG_KEYS.keys()))
+    if unknown:
         raise SimConfigError(f"unknown config keys: {unknown}")
 
-    if not isinstance(kwargs.get("include_baselines", True), bool):
-        raise SimConfigError(
-            f"includeBaselines must be true or false, got {kwargs['include_baselines']!r}")
-    try:
-        for json_key, attr in (("numPrefs", "num_prefs"), ("datasetSize", "dataset_size")):
-            if kwargs.get(attr) is not None:
-                kwargs[attr] = _whole(json_key, kwargs[attr])
-        return SimConfig(
-            num_candidates=_whole("numCandidates", num_candidates),
-            num_voters=_whole("numVoters", num_voters),
-            num_elections=_whole("numElections", num_elections),
-            column_blindness=(tuple(_whole("columnBlindness", b) for b in blindness)
-                              if isinstance(blindness, list)
-                              else _whole("columnBlindness", blindness)),
-            quality_mean=_number("crowdBuildMethod.mean", method["mean"]),
-            quality_sd=_number("crowdBuildMethod.standardDeviation",
-                               method.get("standardDeviation", 0.0)),
-            seed=_whole("seed", seed),
-            algorithms=algorithms,
-            **kwargs,
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, SimConfigError):
-            raise
-        raise SimConfigError(str(exc)) from exc
+    kwargs = {attr: doc[key] if read is None else read(key, doc[key])
+              for key, (attr, read) in _CONFIG_KEYS.items() if key in doc}
+    kwargs["quality_mean"], kwargs["quality_sd"] = kwargs["quality_mean"]
+    return SimConfig(**kwargs)

@@ -62,6 +62,17 @@ class TestFptp:
         with pytest.raises(BaselineError, match="voter 'v' stamps 'Z'"):
             fptp_winner(ballots, ROSTER_AB)
 
+    def test_errors_in_order(self):
+        # Every stamp is checked before any ballot is found empty.
+        with pytest.raises(BaselineError, match="^no ballots$"):
+            fptp_winner([], ROSTER_AB)
+        ballots = [Ballot("e", ()), Ballot("w", ("B", "Z")), Ballot("f", ())]
+        with pytest.raises(BaselineError, match="^voter 'w' stamps 'Z', not on the roster$"):
+            fptp_winner(ballots, ROSTER_AB)
+        ballots = [Ballot("v", ("A",)), Ballot("e", ()), Ballot("f", ())]
+        with pytest.raises(BaselineError, match="^empty ballot from voter 'e'$"):
+            fptp_winner(ballots, ROSTER_AB)
+
 
 class TestIrv:
     def test_majority_short_circuit(self):

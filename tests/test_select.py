@@ -692,10 +692,11 @@ class TestPerTableCache:
                             quality_sd=300.0, seed=3, dataset_size=300)
         ds = sim.generate_dataset(3, num_candidates=300)
         crowd = sim.build_crowd(cfg, ds, np.random.default_rng(3))
+        predictions = np.stack([v.predictions for v in crowd])
         y_test = ds.y[ds.test_idx]
         grid = sim.default_algorithm_grid()
         for slate in (np.arange(5), np.arange(5, 10)):
-            results = sim.run_election(crowd, slate, y_test[slate], ds.null_y,
+            results = sim.run_election(predictions, 0, slate, y_test[slate], ds.null_y,
                                        grid, num_prefs=5, include_baselines=False)
             assert len(results) == len(grid) == 126
         assert table_builds == {"compute_stage_stats": 2, "sort_columns": 2}
@@ -838,6 +839,15 @@ class TestParsing:
             SelectionConfig(alpha=1.5)
         with pytest.raises(ValueError):
             SelectionConfig(alpha=0.5, beta=0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"alpha": True}, {"alpha": "0.5"}, {"alpha": None},
+        {"alpha": 0.5, "beta": True}, {"alpha": 0.5, "beta": "0.33"}])
+    def test_config_refuses_non_numbers(self, kwargs):
+        # alpha=True once decided as alpha 1.0; "0.5" raised TypeError.
+        name, value = list(kwargs.items())[-1]
+        with pytest.raises(ValueError, match=rf"^{name} must be a number, got {value!r}$"):
+            SelectionConfig(**kwargs)
 
     def test_labels(self):
         cfg = SelectionConfig(alpha=0.5, beta=0.33,

@@ -222,6 +222,21 @@ class TestCrowdOracle:
         if name == "all-clamped":
             assert all(v.clamped and v.noise_sd == 0.0 for v in crowd)
 
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_best_voter_is_the_first_lowest_achieved_mse(self, name, seed):
+        # run_simulation picks its one best voter with best_voter on the
+        # stacked predictions; that must be build_crowd's own record.
+        cfg = small_config(**ORACLE_CASES[name])
+        ds = generate_dataset([seed, 0], num_candidates=300)
+        crowd = build_crowd(cfg, ds, np.random.default_rng([seed, 1]))
+        y_test = ds.y[ds.test_idx]
+        predictions = np.stack([v.predictions for v in crowd])
+        achieved = [v.achieved_mse for v in crowd]
+        mse = np.mean((predictions - y_test[None, :]) ** 2, axis=1)
+        assert [float(m).hex() for m in mse] == [a.hex() for a in achieved]
+        assert baselines.best_voter(predictions, y_test) == achieved.index(min(achieved))
+
     def test_one_fit_per_distinct_visible_set(self, monkeypatch):
         fits = []
         lstsq = np.linalg.lstsq
@@ -293,7 +308,7 @@ class TestRunElection:
         crowd = build_crowd(cfg, ds, np.random.default_rng(2))
         y_test = ds.y[ds.test_idx]
         slate = np.argsort(y_test)[-6:]
-        results = run_election(crowd, slate, y_test[slate], ds.null_y,
+        results = run_election(*stacked(crowd), slate, y_test[slate], ds.null_y,
                                FAST_ALGOS, num_prefs=6)
         for label, outcome in results.items():
             assert outcome.true_rank == 1, label
@@ -306,7 +321,7 @@ class TestRunElection:
         crowd = build_crowd(cfg, ds, np.random.default_rng(2))
         y_test = ds.y[ds.test_idx]
         slate = np.argsort(y_test)[:5]  # everyone below the median
-        results = run_election(crowd, slate, y_test[slate], ds.null_y,
+        results = run_election(*stacked(crowd), slate, y_test[slate], ds.null_y,
                                FAST_ALGOS, num_prefs=5)
         staged = results[STAGED_PREFIX + FAST_ALGOS[0].label()]
         assert staged.winner == "NULL"
@@ -319,7 +334,7 @@ class TestRunElection:
         crowd = build_crowd(cfg, ds, np.random.default_rng(3))
         y_test = ds.y[ds.test_idx]
         slate = np.arange(7)
-        results = run_election(crowd, slate, y_test[slate], ds.null_y,
+        results = run_election(*stacked(crowd), slate, y_test[slate], ds.null_y,
                                FAST_ALGOS, num_prefs=7)
         assert results[LABEL_BEST_VOTER] == results[LABEL_CROWD_MEAN]
 
@@ -329,9 +344,16 @@ class TestRunElection:
         crowd = build_crowd(cfg, ds, np.random.default_rng(4))
         y_test = ds.y[ds.test_idx]
         slate = np.arange(10, 16)
-        a = run_election(crowd, slate, y_test[slate], ds.null_y, FAST_ALGOS, 6)
-        b = run_election(crowd, slate, y_test[slate], ds.null_y, FAST_ALGOS, 6)
+        a = run_election(*stacked(crowd), slate, y_test[slate], ds.null_y, FAST_ALGOS, 6)
+        b = run_election(*stacked(crowd), slate, y_test[slate], ds.null_y, FAST_ALGOS, 6)
         assert a == b
+
+
+def stacked(crowd):
+    """``run_election``'s first two arguments for a crowd: its voters x
+    items predictions and the first voter of lowest ``achieved_mse``."""
+    return (np.stack([v.predictions for v in crowd]),
+            int(np.argmin([v.achieved_mse for v in crowd])))
 
 
 def tied_crowd(rng, num_voters, num_items):
@@ -387,8 +409,13 @@ class TestOneRankingPerElection:
             expected[LABEL_IRV] = baselines.irv_winner(ballots, roster)
             best = min(range(len(crowd)), key=lambda i: crowd[i].achieved_mse)
             expected[LABEL_BEST_VOTER] = ballots[best].prefs[0]
+            with_null = baselines.PredictionMatrix(
+                slate=roster.tally_candidates,
+                values=[list(v.predictions[slate]) + [null_y] for v in crowd])
+            expected[LABEL_CROWD_MEAN] = baselines.crowd_mean_ranking(with_null)[0]
+            expected[LABEL_CROWD_MEDIAN] = baselines.crowd_median_ranking(with_null)[0]
 
-            results = run_election(crowd, slate, slate_y, null_y, self.ALGOS, num_prefs)
+            results = run_election(*stacked(crowd), slate, slate_y, null_y, self.ALGOS, num_prefs)
             assert {label: results[label].winner for label in expected} == expected, seed
 
     def test_rank_matrix_count_table_equals_count_votes(self, monkeypatch):
@@ -413,7 +440,7 @@ class TestOneRankingPerElection:
                                        roster, num_prefs) for v in crowd],
                     roster, num_prefs)
                 counted.clear()
-                run_election(crowd, slate, rng.normal(size=num_candidates), null_y,
+                run_election(*stacked(crowd), slate, rng.normal(size=num_candidates), null_y,
                              (), num_prefs, include_baselines=False)
                 (got,) = counted
                 assert (got.kind, got.candidates, got.ints, got.denom, got.n) == (
@@ -429,7 +456,7 @@ class TestOneRankingPerElection:
         rng = np.random.default_rng(15)
         crowd = tied_crowd(rng, 9, 12)
         slate = rng.choice(12, size=5, replace=False)
-        results = run_election(crowd, slate, rng.normal(size=5), 1.0, self.ALGOS, 3)
+        results = run_election(*stacked(crowd), slate, rng.normal(size=5), 1.0, self.ALGOS, 3)
         assert LABEL_IRV in results and LABEL_BEST_VOTER in results
 
 
@@ -584,6 +611,20 @@ class TestConfigParsing:
         # A float bound was once truncated: (2.7, 3.9) ran as (2, 3).
         with pytest.raises(SimConfigError, match="column_blindness must be an int"):
             small_config(column_blindness=blindness)
+
+    @pytest.mark.parametrize("field, value, message", [
+        # "no" once ran the baselines (a str is truthy), and 0 loaded.
+        ("include_baselines", "no", "includeBaselines must be true or false, got 'no'"),
+        ("include_baselines", 0, "includeBaselines must be true or false, got 0"),
+        ("quality_mean", True, "quality_mean must be a finite number, got True"),
+        ("quality_sd", False, "quality_sd must be a finite number, got False"),
+        ("quality_mean", "1500", "quality_mean must be a finite number, got '1500'"),
+        ("quality_sd", None, "quality_sd must be a finite number, got None"),
+    ])
+    def test_library_config_refuses_what_the_loader_refuses(self, field, value, message):
+        with pytest.raises(SimConfigError) as caught:
+            small_config(**{field: value})
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("field, value", [
         ("quality_mean", float("nan")), ("quality_mean", float("inf")),
