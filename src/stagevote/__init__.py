@@ -1,4 +1,8 @@
-"""Staged cumulative ranked voting, baselines, and a seeded study harness."""
+"""Staged cumulative ranked voting: the ballot, tally and selection core.
+
+The baselines and the seeded study harness need numpy; import them from
+``stagevote.baselines`` and ``stagevote.sim``.
+"""
 
 from .ballot import (
     Ballot,
@@ -13,14 +17,6 @@ from .ballot import (
     parse_ballots,
     validate_ballot,
 )
-from .baselines import (
-    PredictionMatrix,
-    best_voter,
-    crowd_mean_ranking,
-    crowd_median_ranking,
-    fptp_winner,
-    irv_winner,
-)
 from .select import (
     Decision,
     GammaRule,
@@ -32,16 +28,6 @@ from .select import (
     min_stages,
     select_stage,
     stage_window,
-)
-from .sim import (
-    MetricsTable,
-    SimConfig,
-    SimulationResult,
-    build_crowd,
-    cast_ballot,
-    generate_dataset,
-    run_election,
-    run_simulation,
 )
 from .tally import (
     StageTable,

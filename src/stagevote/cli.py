@@ -24,7 +24,6 @@ from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import sim
 from .ballot import (
     IDK_TOKEN,
     NULL_TOKEN,
@@ -251,6 +250,8 @@ def cmd_tally(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import sim  # numpy comes with it; tally and min-stages never need it
+
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

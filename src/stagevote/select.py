@@ -100,6 +100,11 @@ class GammaRule:
     count: Optional[int] = None
 
     def __post_init__(self):
+        for name, kind, noun in (("threshold", Real, "a number"),
+                                 ("fraction", Real, "a number"), ("count", int, "an int")):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise ValueError(f"gamma {name} must be {noun}, got {value!r}")
         if self.threshold is None:
             if self.fraction is not None or self.count is not None:
                 raise ValueError("fraction/count require a threshold")

@@ -123,6 +123,12 @@ class SimConfig:
         for name in ("num_candidates", "num_voters", "num_elections"):
             if getattr(self, name) < 1:
                 raise SimConfigError(f"{name} must be positive")
+        if self.seed < 0:
+            raise SimConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, value in (("dataSetName", self.dataset_name),
+                            ("predictedFeature", self.predicted_feature)):
+            if not isinstance(value, str):
+                raise SimConfigError(f"{name} must be a string, got {value!r}")
         for name in ("quality_mean", "quality_sd"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, Real)

@@ -24,6 +24,13 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         os.environ.get("PYTHONPATH", "")]))
+
+
 @pytest.fixture
 def concrete_csv(tmp_path):
     path = tmp_path / "concrete.csv"
@@ -288,6 +295,11 @@ BAD_CONFIG_VALUES = [
      "crowdBuildMethod.mean must be a finite number, got inf"),
     ("crowdBuildMethod", {"mean": 1500, "standardDeviation": float("inf")},
      "crowdBuildMethod.standardDeviation must be a finite number, got inf"),
+    # A negative seed once loaded and ended in numpy's traceback.
+    ("seed", -1, "seed must be >= 0, got -1"),
+    # Echoed keys once taken on trust: a list was printed as the name.
+    ("dataSetName", [1, 2], "dataSetName must be a string, got [1, 2]"),
+    ("predictedFeature", 7, "predictedFeature must be a string, got 7"),
 ]
 
 
@@ -391,12 +403,9 @@ class TestSimulate:
         doc = json.loads(open(sim_config).read())
         path = tmp_path / "ignored.json"
         path.write_text(json.dumps(dict(doc, workers=2, epochs=133)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), "..", "src"),
-             os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "stagevote.cli", "simulate", str(path)],
-            capture_output=True, text=True, env=env, check=False)
+            capture_output=True, text=True, env=src_env(), check=False)
         assert (proc.returncode, proc.stdout) == run_cli("simulate", sim_config)[:2]
         assert proc.stderr == ("warning: config key 'epochs' is accepted but ignored\n"
                                "warning: config key 'workers' is accepted but ignored\n")
@@ -427,6 +436,13 @@ class TestSimulate:
         env_run = run_cli("simulate", str(path))
         assert env_run[0] == 0
         assert env_run == run_cli("simulate", sim_config)
+
+    def test_negative_seed_override_is_a_config_error(self, sim_config, monkeypatch):
+        assert run_cli("simulate", sim_config, "--seed", "-1") == (
+            1, "", "error: bad config: seed must be >= 0, got -1\n")
+        monkeypatch.setenv("STAGEVOTE_SEED", "-3")
+        assert run_cli("simulate", sim_config) == (
+            1, "", "error: bad config: seed must be >= 0, got -3\n")
 
     def test_json_format_cross_checks_text(self, sim_config):
         _, text_out, _ = run_cli("simulate", sim_config)
@@ -468,3 +484,19 @@ class TestMinStages:
     def test_alpha_taken_as_typed(self, alpha, expected):
         # 100.0 * 0.29 is 28.999999999999996 in binary floating point.
         assert run_cli("min-stages", "100", "100", alpha) == (0, expected + "\n", "")
+
+
+def test_tally_and_min_stages_never_import_numpy(concrete_csv):
+    # Only simulate and the baselines need numpy; the voting rule is integer
+    # arithmetic over ballots and must run where numpy cannot be imported.
+    script = (
+        "import contextlib, io, sys\n"
+        "import stagevote\n"
+        "from stagevote import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['tally', sys.argv[1]]) == 0\n"
+        "    assert cli.main(['min-stages', '100', '5', '0.5']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script, concrete_csv],
+                          capture_output=True, text=True, env=src_env(), check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

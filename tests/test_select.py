@@ -154,6 +154,20 @@ class TestGammaRule:
             GammaRule.fraction_exceeds(0.9, 0.0)
         with pytest.raises(ValueError):
             GammaRule.count_exceeds(0.9, 0)
+        # Bad field types: the first two once constructed and failed only
+        # inside a decision, the third with a TypeError.
+        refused = [
+            (lambda: GammaRule.count_exceeds(0.5, 2.5), "gamma count must be an int, got 2.5"),
+            (lambda: GammaRule.fraction_exceeds(0.5, True),
+             "gamma fraction must be a number, got True"),
+            (lambda: GammaRule(threshold="0.5"), "gamma threshold must be a number, got '0.5'"),
+            (lambda: GammaRule.any_exceeds(True), "gamma threshold must be a number, got True"),
+            (lambda: GammaRule.count_exceeds(0.5, True), "gamma count must be an int, got True"),
+        ]
+        for make, message in refused:
+            with pytest.raises(ValueError) as caught:
+                make()
+            assert str(caught.value) == message
 
     def test_parse_spec(self):
         assert parse_gamma_spec(None) == GammaRule.none()

@@ -620,6 +620,9 @@ class TestConfigParsing:
         ("quality_sd", False, "quality_sd must be a finite number, got False"),
         ("quality_mean", "1500", "quality_mean must be a finite number, got '1500'"),
         ("quality_sd", None, "quality_sd must be a finite number, got None"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("dataset_name", [1, 2], "dataSetName must be a string, got [1, 2]"),
+        ("predicted_feature", None, "predictedFeature must be a string, got None"),
     ])
     def test_library_config_refuses_what_the_loader_refuses(self, field, value, message):
         with pytest.raises(SimConfigError) as caught:
