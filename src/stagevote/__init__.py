@@ -12,7 +12,6 @@ from .ballot import (
     DuplicateCandidate,
     FractionalBallot,
     UnknownCandidate,
-    ballots_to_csv,
     expand_incomplete,
     parse_ballots,
     validate_ballot,
@@ -36,9 +35,7 @@ from .tally import (
     cumulate,
     score,
     sort_columns,
-    stage_distribution,
     stage_entropy,
-    stage_stddev,
     stage_variance,
 )
 

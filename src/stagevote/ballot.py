@@ -29,7 +29,7 @@ import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import IO, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, Iterable, Iterator, Optional, Union
 
 NULL_TOKEN = "NULL"
 IDK_TOKEN = "IDK"
@@ -184,22 +184,12 @@ def _utf8_lines(lines: Iterable[str]) -> Iterator[str]:
         yield line
 
 
-def _decode_token(cell: str, roster: Optional[CandidateRoster]) -> str:
-    if roster is None:
-        return cell
+def _decode_token(cell: str, roster: CandidateRoster) -> str:
     if cell == NULL_TOKEN:
         return roster.null_id
     if cell == IDK_TOKEN and roster.idk_id is not None:
         return roster.idk_id
     return cell
-
-
-def _encode_token(candidate: str, roster: CandidateRoster) -> str:
-    if candidate == roster.null_id:
-        return NULL_TOKEN
-    if roster.idk_id is not None and candidate == roster.idk_id:
-        return IDK_TOKEN
-    return candidate
 
 
 def _read_header(reader) -> int:
@@ -226,18 +216,16 @@ def _read_header(reader) -> int:
 def _read_rows(
     source: Union[str, bytes, IO[str], Iterable[str]],
     roster: Optional[CandidateRoster],
-    reject_duplicate_voters: bool = False,
 ) -> tuple[int, Iterator[tuple[int, str, tuple[str, ...]]]]:
     """Check the header now; return P and a generator of the data rows as
     ``(line, voter_id, prefs)``, which decodes each row as it is read."""
     reader = csv.reader(_utf8_lines(_open_lines(source)))
     num_cols = _read_header(reader)
-    return num_cols, _rows(reader, num_cols, roster, reject_duplicate_voters)
+    return num_cols, _rows(reader, num_cols, roster)
 
 
-def _rows(reader, num_cols: int, roster: Optional[CandidateRoster],
-          reject_duplicate_voters: bool) -> Iterator[tuple[int, str, tuple[str, ...]]]:
-    seen_voters: dict[str, int] = {}
+def _rows(reader, num_cols: int,
+          roster: Optional[CandidateRoster]) -> Iterator[tuple[int, str, tuple[str, ...]]]:
     try:
         for row in reader:
             if not row:
@@ -263,16 +251,7 @@ def _rows(reader, num_cols: int, roster: Optional[CandidateRoster],
                 prefs = tuple(cells)
             else:
                 prefs = tuple(_decode_token(cell, roster) for cell in cells)
-            voter_id = row[0].strip()
-            if reject_duplicate_voters:
-                if voter_id in seen_voters:
-                    raise BallotFormatError(
-                        f"duplicate voter id {voter_id!r} "
-                        f"(first seen on line {seen_voters[voter_id]})",
-                        line=line,
-                    )
-                seen_voters[voter_id] = line
-            yield line, voter_id, prefs
+            yield line, row[0].strip(), prefs
     except csv.Error as exc:
         raise BallotFormatError(f"malformed CSV row: {exc}", line=reader.line_num) from exc
 
@@ -280,7 +259,6 @@ def _rows(reader, num_cols: int, roster: Optional[CandidateRoster],
 def parse_ballots(
     source: Union[str, bytes, IO[str], Iterable[str]],
     roster: Optional[CandidateRoster],
-    reject_duplicate_voters: bool = False,
 ) -> list[Ballot]:
     """Parse a ballot CSV into unvalidated ballots, preserving order.
 
@@ -290,12 +268,10 @@ def parse_ballots(
     ``null_id`` and ``idk_id``, or stay as written when ``roster`` is None.
     Empty cells are allowed only as a suffix and simply shorten the
     preference list. Bytes are read as UTF-8; a line that is not valid
-    UTF-8 is a ``BallotFormatError`` naming that line.
-
-    Duplicate voter ids are permitted by default; pass
-    ``reject_duplicate_voters=True`` for the strict mode that refuses them.
+    UTF-8 is a ``BallotFormatError`` naming that line. Duplicate voter ids
+    are allowed: each row is one ballot.
     """
-    _, rows = _read_rows(source, roster, reject_duplicate_voters)
+    _, rows = _read_rows(source, roster)
     return [Ballot(voter_id, prefs, line) for line, voter_id, prefs in rows]
 
 
@@ -342,22 +318,3 @@ def expand_incomplete(
 
     stamps = tuple(None if c == roster.idk_id else c for c in ballot.prefs[:num_prefs])
     return FractionalBallot(roster.tally_candidates, stamps + (None,) * (num_prefs - len(stamps)))
-
-
-def ballots_to_csv(
-    ballots: Sequence[Ballot],
-    roster: CandidateRoster,
-    num_prefs: Optional[int] = None,
-) -> str:
-    """Render ballots back to the CSV wire format (round-trips with parse)."""
-    if num_prefs is None:
-        num_prefs = max((len(b.prefs) for b in ballots), default=roster.k)
-        num_prefs = max(num_prefs, 1)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["voter_id"] + [f"pref{i}" for i in range(1, num_prefs + 1)])
-    for b in ballots:
-        cells = [_encode_token(c, roster) for c in b.prefs]
-        cells += [""] * (num_prefs - len(cells))
-        writer.writerow([b.voter_id] + cells)
-    return out.getvalue()

@@ -107,22 +107,22 @@ def irv_winner(ballots: Sequence[Ballot], roster: CandidateRoster) -> str:
     return roster.tally_candidates[irv_index(_rank_matrix(ballots, roster), roster.k)]
 
 
-def crowd_mean_ranking(pm: PredictionMatrix) -> tuple[str, ...]:
-    """Slate sorted by descending column mean; ties keep slate order."""
+def _ranking_by(pm: PredictionMatrix, statistic) -> tuple[str, ...]:
+    """Slate sorted by descending per-column ``statistic``; ties keep slate order."""
     if pm.values.shape[0] < 1:
         raise BaselineError("need at least one voter")
-    means = pm.values.mean(axis=0)
-    order = np.argsort(-means, kind="stable")
+    order = np.argsort(-statistic(pm.values, axis=0), kind="stable")
     return tuple(pm.slate[j] for j in order)
+
+
+def crowd_mean_ranking(pm: PredictionMatrix) -> tuple[str, ...]:
+    """Slate sorted by descending column mean; ties keep slate order."""
+    return _ranking_by(pm, np.mean)
 
 
 def crowd_median_ranking(pm: PredictionMatrix) -> tuple[str, ...]:
     """Slate sorted by descending column median; ties keep slate order."""
-    if pm.values.shape[0] < 1:
-        raise BaselineError("need at least one voter")
-    medians = np.median(pm.values, axis=0)
-    order = np.argsort(-medians, kind="stable")
-    return tuple(pm.slate[j] for j in order)
+    return _ranking_by(pm, np.median)
 
 
 def best_voter(predictions: np.ndarray, truth: np.ndarray) -> int:

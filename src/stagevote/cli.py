@@ -250,7 +250,11 @@ def cmd_tally(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from . import sim  # numpy comes with it; tally and min-stages never need it
+    # numpy comes with sim; tally and min-stages never need it.
+    try:
+        from . import sim
+    except ImportError as exc:
+        raise CliError(f"simulate needs numpy ({exc})") from exc
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

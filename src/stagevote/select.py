@@ -508,6 +508,8 @@ def parse_gamma_spec(spec) -> GammaRule:
     number (same as ``any``), or None/empty for no rule."""
     if spec is None or spec in ("", "____", "none"):
         return GammaRule.none()
+    if isinstance(spec, bool):  # JSON true/false, not the numbers 1 and 0
+        raise ValueError(f"bad gamma spec {spec!r}; use any:G, frac:F:G or count:C:G")
     if isinstance(spec, (int, float)):
         return GammaRule.any_exceeds(float(spec))
     parts = str(spec).split(":")

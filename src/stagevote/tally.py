@@ -289,28 +289,17 @@ def score(pt: StageTable) -> StageTable:
                                 pt.n * pt.denom, pt.n)
 
 
-def _stage_mass(st: StageTable, stage: int) -> tuple[IntRow, int]:
-    """A stage's int row and its sum; raises ``TallyError`` for a stage out
-    of range and ``DegenerateDistributionError`` for one with no vote mass."""
+def stage_entropy(st: StageTable, stage: int) -> float:
+    """Shannon entropy in bits of the stage's candidate distribution, each
+    share read from the int row as ``v / total`` (the double nearest it).
+    Raises ``TallyError`` for a stage out of range and
+    ``DegenerateDistributionError`` for one with no vote mass."""
     if not 1 <= stage <= st.num_stages:
         raise TallyError(f"stage {stage} out of range 1..{st.num_stages}")
     row = st.ints[stage - 1]
     total = sum(row)
     if total == 0:
         raise DegenerateDistributionError(f"stage {stage} carries no vote mass")
-    return row, total
-
-
-def stage_distribution(st: StageTable, stage: int) -> tuple[Fraction, ...]:
-    """Normalize a stage row into a probability vector over candidates."""
-    row, total = _stage_mass(st, stage)
-    return tuple(Fraction(v, total) for v in row)
-
-
-def stage_entropy(st: StageTable, stage: int) -> float:
-    """Shannon entropy in bits of the stage's candidate distribution, each
-    share read from the int row as ``v / total`` (the double nearest it)."""
-    row, total = _stage_mass(st, stage)
     h = 0.0
     for v in row:
         if v > 0:
@@ -326,10 +315,6 @@ def stage_variance(st: StageTable, stage: int) -> float:
     row = st.floats[stage - 1]
     mean = sum(row) / len(row)
     return sum((v - mean) ** 2 for v in row) / len(row)
-
-
-def stage_stddev(st: StageTable, stage: int) -> float:
-    return math.sqrt(stage_variance(st, stage))
 
 
 def compute_stage_stats(st: StageTable) -> StageStats:

@@ -14,7 +14,6 @@ from stagevote.ballot import (
     DuplicateCandidate,
     FractionalBallot,
     UnknownCandidate,
-    ballots_to_csv,
     csv_preference_columns,
     expand_incomplete,
     parse_ballots,
@@ -178,12 +177,6 @@ class TestParse:
         text = f"{HEADER}\nv1,A\nv1,B\n"
         assert len(parse_ballots(text, ROSTER)) == 2
 
-    def test_strict_mode_rejects_duplicate_voters(self):
-        text = f"{HEADER}\nv1,A\nv1,B\n"
-        with pytest.raises(BallotFormatError) as err:
-            parse_ballots(text, ROSTER, reject_duplicate_voters=True)
-        assert err.value.line == 3
-
 
 class TestValidate:
     def test_accepts_ranked_prefix(self):
@@ -324,13 +317,3 @@ def test_rows_sum_to_one_exactly(case):
         assert sum(row.values()) == 1
     for row in fb.rows:
         assert all(w >= 0 for w in row.values())
-
-
-@given(roster_and_ballot())
-@settings(max_examples=150)
-def test_csv_round_trip(case):
-    roster, ballot, _ = case
-    text = ballots_to_csv([ballot], roster)
-    raws = parse_ballots(text, roster)
-    assert len(raws) == 1
-    assert validate_ballot(raws[0], roster) == ballot

@@ -300,6 +300,11 @@ BAD_CONFIG_VALUES = [
     # Echoed keys once taken on trust: a list was printed as the name.
     ("dataSetName", [1, 2], "dataSetName must be a string, got [1, 2]"),
     ("predictedFeature", 7, "predictedFeature must be a string, got 7"),
+    # JSON true/false once read as the gamma thresholds 1.0 and 0.0.
+    ("algorithms", [{"alpha": 0.5, "gamma": True}],
+     "algorithms[0]: bad gamma spec True; use any:G, frac:F:G or count:C:G"),
+    ("algorithms", [{"alpha": 0.5, "gamma": False}],
+     "algorithms[0]: bad gamma spec False; use any:G, frac:F:G or count:C:G"),
 ]
 
 
@@ -500,3 +505,18 @@ def test_tally_and_min_stages_never_import_numpy(concrete_csv):
     proc = subprocess.run([sys.executable, "-c", script, concrete_csv],
                           capture_output=True, text=True, env=src_env(), check=False)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_simulate_without_numpy_is_one_error_line(sim_config, tmp_path):
+    # Where numpy cannot be imported, simulate fails like any other bad
+    # input: one "error:" line and exit 1, not an ImportError traceback.
+    blocker = tmp_path / "no-numpy" / "numpy"
+    blocker.mkdir(parents=True)
+    (blocker / "__init__.py").write_text('raise ImportError("numpy is blocked")\n')
+    env = src_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(blocker.parent), env["PYTHONPATH"]])
+    script = "import sys\nfrom stagevote import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+    proc = subprocess.run([sys.executable, "-c", script, "simulate", sim_config],
+                          capture_output=True, text=True, env=env, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: simulate needs numpy (numpy is blocked)\n")

@@ -63,11 +63,11 @@ def ballot_files(draw) -> bytes:
 FILES = ballot_files() | ballot_files() | st.binary(max_size=200)
 
 
-@given(FILES, st.booleans())
+@given(FILES)
 @settings(max_examples=300, deadline=None)
-def test_parse_raises_only_ballot_errors_with_lines(data, strict):
+def test_parse_raises_only_ballot_errors_with_lines(data):
     try:
-        parse_ballots(data, None, reject_duplicate_voters=strict)
+        parse_ballots(data, None)
     except BallotFormatError as exc:
         assert exc.line is not None and exc.line >= 1
     except BallotError:

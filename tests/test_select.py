@@ -177,6 +177,9 @@ class TestGammaRule:
         assert parse_gamma_spec(0.8) == GammaRule.any_exceeds(0.8)
         with pytest.raises(ValueError):
             parse_gamma_spec("weird:1:2:3")
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=rf"^bad gamma spec {flag}; use any:G"):
+                parse_gamma_spec(flag)
 
 
 class TestSelectStage:

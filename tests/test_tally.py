@@ -30,9 +30,7 @@ from stagevote.tally import (
     cumulate,
     score,
     sort_columns,
-    stage_distribution,
     stage_entropy,
-    stage_stddev,
     stage_variance,
 )
 
@@ -319,28 +317,22 @@ class TestScoreExamples:
 
 
 class TestStageDistribution:
-    def test_concrete_stage1(self, concrete_tables):
-        _, _, table = concrete_tables
-        dist = stage_distribution(table, 1)
-        assert dist == (Fraction(1, 4),) * 4 + (0, 0)
-
-    def test_last_stage_uniform(self, concrete_tables):
-        _, _, table = concrete_tables
-        assert stage_distribution(table, 6) == (Fraction(1, 6),) * 6
+    """The candidate distribution of a stage, as ``stage_entropy`` reads it."""
 
     def test_single_column_is_point_mass(self):
         table = make_score_table(["A"], [[100]], n=5)
-        assert stage_distribution(table, 1) == (1,)
+        assert stage_entropy(table, 1) == 0.0
 
     def test_zero_row_degenerate(self):
         table = make_score_table(["A", "B"], [[0, 0]], n=5)
         with pytest.raises(DegenerateDistributionError):
-            stage_distribution(table, 1)
+            stage_entropy(table, 1)
 
     def test_out_of_range(self, concrete_tables):
         _, _, table = concrete_tables
-        with pytest.raises(TallyError):
-            stage_distribution(table, 7)
+        for stage in (0, 7):
+            with pytest.raises(TallyError):
+                stage_entropy(table, stage)
 
 
 class TestStageStatistics:
@@ -369,7 +361,6 @@ class TestStageStatistics:
     def test_variance_two_candidate_split(self):
         table = make_score_table(["A", "B"], [[0, 100]])
         assert stage_variance(table, 1) == pytest.approx(2500.0)
-        assert stage_stddev(table, 1) == pytest.approx(50.0)
 
     @given(random_profiles())
     @settings(max_examples=60)
@@ -477,9 +468,7 @@ class TestIntegerViews:
     @staticmethod
     def _views(table: StageTable) -> tuple:
         return (table.floats, table.stats, table.column_order, table.ranking,
-                table.rows, [stage_distribution(table, i)
-                             for i in range(1, table.num_stages + 1)
-                             if any(table.ints[i - 1])])
+                table.rows)
 
     @staticmethod
     def _fraction_views(table: StageTable) -> tuple:
@@ -506,8 +495,7 @@ class TestIntegerViews:
             oracle = StageTable(table.kind, table.candidates, table.rows, table.n)
             assert self._views(table) == self._views(oracle)
             assert table == oracle and hash(table) == hash(oracle)
-            for dist in self._views(table)[-1]:
-                assert all(type(p) is Fraction for p in dist)
+            assert all(type(v) is Fraction for row in table.rows for v in row)
 
     def test_random_ballots(self):
         rng = random.Random(1212)
