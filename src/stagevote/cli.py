@@ -286,7 +286,10 @@ def cmd_simulate(args) -> int:
             for warning in caught:
                 print(f"warning: {warning.message}", file=sys.stderr)
 
-    result = sim.run_simulation(cfg)
+    try:
+        result = sim.run_simulation(cfg)
+    except MemoryError as exc:
+        raise CliError(f"simulate ran out of memory ({str(exc) or 'no detail'})") from exc
     if args.format == "json":
         print(json.dumps(result.to_json_dict(), indent=2))
     else:

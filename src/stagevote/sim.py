@@ -2,15 +2,15 @@
 
 A simulation builds one synthetic candidate dataset and one crowd of
 feature-blind noisy estimators, then runs many independent elections on
-slates drawn from the held-out split. The crowd build fits each distinct
-set of visible columns once and calibrates every voter's noise scale in
-one batched bisection; its output is bit-identical to fitting and
-calibrating voter by voter. The study stacks the crowd's predictions and
-picks the best voter once. Each election ranks the voters x (slate + NULL)
-slice once into an int rank matrix, row i holding voter i's preferences as
-roster indices, that every algorithm reads: the staged variants, plurality
-and instant-runoff count it, and the best voter's pick is the top of their
-row. No per-voter ballot is built.
+slates drawn from the held-out split. The crowd's predictions are written
+once, into one voters x test-items matrix; each distinct visible column set
+is fitted once, and the noise moments are formed over blocks of voters,
+bit-identical to a voter-by-voter build. The best voter is the crowd's own
+lowest MSE. Each election ranks the matrix's voters x (slate + NULL) slice
+once into an int rank matrix, row i holding voter i's preferences as roster
+indices, that every algorithm reads: the staged variants, plurality and
+instant-runoff count it, and the best voter's pick is the top of their row.
+No per-voter ballot is built.
 The whole run is a pure function of the config (seed included): per-election
 randomness comes from a stream keyed on (master seed, election index).
 Elections run serially: the work is pure Python and holds the GIL, so
@@ -206,9 +206,8 @@ def generate_dataset(seed, num_candidates: int = 3000,
                    null_y=float(np.median(y)))
 
 
-def _calibrate_noise(mse0: Sequence[float], m1: Sequence[float],
-                     m2: Sequence[float], target: Sequence[float],
-                     iterations: int = 100) -> tuple[list[float], list[bool]]:
+def _calibrate_noise(mse0: Sequence[float], m1: Sequence[float], m2: Sequence[float],
+                     target: Sequence[float]) -> tuple[list[float], list[bool]]:
     """Bisect every voter's additive noise scale at once until its
     validation MSE, ``mse0 + 2 s m1 + s^2 m2`` for scale ``s``, hits its
     target; returns (scales, clamped), one entry per voter.
@@ -236,7 +235,7 @@ def _calibrate_noise(mse0: Sequence[float], m1: Sequence[float],
     while short.any():
         hi[short] *= 2.0
         short = achieved(hi) < target
-    for _ in range(iterations):
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
         settled = (mid == lo) | (mid == hi)
         below = achieved(mid) < target
@@ -249,61 +248,78 @@ def _calibrate_noise(mse0: Sequence[float], m1: Sequence[float],
     return scales.tolist(), clamped.tolist()
 
 
+_BLOCK = 64  # voters per block of the crowd's moment and prediction passes
+
+
 def build_crowd(cfg: SimConfig, dataset: Dataset,
                 rng: np.random.Generator) -> list[Voter]:
     """Fit one blind estimator per voter and calibrate its noise so the
     test-split MSE matches a target drawn from Normal(mean, sd), floored
     at zero (and clamped to the blind floor when unattainable).
 
-    Each voter draws, in order, its target, its hidden-column count, its
-    hidden columns and its test-split noise. Voters that see the same
-    columns share one least-squares fit (each gets its own ``coef``
-    array), and the noise scales are calibrated for all voters together;
-    the result is bit-identical to fitting and bisecting voter by voter.
+    Each voter draws its target, hidden-column count, hidden columns and
+    noise, in that order, the noise straight into its row (its
+    ``predictions``) of one voters x test-items matrix. Voters seeing the same
+    columns share one fit; moments and predictions are formed per block of
+    voters. The result is bit-identical to a voter-by-voter build.
     """
-    design = np.column_stack([dataset.features[dataset.train_idx],
-                              np.ones(len(dataset.train_idx))])
+    return _crowd(cfg, dataset, rng)[1]
+
+
+def _crowd(cfg: SimConfig, dataset: Dataset,
+           rng: np.random.Generator) -> tuple[np.ndarray, list[Voter]]:
+    """``build_crowd``'s predictions matrix and its voters."""
+    # Column-major: a fit's columns are then a cheap copy, as lstsq wants them.
+    design = np.asfortranarray(np.column_stack([dataset.features[dataset.train_idx],
+                                                np.ones(len(dataset.train_idx))]))
     y_train = dataset.y[dataset.train_idx]
     X_test = dataset.features[dataset.test_idx]
     y_test = dataset.y[dataset.test_idx]
     lo, hi = cfg.blindness_range
+    n = cfg.num_voters
+    predictions = np.empty((n, len(y_test)))
 
-    fits: dict[bytes, tuple[np.ndarray, float]] = {}
-    drawn = []
-    targets, mse0, m1, m2 = [], [], [], []
-    for _ in range(cfg.num_voters):
-        target = max(cfg.quality_mean + cfg.quality_sd * rng.standard_normal(), 0.0)
+    # Per visible column set: coef, intercept and noise-free predictions.
+    fits: dict[bytes, tuple[np.ndarray, float, np.ndarray]] = {}
+    targets, hiddens, fit_of = [], [], []
+    for z in predictions:
+        targets.append(max(cfg.quality_mean + cfg.quality_sd * rng.standard_normal(), 0.0))
         size = int(rng.integers(lo, hi + 1))
-        hidden = np.sort(rng.choice(cfg.num_features, size=size, replace=False))
+        hiddens.append(np.sort(rng.choice(cfg.num_features, size=size, replace=False)))
         seen = np.ones(cfg.num_features + 1, dtype=bool)  # last: the ones column
-        seen[hidden] = False
+        seen[hiddens[-1]] = False
         key = seen.tobytes()
         if key not in fits:
             sol, *_ = np.linalg.lstsq(design[:, seen], y_train, rcond=None)
-            fits[key] = (sol[:-1], float(sol[-1]))
-        coef, intercept = fits[key]
-        visible = seen[:-1]
-        err = X_test[:, visible] @ coef + intercept - y_test
-        z = rng.standard_normal(len(y_test))
-        drawn.append((hidden, visible, coef, intercept, z))
-        targets.append(target)
-        mse0.append(float(np.mean(err ** 2)))
-        m1.append(float(np.mean(err * z)))
-        m2.append(float(np.mean(z * z)))
+            coef, intercept = sol[:-1], float(sol[-1])
+            fits[key] = (coef, intercept, X_test[:, seen[:-1]] @ coef + intercept)
+        fit_of.append(fits[key])
+        rng.standard_normal(out=z)
 
+    scratch = np.empty((min(n, _BLOCK), len(y_test)))
+    mse0, m1, m2 = np.empty(n), np.empty(n), np.empty(n)
+    for rows in (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)):
+        z = predictions[rows]
+        err = np.stack([fit[2] for fit in fit_of[rows]], out=scratch[:len(z)])
+        err -= y_test
+        m1[rows] = np.mean(err * z, axis=1)
+        mse0[rows] = np.mean(np.square(err, out=err), axis=1)
+        m2[rows] = np.mean(np.multiply(z, z, out=err), axis=1)
     scales, clamped = _calibrate_noise(mse0, m1, m2, targets)
-    voters: list[Voter] = []
-    for index, (hidden, visible, coef, intercept, z) in enumerate(drawn):
-        # z becomes the predictions: base + scale * z, formed in place.
-        z *= scales[index]
-        z += X_test[:, visible] @ coef + intercept
-        voters.append(Voter(
-            index=index, hidden=hidden, coef=coef.copy(), intercept=intercept,
-            noise_sd=scales[index], target_mse=targets[index],
-            achieved_mse=float(np.mean((z - y_test) ** 2)),
-            clamped=clamped[index], predictions=z,
-        ))
-    return voters
+
+    achieved, scale = np.empty(n), np.array(scales)
+    for rows in (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)):
+        z = predictions[rows]
+        base = np.stack([fit[2] for fit in fit_of[rows]], out=scratch[:len(z)])
+        z *= scale[rows, None]  # z becomes base + scale * z, formed in place
+        z += base
+        achieved[rows] = np.mean(np.square(np.subtract(z, y_test, out=base), out=base), axis=1)
+
+    return predictions, [
+        Voter(index=i, hidden=hiddens[i], coef=fit[0].copy(), intercept=fit[1],
+              noise_sd=scales[i], target_mse=targets[i], achieved_mse=mse,
+              clamped=clamped[i], predictions=predictions[i])
+        for i, (fit, mse) in enumerate(zip(fit_of, achieved.tolist()))]
 
 
 def slate_roster(slate: Sequence[int]) -> CandidateRoster:
@@ -492,23 +508,19 @@ class SimulationResult:
 
 
 def run_simulation(cfg: SimConfig) -> SimulationResult:
-    """Build the dataset, the crowd, its predictions matrix and best voter
-    once, then run the seeded elections."""
+    """Build the dataset, the crowd matrix and best voter once, then run the elections."""
     dataset = generate_dataset([cfg.seed, 0], num_candidates=cfg.dataset_size)
-    crowd = build_crowd(cfg, dataset, np.random.default_rng([cfg.seed, 1]))
+    predictions, crowd = _crowd(cfg, dataset, np.random.default_rng([cfg.seed, 1]))
     y_test = dataset.y[dataset.test_idx]
-    predictions = np.stack([v.predictions for v in crowd])
-    best = baselines.best_voter(predictions, y_test)
+    best = int(np.argmin([v.achieved_mse for v in crowd]))
     algorithms = cfg.effective_algorithms()
-    num_prefs = cfg.effective_num_prefs
-    n_test = len(dataset.test_idx)
 
     per_election = []
     for index in range(cfg.num_elections):
         rng = np.random.default_rng([cfg.seed, 2, index])
-        slate = rng.choice(n_test, size=cfg.num_candidates, replace=False)
+        slate = rng.choice(len(y_test), size=cfg.num_candidates, replace=False)
         per_election.append(run_election(predictions, best, slate, y_test[slate],
-                                         dataset.null_y, algorithms, num_prefs,
+                                         dataset.null_y, algorithms, cfg.effective_num_prefs,
                                          cfg.include_baselines))
 
     order = list(per_election[0].keys())

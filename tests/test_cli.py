@@ -449,6 +449,23 @@ class TestSimulate:
         assert run_cli("simulate", sim_config) == (
             1, "", "error: bad config: seed must be >= 0, got -3\n")
 
+    @pytest.mark.parametrize("exc, detail", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array"),
+         "Unable to allocate 7.28 TiB for an array"),
+        (MemoryError(), "no detail"),
+    ])
+    def test_out_of_memory_is_one_error_line(self, sim_config, monkeypatch, exc, detail):
+        # Raised, not provoked: a real huge allocation can succeed under
+        # overcommit and take the machine's memory.
+        from stagevote import sim
+
+        def out_of_memory(cfg):
+            raise exc
+
+        monkeypatch.setattr(sim, "run_simulation", out_of_memory)
+        assert run_cli("simulate", sim_config) == (
+            1, "", f"error: simulate ran out of memory ({detail})\n")
+
     def test_json_format_cross_checks_text(self, sim_config):
         _, text_out, _ = run_cli("simulate", sim_config)
         _, json_out, _ = run_cli("simulate", sim_config, "--format", "json")

@@ -20,7 +20,11 @@ the count summed integer numerators over one common denominator.
 candidates, 200 voters, ballots cut after 3 of 11 preferences, so
 instant-runoff exhausts ballots and the count table has 3 rows); it was
 recorded before each election counted its int rank matrix instead of
-per-voter ballots.
+per-voter ballots. ``crowd-blocks-json`` runs ``tests/data/crowd_blocks.json``
+(130 voters with 0 to 10 hidden columns, so the crowd spans three blocks,
+the last one partial, and includes full-sight and intercept-only voters,
+over the default grid); it was recorded before the crowd was written into
+one voters x items matrix and its moments formed in blocks of voters.
 
 The error cases compare stderr with ``tests/golden/<case>.err`` instead and
 expect empty stdout. Their file repeats invalid ballots on non-adjacent
@@ -51,6 +55,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 DESK_STUDY = Path(__file__).parent.parent / "configs" / "desk_study.json"
 WIDE_CSV = Path(__file__).parent / "data" / "wide_roster.csv"
 SHORT_STUDY = Path(__file__).parent / "data" / "short_ballots.json"
+BLOCKS_STUDY = Path(__file__).parent / "data" / "crowd_blocks.json"
 
 WINDOWED = ["--alpha", "0.5", "--beta", "0.3333", "--gamma", "any:0.6666",
             "--selector", "last"]
@@ -148,6 +153,7 @@ INPUTS = {
     "desk_study.json": DESK_STUDY.read_text(encoding="utf-8"),
     "wide.csv": WIDE_CSV.read_text(encoding="utf-8"),
     "short_ballots.json": SHORT_STUDY.read_text(encoding="utf-8"),
+    "crowd_blocks.json": BLOCKS_STUDY.read_text(encoding="utf-8"),
 }
 
 # case name -> (argv with input file names, expected exit status)
@@ -175,6 +181,7 @@ CASES = {
     "study-crowd-json": (["simulate", "crowd.json", "--format", "json"], 0),
     "desk-study-text": (["simulate", "desk_study.json"], 0),
     "study-short-json": (["simulate", "short_ballots.json", "--format", "json"], 0),
+    "crowd-blocks-json": (["simulate", "crowd_blocks.json", "--format", "json"], 0),
 }
 
 # case name -> (argv, expected exit status); golden file holds stderr

@@ -1,5 +1,7 @@
 """Dataset, crowd calibration, elections, and the study harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,9 @@ ORACLE_CASES = {
     "all-clamped": dict(num_voters=40, column_blindness=(2, 8), quality_mean=1.0,
                         quality_sd=0.0),
     "single-voter": dict(num_voters=1, column_blindness=(0, 10)),
+    # The crowd's moments and predictions are formed in blocks of voters.
+    "one-block": dict(num_voters=sim._BLOCK, column_blindness=(2, 8)),
+    "one-block-plus-one": dict(num_voters=sim._BLOCK + 1, column_blindness=(2, 8)),
 }
 
 
@@ -225,8 +230,8 @@ class TestCrowdOracle:
     @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
     @pytest.mark.parametrize("seed", [1, 2])
     def test_best_voter_is_the_first_lowest_achieved_mse(self, name, seed):
-        # run_simulation picks its one best voter with best_voter on the
-        # stacked predictions; that must be build_crowd's own record.
+        # run_simulation takes the first lowest achieved_mse as its best
+        # voter; that must be what best_voter picks on the stacked crowd.
         cfg = small_config(**ORACLE_CASES[name])
         ds = generate_dataset([seed, 0], num_candidates=300)
         crowd = build_crowd(cfg, ds, np.random.default_rng([seed, 1]))
@@ -252,6 +257,32 @@ class TestCrowdOracle:
         distinct = {v.hidden.tobytes() for v in crowd}
         assert len(distinct) < len(crowd)
         assert len(fits) == len(distinct)
+
+    def test_predictions_are_rows_of_one_matrix(self):
+        cfg = small_config(num_voters=sim._BLOCK + 1, column_blindness=(2, 8))
+        ds = generate_dataset(3, num_candidates=300)
+        predictions, crowd = sim._crowd(cfg, ds, np.random.default_rng(5))
+        assert predictions.flags.c_contiguous
+        assert predictions.shape == (cfg.num_voters, len(ds.test_idx))
+        assert all(v.predictions.base is predictions for v in crowd)
+        np.testing.assert_array_equal(np.stack([v.predictions for v in crowd]), predictions)
+
+    def test_study_peak_memory_near_one_crowd_matrix(self):
+        # The traced peak of a 500-voter study stays within 2.5 crowd
+        # matrices (voters x test items floats); stacking the crowd again
+        # or holding whole-crowd temporaries goes past it.
+        kw = dict(num_candidates=10, num_elections=2, column_blindness=(2, 8),
+                  quality_mean=1500.0, quality_sd=400.0, seed=3, algorithms=FAST_ALGOS)
+        run_simulation(SimConfig(num_voters=5, dataset_size=300, **kw))  # lazy imports
+        cfg = SimConfig(num_voters=500, **kw)
+        tracemalloc.start()
+        try:
+            run_simulation(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = cfg.num_voters * int(cfg.dataset_size * cfg.test_fraction) * 8
+        assert peak <= 2.5 * matrix, f"peak {peak / matrix:.2f} crowd matrices"
 
     def test_voters_sharing_a_fit_own_their_coef(self):
         cfg = small_config(num_voters=60, column_blindness=9)
