@@ -1,23 +1,26 @@
 #!/usr/bin/env python3
-"""Desk-scale comparative study across several master seeds.
+"""Comparative study of one simulate config across several master seeds.
 
-Runs the staged-voting grid against plurality, instant-runoff, the crowd
-comparators, and the best voter on a synthetic electorate, then prints a
-per-seed results table plus a cross-seed head-to-head summary.
+Runs the JSON config ``stagevote simulate`` takes once per seed, each seed in
+place of the config's own, and compares the staged variants with plurality,
+instant-runoff, the crowd comparators and the best voter: a results table per
+seed, then a cross-seed head-to-head summary. Every seed's config is built
+before the first study runs; a bad one is one ``error:`` line, exit status 1.
 
 Examples:
-    python scripts/run_study.py
-    python scripts/run_study.py --seeds 1 2 3 --elections 500 --full-grid
+    python scripts/run_study.py  # configs/compact_study.json: 32 configs
+    python scripts/run_study.py configs/desk_study.json --seeds 1 2 3  # full grid
 """
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-from stagevote.select import GammaRule, SelectionConfig, Selector  # noqa: E402
 from stagevote.sim import (  # noqa: E402
     LABEL_BEST_VOTER,
     LABEL_CROWD_MEAN,
@@ -25,60 +28,55 @@ from stagevote.sim import (  # noqa: E402
     LABEL_FPTP,
     LABEL_IRV,
     STAGED_PREFIX,
-    SimConfig,
+    SimConfigError,
+    config_from_json_dict,
     run_simulation,
-)
-
-COMPACT_GRID = tuple(
-    SelectionConfig(alpha=alpha, beta=beta, gamma=gamma, selector=selector)
-    for alpha in (0.5, 0.66)
-    for beta in (None, 0.33)
-    for gamma in (GammaRule.none(), GammaRule.any_exceeds(0.66))
-    for selector in (Selector.FIRST, Selector.LAST, Selector.MIN_ENTROPY,
-                     Selector.MAX_VARIANCE)
 )
 
 
 def parse_args():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("config", nargs="?", default=str(ROOT / "configs" / "compact_study.json"),
+                        help="simulate JSON config (default: configs/compact_study.json)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    parser.add_argument("--voters", type=int, default=100)
-    parser.add_argument("--candidates", type=int, default=10)
-    parser.add_argument("--elections", type=int, default=200)
-    parser.add_argument("--blindness", type=int, nargs="+", default=[5],
-                        help="hidden features per voter: one value or lo hi")
-    parser.add_argument("--quality-mean", type=float, default=1500.0)
-    parser.add_argument("--quality-sd", type=float, default=400.0)
-    parser.add_argument("--full-grid", action="store_true",
-                        help="run every alpha/beta/gamma/selector combination")
     return parser.parse_args()
+
+
+def load_configs(path, seeds):
+    """One SimConfig per seed, read as ``stagevote simulate`` reads it."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        sys.exit(f"error: cannot read {path}: {exc}")
+    except (ValueError, RecursionError) as exc:
+        sys.exit(f"error: invalid JSON in {path}: {exc}")
+    try:
+        configs = [config_from_json_dict(doc, seed_override=seed) for seed in seeds]
+    except SimConfigError as exc:
+        sys.exit(f"error: bad config: {exc}")
+    # The head-to-head reads every baseline row and the best staged row.
+    if not (configs[0].include_baselines and configs[0].effective_algorithms()):
+        sys.exit("error: bad config: the head-to-head needs includeBaselines "
+                 "and at least one algorithm")
+    return configs
 
 
 def main():
     args = parse_args()
-    blindness = (args.blindness[0] if len(args.blindness) == 1
-                 else (args.blindness[0], args.blindness[1]))
-    algorithms = None if args.full_grid else COMPACT_GRID
-
     summary = []
-    for seed in args.seeds:
-        cfg = SimConfig(
-            num_candidates=args.candidates, num_voters=args.voters,
-            num_elections=args.elections, column_blindness=blindness,
-            quality_mean=args.quality_mean, quality_sd=args.quality_sd,
-            seed=seed, algorithms=algorithms,
-        )
+    for cfg in load_configs(args.config, args.seeds):
         started = time.perf_counter()
         result = run_simulation(cfg)
         elapsed = time.perf_counter() - started
-        print(f"=================== seed {seed} "
+        print(f"=================== seed {cfg.seed} "
               f"({elapsed:.1f}s) ===================")
         print(result.to_text())
         print()
         metrics = result.metrics
         staged = [r for r in metrics.rows if r.algorithm.startswith(STAGED_PREFIX)]
         summary.append({
-            "seed": seed,
+            "seed": cfg.seed,
             "crowd_mean": metrics.row(LABEL_CROWD_MEAN).mean_winner_rank,
             "crowd_median": metrics.row(LABEL_CROWD_MEDIAN).mean_winner_rank,
             "best_voter": metrics.row(LABEL_BEST_VOTER).mean_winner_rank,

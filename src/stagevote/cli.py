@@ -257,11 +257,12 @@ def cmd_simulate(args) -> int:
         raise CliError(f"simulate needs numpy ({exc})") from exc
 
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError, UnicodeDecodeError (both ValueError) and deep nesting.
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"invalid JSON in {args.config}: {exc}") from exc
 
     if args.workers is not None:

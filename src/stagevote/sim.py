@@ -613,6 +613,9 @@ def _crowd_quality(key: str, method) -> tuple[float, float]:
     """(mean, standard deviation) of a ``standardDistribution`` crowd."""
     if not isinstance(method, dict):
         raise SimConfigError("crowdBuildMethod must be an object")
+    unknown = ", ".join(sorted(set(method) - {"name", "mean", "standardDeviation"}))
+    if unknown:
+        raise SimConfigError(f"crowdBuildMethod: unknown keys: {unknown}")
     name = method.get("name", "standardDistribution")
     if name not in ("standardDistribution", "normal"):
         raise SimConfigError(f"unknown crowdBuildMethod name {name!r}")

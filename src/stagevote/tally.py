@@ -174,9 +174,6 @@ class StageTable:
         ``select`` builds and fills them."""
         return {}
 
-    def float_rows(self) -> list[list[float]]:
-        return [list(row) for row in self.floats]
-
     def to_text(self) -> str:
         labels = [f"{self.kind.row_label}{i}" for i in range(1, self.num_stages + 1)]
         cells = [[_fmt_num(v) for v in row] for row in self.floats]
@@ -194,7 +191,7 @@ class StageTable:
     def to_json_dict(self) -> dict:
         return {
             "candidates": list(self.candidates),
-            self.kind.json_key: self.float_rows(),
+            self.kind.json_key: [list(row) for row in self.floats],
             "n": self.n,
         }
 

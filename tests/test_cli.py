@@ -305,6 +305,9 @@ BAD_CONFIG_VALUES = [
      "algorithms[0]: bad gamma spec True; use any:G, frac:F:G or count:C:G"),
     ("algorithms", [{"alpha": 0.5, "gamma": False}],
      "algorithms[0]: bad gamma spec False; use any:G, frac:F:G or count:C:G"),
+    # A misspelt key was once dropped, and the crowd's spread read as 0.
+    ("crowdBuildMethod", {"mean": 1500, "standardDeviaton": 400},
+     "crowdBuildMethod: unknown keys: standardDeviaton"),
 ]
 
 
@@ -364,6 +367,25 @@ class TestSimulate:
         path.write_text(json.dumps(doc))
         assert run_cli("simulate", str(path)) == (
             1, "", "error: bad config: algorithms[2] repeats algorithms[0]\n")
+
+    def test_byte_order_mark_is_accepted(self, sim_config, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + open(sim_config, "rb").read())
+        assert run_cli("simulate", str(path)) == run_cli("simulate", sim_config)
+
+    def test_non_utf8_config_is_one_error_line(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"dataSetName": "caf\xe9"}')
+        assert run_cli("simulate", str(path)) == (
+            1, "", f"error: invalid JSON in {path}: 'utf-8' codec can't decode byte 0xe9 "
+                   "in position 20: invalid continuation byte\n")
+
+    def test_deeply_nested_config_is_one_error_line(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert run_cli("simulate", str(path)) == (
+            1, "", f"error: invalid JSON in {path}: maximum recursion depth exceeded "
+                   "while decoding a JSON array from a unicode string\n")
 
     def test_whole_valued_floats_load_as_integers(self, sim_config, tmp_path):
         doc = json.loads(open(sim_config).read())

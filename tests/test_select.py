@@ -513,7 +513,7 @@ def _best_real_oracle(table, stage):
     """Top real score at ``stage`` and its candidate, ties in column order."""
     if stage is None or not 1 <= stage <= table.num_stages:
         return None, None
-    row = dict(zip(table.candidates, table.float_rows()[stage - 1]))
+    row = dict(zip(table.candidates, table.floats[stage - 1]))
     top = max(v for c, v in row.items() if c != "NULL")
     return next(c for c in table.column_order if c != "NULL" and row[c] == top), top
 
@@ -689,7 +689,7 @@ def test_basic_equals_windowed_first_when_null_not_strict_max():
         basic = basic_winner(table, 0.5)
         if basic.diagnostics["fallback"]:
             continue
-        row = table.float_rows()[basic.stage - 1]
+        row = table.floats[basic.stage - 1]
         nj = table.candidates.index("NULL")
         top = max(row)
         if row[nj] == top:  # NULL tied or strict max: semantics diverge
@@ -779,13 +779,14 @@ class TestPerTableCache:
                               gamma=GammaRule.any_exceeds(0.6666),
                               selector=Selector.LAST)
         before = beta_gamma_winner(table, cfg, "NULL")
-        rows = table.float_rows()
+        rows = table.to_json_dict()[table.kind.json_key]
         for row in rows:
             row[:] = [0.0] * len(row)
             row[-1] = 100.0
+        fresh = StageTable(table.kind, table.candidates, table.rows, table.n)
+        assert table.floats == fresh.floats
         assert beta_gamma_winner(table, cfg, "NULL") == before
-        assert basic_winner(table, 0.5) == basic_winner(
-            StageTable(table.kind, table.candidates, table.rows, table.n), 0.5)
+        assert basic_winner(table, 0.5) == basic_winner(fresh, 0.5)
 
     def test_shared_table_decides_like_a_fresh_one(self):
         rng = random.Random(5150)

@@ -430,12 +430,13 @@ class TestPerTableCache:
 
     def test_float_rows_are_fresh_lists(self, concrete_tables):
         _, _, table = concrete_tables
-        rows = table.float_rows()
+        key = table.kind.json_key
+        rows = table.to_json_dict()[key]
         rows[0][0] = -1.0
         rows.pop()
-        assert table.float_rows() == [list(row) for row in table.floats]
+        assert table.to_json_dict()[key] == [list(row) for row in table.floats]
         assert table.floats[0][0] == 25.0
-        assert table.float_rows() is not table.float_rows()
+        assert table.to_json_dict()[key] is not table.to_json_dict()[key]
 
     def test_cache_is_outside_equality_and_hash(self, concrete_tables):
         _, _, used = concrete_tables
