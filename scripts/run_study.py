@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,10 +52,17 @@ def load_configs(path, seeds):
         sys.exit(f"error: cannot read {path}: {exc}")
     except (ValueError, RecursionError) as exc:
         sys.exit(f"error: invalid JSON in {path}: {exc}")
-    try:
-        configs = [config_from_json_dict(doc, seed_override=seed) for seed in seeds]
-    except SimConfigError as exc:
-        sys.exit(f"error: bad config: {exc}")
+    # An ignored config key warns once per seed; print each message as one
+    # ``warning:`` line, once, as ``stagevote simulate`` does.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            configs = [config_from_json_dict(doc, seed_override=seed) for seed in seeds]
+        except SimConfigError as exc:
+            sys.exit(f"error: bad config: {exc}")
+        finally:
+            for message in dict.fromkeys(str(warning.message) for warning in caught):
+                print(f"warning: {message}", file=sys.stderr)
     # The head-to-head reads every baseline row and the best staged row.
     if not (configs[0].include_baselines and configs[0].effective_algorithms()):
         sys.exit("error: bad config: the head-to-head needs includeBaselines "

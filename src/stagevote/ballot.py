@@ -1,8 +1,9 @@
 """Ballots and rosters: CSV parsing, validation, fractional expansion.
 
 A ballot file is read in one streaming pass: one row generator checks the
-header, decodes each row as it is read (UTF-8, a line that is not valid
-UTF-8 is an error naming that line) and yields ``(line, voter_id, prefs)``.
+header, reads each row (a line that is not valid UTF-8 is an error naming
+that line), checks and decodes each distinct raw row once, at its first
+line, and yields ``(line, voter_id, prefs)`` for every row.
 ``parse_ballots`` turns those rows into a list; ``stagevote tally`` groups
 them by preference tuple instead, so that validation and expansion run once
 per distinct ballot.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -224,33 +226,46 @@ def _read_rows(
     return num_cols, _rows(reader, num_cols, roster)
 
 
+def _decode_cells(raw: tuple[str, ...], num_cols: int,
+                  roster: Optional[CandidateRoster], line: int) -> tuple[str, ...]:
+    """Strip one row's preference cells, check its width and the empty-suffix
+    rule, and decode its tokens; an error names ``line``. Interned cells let
+    the distinct rows kept by the reader and the tally share their strings."""
+    cells = [sys.intern(cell.strip()) for cell in raw]
+    if len(cells) > num_cols:
+        raise BallotFormatError(
+            f"row has {len(cells)} preference cells, header allows {num_cols}",
+            line=line,
+        )
+    if "" in cells:
+        end = cells.index("")
+        for pos, cell in enumerate(cells[end:], start=end + 1):
+            if cell:
+                raise BallotFormatError(
+                    f"stamped cell at preference {pos} after an empty cell "
+                    "(empty cells are only allowed as a suffix)",
+                    line=line,
+                )
+        del cells[end:]
+    if roster is None:
+        return tuple(cells)
+    return tuple(_decode_token(cell, roster) for cell in cells)
+
+
 def _rows(reader, num_cols: int,
           roster: Optional[CandidateRoster]) -> Iterator[tuple[int, str, tuple[str, ...]]]:
+    # Ballot files repeat rows: each distinct raw row is decoded once, at its
+    # first line, so an error still names the first bad line in file order.
+    decoded: dict[tuple[str, ...], tuple[str, ...]] = {}
     try:
         for row in reader:
             if not row:
                 continue
             line = reader.line_num
-            cells = list(map(str.strip, row[1:]))
-            if len(cells) > num_cols:
-                raise BallotFormatError(
-                    f"row has {len(cells)} preference cells, header allows {num_cols}",
-                    line=line,
-                )
-            if "" in cells:
-                end = cells.index("")
-                for pos, cell in enumerate(cells[end:], start=end + 1):
-                    if cell:
-                        raise BallotFormatError(
-                            f"stamped cell at preference {pos} after an empty cell "
-                            "(empty cells are only allowed as a suffix)",
-                            line=line,
-                        )
-                del cells[end:]
-            if roster is None:
-                prefs = tuple(cells)
-            else:
-                prefs = tuple(_decode_token(cell, roster) for cell in cells)
+            raw = tuple(row[1:])
+            prefs = decoded.get(raw)
+            if prefs is None:
+                prefs = decoded[raw] = _decode_cells(raw, num_cols, roster, line)
             yield line, row[0].strip(), prefs
     except csv.Error as exc:
         raise BallotFormatError(f"malformed CSV row: {exc}", line=reader.line_num) from exc

@@ -14,6 +14,7 @@ from stagevote.ballot import (
     DuplicateCandidate,
     FractionalBallot,
     UnknownCandidate,
+    _decode_cells,
     csv_preference_columns,
     expand_incomplete,
     parse_ballots,
@@ -176,6 +177,44 @@ class TestParse:
     def test_duplicate_voters_allowed_by_default(self):
         text = f"{HEADER}\nv1,A\nv1,B\n"
         assert len(parse_ballots(text, ROSTER)) == 2
+
+
+class TestDistinctRows:
+    """Each distinct raw row is decoded once, at its first line."""
+
+    def test_repeated_raw_rows_decode_once(self, monkeypatch):
+        decoded = []
+
+        def counted(raw, *args):
+            decoded.append(raw)
+            return _decode_cells(raw, *args)
+
+        monkeypatch.setattr("stagevote.ballot._decode_cells", counted)
+        raws = ["A,B,", " A , B", "NULL"]
+        text = HEADER + "\n" + "\n".join(f"v{i},{raws[i % 3]}" for i in range(1000))
+        ballots = parse_ballots(text, ROSTER)
+        assert decoded == [("A", "B", ""), (" A ", " B"), ("NULL",)]
+        assert len(ballots) == 1000
+        assert [b.line for b in ballots] == list(range(2, 1002))
+        assert {b.prefs for b in ballots} == {("A", "B"), ("NULL",)}
+
+    def test_first_bad_line_named_when_a_bad_row_repeats(self):
+        rows = ["v1,A", "v2,A,,B", "v3,C", "v4,,C", "v5,A", "v6,B", "v7,A,,B"]
+        with pytest.raises(BallotFormatError) as err:
+            parse_ballots(HEADER + "\n" + "\n".join(rows) + "\n", ROSTER)
+        assert err.value.line == 3
+        assert str(err.value).startswith("line 3: stamped cell at preference 3")
+
+    def test_width_error_named_before_a_later_malformed_row(self):
+        long_cell = "x" * (csv.field_size_limit() + 1)
+        rows = ["v1,A", "v2,B", "v3,A,B,C", "v4,A", f"v5,{long_cell}"]
+        with pytest.raises(BallotFormatError) as err:
+            parse_ballots("voter_id,pref1,pref2\n" + "\n".join(rows) + "\n", ROSTER)
+        assert str(err.value) == "line 4: row has 3 preference cells, header allows 2"
+        # Without the width error, the malformed row is reached and named.
+        rows[2] = "v3,A,B"
+        with pytest.raises(BallotFormatError, match="^line 6: malformed CSV row: "):
+            parse_ballots("voter_id,pref1,pref2\n" + "\n".join(rows) + "\n", ROSTER)
 
 
 class TestValidate:

@@ -205,6 +205,24 @@ class TestTally:
         assert counts["preferences"] == [[30.0, 10.0, 10.0, 0.0, 10.0],
                                          [15.0, 32.5, 2.5, 5.0, 5.0]]
 
+    def test_dressed_rows_tally_like_plain_rows(self, tmp_path):
+        header = "voter_id,pref1,pref2\n"
+        dressed, plain = tmp_path / "dressed.csv", tmp_path / "plain.csv"
+        dressed.write_text(header + 'v1,A,B\nv2, A , B\nv3,"A",B\n')
+        plain.write_text(header + "v1,A,B\nv2,A,B\nv3,A,B\n")
+        for flags in ([], ["--format", "json"]):
+            assert run_cli("tally", str(dressed), *flags) == run_cli("tally", str(plain), *flags)
+
+    def test_invalid_listing_names_every_dressed_variant(self, tmp_path):
+        path = tmp_path / "dressed-bad.csv"
+        path.write_text('voter_id,pref1,pref2\nv1,A,A\nv2,B,A\nv3, A , A\n'
+                        'v4,"A",A\nv5,A,A\n')
+        code, out, err = run_cli("tally", str(path))
+        assert (code, out) == (1, "")
+        bad = "candidate 'A' stamped twice (preferences 1 and 2)"
+        assert err == ("error: invalid ballots:\n"
+                       + "".join(f"  line {n}: {bad}\n" for n in (2, 4, 5, 6)))
+
     def test_inline_roster_wins_with_warning(self, tmp_path):
         path = tmp_path / "extra.csv"
         path.write_text("voter_id,pref1,pref2\nv1,A,Z\nv2,A,B\n")

@@ -2,20 +2,33 @@
 
 Whatever the bytes, ``parse_ballots`` may only raise a ``BallotError``
 (a ``BallotFormatError`` always names its line) and ``cli.main`` must end
-with exit status 0, 1 or 2 and no traceback.
+with exit status 0, 1 or 2 and no traceback. On files whose rows repeat,
+verbatim or dressed differently, ``parse_ballots`` must agree with a reader
+that decodes every row on its own.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stagevote.ballot import BallotError, BallotFormatError, parse_ballots
+from stagevote.ballot import (
+    BallotError,
+    BallotFormatError,
+    CandidateRoster,
+    _decode_token,
+    _open_lines,
+    _read_header,
+    _utf8_lines,
+    parse_ballots,
+)
 from stagevote.cli import main
 
 CANDIDATES = ["A", "B", "C", "NULL", "IDK"]
@@ -44,12 +57,25 @@ def rows(draw) -> str:
     return ",".join([voter] + cells)
 
 
+def redress(row: str, dress) -> str:
+    """The row with its cells unpadded, unquoted and dressed anew."""
+    voter, *cells = row.split(",")
+    return ",".join([voter] + [dress(c.strip().strip('"')) if c.strip() else c
+                               for c in cells])
+
+
 @st.composite
-def ballot_files(draw) -> bytes:
+def ballot_files(draw, repeats: bool = False) -> bytes:
     """A header and ragged rows joined by LF, CRLF or CR; sometimes a BOM,
-    sometimes random bytes spliced in."""
+    sometimes random bytes spliced in. With ``repeats``, some rows are also
+    copied to other places, verbatim or dressed anew."""
     header = draw(st.sampled_from(ODD_HEADERS) | st.just(HEADER) | st.just(HEADER))
     body = draw(st.lists(rows(), max_size=12))
+    for _ in range(draw(st.integers(0, 8)) if repeats and body else 0):
+        row = draw(st.sampled_from(body))
+        dress = draw(st.sampled_from([None, *DRESS]))
+        body.insert(draw(st.integers(0, len(body))),
+                    row if dress is None else redress(row, dress))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     data = (newline.join([header] + body) + draw(st.sampled_from(["", newline]))).encode()
     if draw(st.booleans()):
@@ -61,6 +87,61 @@ def ballot_files(draw) -> bytes:
 
 
 FILES = ballot_files() | ballot_files() | st.binary(max_size=200)
+
+
+def oracle_rows(data: bytes, roster):
+    """Every data row decoded on its own, as ``ballot._rows`` once did it;
+    the header and the UTF-8 check are the module's own."""
+    reader = csv.reader(_utf8_lines(_open_lines(data)))
+    num_cols = _read_header(reader)
+    try:
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            cells = list(map(str.strip, row[1:]))
+            if len(cells) > num_cols:
+                raise BallotFormatError(
+                    f"row has {len(cells)} preference cells, header allows {num_cols}",
+                    line=line,
+                )
+            if "" in cells:
+                end = cells.index("")
+                for pos, cell in enumerate(cells[end:], start=end + 1):
+                    if cell:
+                        raise BallotFormatError(
+                            f"stamped cell at preference {pos} after an empty cell "
+                            "(empty cells are only allowed as a suffix)",
+                            line=line,
+                        )
+                del cells[end:]
+            if roster is None:
+                prefs = tuple(cells)
+            else:
+                prefs = tuple(_decode_token(cell, roster) for cell in cells)
+            yield line, row[0].strip(), prefs
+    except csv.Error as exc:
+        raise BallotFormatError(f"malformed CSV row: {exc}", line=reader.line_num) from exc
+
+
+# NULL and IDK decode to identifiers other than their tokens.
+ROSTER = CandidateRoster(("A", "B", "C", "none", "?"), null_id="none", idk_id="?")
+
+
+@given(ballot_files(repeats=True))
+@settings(max_examples=300, deadline=None)
+def test_parse_agrees_with_a_row_by_row_oracle(data):
+    for roster in (None, ROSTER):
+        try:
+            expected = list(oracle_rows(data, roster))
+        except BallotError as exc:
+            with pytest.raises(type(exc)) as raised:
+                parse_ballots(data, roster)
+            assert str(raised.value) == str(exc)
+            assert getattr(raised.value, "line", None) == getattr(exc, "line", None)
+        else:
+            ballots = parse_ballots(data, roster)
+            assert [(b.line, b.voter_id, b.prefs) for b in ballots] == expected
 
 
 @given(FILES)

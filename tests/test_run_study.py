@@ -53,6 +53,14 @@ def test_tiny_config_over_two_seeds(tmp_path):
     assert head[-1].startswith("strongest staged variant overall: StagedVote <")
 
 
+def test_ignored_key_warns_one_line_whatever_the_seed_count(tmp_path):
+    path = tmp_path / "workers.json"
+    path.write_text(json.dumps(dict(TINY, workers=4)))
+    code, out, err = run_study(str(path), "--seeds", "1", "2", "3")
+    assert (code, err) == (0, "warning: config key 'workers' is accepted but ignored\n")
+    assert "strongest staged variant overall: " in out
+
+
 @pytest.mark.parametrize("edit", [
     {"numVoters": 0},
     # The head-to-head reads the baseline rows.
