@@ -13,15 +13,14 @@ Examples:
 """
 
 import argparse
-import json
 import sys
 import time
-import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from stagevote.cli import CliError, load_study, simulate  # noqa: E402
 from stagevote.sim import (  # noqa: E402
     LABEL_BEST_VOTER,
     LABEL_CROWD_MEAN,
@@ -29,9 +28,6 @@ from stagevote.sim import (  # noqa: E402
     LABEL_FPTP,
     LABEL_IRV,
     STAGED_PREFIX,
-    SimConfigError,
-    config_from_json_dict,
-    run_simulation,
 )
 
 
@@ -43,73 +39,52 @@ def parse_args():
     return parser.parse_args()
 
 
-def load_configs(path, seeds):
-    """One SimConfig per seed, read as ``stagevote simulate`` reads it."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        sys.exit(f"error: cannot read {path}: {exc}")
-    except (ValueError, RecursionError) as exc:
-        sys.exit(f"error: invalid JSON in {path}: {exc}")
-    # An ignored config key warns once per seed; print each message as one
-    # ``warning:`` line, once, as ``stagevote simulate`` does.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            configs = [config_from_json_dict(doc, seed_override=seed) for seed in seeds]
-        except SimConfigError as exc:
-            sys.exit(f"error: bad config: {exc}")
-        finally:
-            for message in dict.fromkeys(str(warning.message) for warning in caught):
-                print(f"warning: {message}", file=sys.stderr)
-    # The head-to-head reads every baseline row and the best staged row.
-    if not (configs[0].include_baselines and configs[0].effective_algorithms()):
-        sys.exit("error: bad config: the head-to-head needs includeBaselines "
-                 "and at least one algorithm")
-    return configs
+# Head-to-head columns: (header, width, metrics row; None for the best staged one).
+COLUMNS = (("crowdMean", 9, LABEL_CROWD_MEAN), ("crowdMed", 9, LABEL_CROWD_MEDIAN),
+           ("bestVoter", 9, LABEL_BEST_VOTER), ("FPTP", 6, LABEL_FPTP), ("IRV", 6, LABEL_IRV),
+           ("bestStaged", 10, None))
 
 
-def main():
-    args = parse_args()
-    summary = []
-    for cfg in load_configs(args.config, args.seeds):
+def study(configs):
+    summary = []  # per seed: (seed, mean rank by column header, best staged label)
+    for cfg in configs:
         started = time.perf_counter()
-        result = run_simulation(cfg)
+        result = simulate(cfg)
         elapsed = time.perf_counter() - started
         print(f"=================== seed {cfg.seed} "
               f"({elapsed:.1f}s) ===================")
         print(result.to_text())
         print()
-        metrics = result.metrics
-        staged = [r for r in metrics.rows if r.algorithm.startswith(STAGED_PREFIX)]
-        summary.append({
-            "seed": cfg.seed,
-            "crowd_mean": metrics.row(LABEL_CROWD_MEAN).mean_winner_rank,
-            "crowd_median": metrics.row(LABEL_CROWD_MEDIAN).mean_winner_rank,
-            "best_voter": metrics.row(LABEL_BEST_VOTER).mean_winner_rank,
-            "fptp": metrics.row(LABEL_FPTP).mean_winner_rank,
-            "irv": metrics.row(LABEL_IRV).mean_winner_rank,
-            "best_staged": min(r.mean_winner_rank for r in staged),
-            "best_staged_label": min(staged, key=lambda r: r.mean_winner_rank).algorithm,
-        })
+        metrics = result.metrics  # rows sorted by mean rank: the first staged is best
+        staged = next(r.algorithm for r in metrics.rows if r.algorithm.startswith(STAGED_PREFIX))
+        summary.append((cfg.seed, {name: metrics.row(label or staged).mean_winner_rank
+                                   for name, _, label in COLUMNS}, staged))
 
     print("=================== head-to-head (meanWinnerRank) ===================")
-    print(f"{'seed':>4}  {'crowdMean':>9}  {'crowdMed':>9}  {'bestVoter':>9}  "
-          f"{'FPTP':>6}  {'IRV':>6}  {'bestStaged':>10}")
-    for row in summary:
-        print(f"{row['seed']:>4}  {row['crowd_mean']:>9.3f}  "
-              f"{row['crowd_median']:>9.3f}  {row['best_voter']:>9.3f}  "
-              f"{row['fptp']:>6.3f}  {row['irv']:>6.3f}  "
-              f"{row['best_staged']:>10.3f}")
-    crowd_wins = sum(1 for r in summary if r["crowd_mean"] < r["best_voter"])
-    staged_wins = sum(1 for r in summary if r["best_staged"] <= r["fptp"])
+    print(f"{'seed':>4}" + "".join(f"  {name:>{w}}" for name, w, _ in COLUMNS))
+    for seed, ranks, _ in summary:
+        print(f"{seed:>4}" + "".join(f"  {ranks[name]:>{w}.3f}" for name, w, _ in COLUMNS))
+    crowd_wins = sum(1 for _, r, _ in summary if r["crowdMean"] < r["bestVoter"])
+    staged_wins = sum(1 for _, r, _ in summary if r["bestStaged"] <= r["FPTP"])
     print()
     print(f"crowd-Mean beat bestVoter in {crowd_wins}/{len(summary)} seeds; "
           f"best staged config matched or beat FPTP in "
           f"{staged_wins}/{len(summary)}.")
-    best = min(summary, key=lambda r: r["best_staged"])
-    print(f"strongest staged variant overall: {best['best_staged_label']}")
+    best = min(summary, key=lambda row: row[1]["bestStaged"])
+    print(f"strongest staged variant overall: {best[2]}")
+
+
+def main():
+    args = parse_args()
+    try:
+        configs = load_study(args.config, args.seeds)
+        # The head-to-head reads every baseline row and the best staged row.
+        if not (configs[0].include_baselines and configs[0].effective_algorithms()):
+            raise CliError("bad config: the head-to-head needs includeBaselines "
+                           "and at least one algorithm")
+        study(configs)
+    except CliError as exc:
+        sys.exit(f"error: {exc}")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -249,52 +248,55 @@ def cmd_tally(args) -> int:
     return 2 if decision.winner == roster.null_id else 0
 
 
-def cmd_simulate(args) -> int:
+def load_study(path, seeds: Sequence[Optional[int]]) -> list:
+    """One ``SimConfig`` per seed (None keeps the file's) from a study config
+    file. Each ignored key in it is one ``warning:`` line on stderr; no numpy,
+    an unreadable file, invalid JSON or a bad config raises ``CliError``."""
     # numpy comes with sim; tally and min-stages never need it.
     try:
         from . import sim
     except ImportError as exc:
         raise CliError(f"simulate needs numpy ({exc})") from exc
-
     try:
-        with open(args.config, "r", encoding="utf-8-sig") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read {args.config}: {exc}") from exc
+        raise CliError(f"cannot read {path}: {exc}") from exc
     # JSONDecodeError, UnicodeDecodeError (both ValueError) and deep nesting.
     except (ValueError, RecursionError) as exc:
-        raise CliError(f"invalid JSON in {args.config}: {exc}") from exc
+        raise CliError(f"invalid JSON in {path}: {exc}") from exc
+    for key in sim.IGNORED_CONFIG_KEYS:
+        if isinstance(doc, dict) and key in doc:
+            print(f"warning: config key {key!r} is accepted but ignored", file=sys.stderr)
+    try:
+        return [sim.config_from_json_dict(doc, seed_override=seed) for seed in seeds]
+    except sim.SimConfigError as exc:
+        raise CliError(f"bad config: {exc}") from exc
 
+
+def simulate(cfg):
+    """``sim.run_simulation(cfg)``; running out of memory raises ``CliError``."""
+    from . import sim
+
+    try:
+        return sim.run_simulation(cfg)
+    except MemoryError as exc:
+        raise CliError(f"simulate ran out of memory ({str(exc) or 'no detail'})") from exc
+
+
+def cmd_simulate(args) -> int:
     if args.workers is not None:
         print("warning: --workers is ignored; elections run serially", file=sys.stderr)
-
-    seed_override = args.seed
-    if seed_override is None and SEED_ENV_VAR in os.environ:
+    seed = args.seed
+    if seed is None and SEED_ENV_VAR in os.environ:
         try:
-            seed_override = int(os.environ[SEED_ENV_VAR])
+            seed = int(os.environ[SEED_ENV_VAR])
         except ValueError as exc:
             raise CliError(f"${SEED_ENV_VAR} must be an integer") from exc
 
-    # An ignored config key is reported through ``warnings``; print each as
-    # one ``warning:`` line, also under ``python -W error``.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            cfg = sim.config_from_json_dict(doc, seed_override=seed_override)
-        except sim.SimConfigError as exc:
-            raise CliError(f"bad config: {exc}") from exc
-        finally:
-            for warning in caught:
-                print(f"warning: {warning.message}", file=sys.stderr)
-
-    try:
-        result = sim.run_simulation(cfg)
-    except MemoryError as exc:
-        raise CliError(f"simulate ran out of memory ({str(exc) or 'no detail'})") from exc
-    if args.format == "json":
-        print(json.dumps(result.to_json_dict(), indent=2))
-    else:
-        print(result.to_text())
+    result = simulate(load_study(args.config, [seed])[0])
+    print(json.dumps(result.to_json_dict(), indent=2) if args.format == "json"
+          else result.to_text())
     return 0
 
 

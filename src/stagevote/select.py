@@ -363,7 +363,9 @@ def stage_window(st: StageTable, cfg: SelectionConfig, null_id: str) -> StageWin
 
 
 def select_stage(window: StageWindow, selector: Selector, stats: StageStats) -> int:
-    """Pick the decision stage from the pool (earliest stage on ties)."""
+    """Pick the decision stage from the pool (earliest stage on ties). The
+    variance and stddev selectors compare the exact ``stats.variance_key``;
+    the entropy selectors compare floats, which can split a true tie."""
     pool = window.pool
     if not pool:
         raise EmptyPoolError("no valid stage to select from")
@@ -377,10 +379,8 @@ def select_stage(window: StageWindow, selector: Selector, stats: StageStats) -> 
         empty = next((i for i in pool if values[i - 1] is None), None)
         if empty is not None:
             raise SelectionError(f"stage {empty} has no entropy (empty row)")
-    elif selector is Selector.MAX_STDDEV:
-        values = [math.sqrt(v) for v in stats.variance]
     else:
-        values = stats.variance
+        values = stats.variance_key
     sign = 1 if selector in (Selector.MIN_ENTROPY, Selector.MIN_VARIANCE) else -1
     return min(pool, key=lambda i: (sign * values[i - 1], i))
 
@@ -510,8 +510,8 @@ def parse_gamma_spec(spec) -> GammaRule:
         return GammaRule.none()
     if isinstance(spec, bool):  # JSON true/false, not the numbers 1 and 0
         raise ValueError(f"bad gamma spec {spec!r}; use any:G, frac:F:G or count:C:G")
-    if isinstance(spec, (int, float)):
-        return GammaRule.any_exceeds(float(spec))
+    if isinstance(spec, (int, float)):  # no int lies in (0, 1); a huge one has no float
+        return GammaRule.any_exceeds(spec)
     parts = str(spec).split(":")
     try:
         if len(parts) == 1:

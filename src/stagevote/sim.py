@@ -19,8 +19,7 @@ threads gave no speedup.
 
 from __future__ import annotations
 
-import math
-import warnings
+import sys
 from dataclasses import MISSING, dataclass
 from numbers import Real
 from typing import ClassVar, Optional, Sequence, Union
@@ -29,7 +28,6 @@ import numpy as np
 
 from . import baselines
 from .ballot import NULL_TOKEN, Ballot, CandidateRoster
-from .baselines import PredictionMatrix
 from .select import (
     GammaRule,
     SelectionConfig,
@@ -132,7 +130,7 @@ class SimConfig:
         for name in ("quality_mean", "quality_sd"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, Real)
-                    or not math.isfinite(value)):
+                    or not -sys.float_info.max <= value <= sys.float_info.max):
                 raise SimConfigError(f"{name} must be a finite number, got {value!r}")
         if not isinstance(self.include_baselines, bool):
             raise SimConfigError(
@@ -150,7 +148,14 @@ class SimConfig:
                 isinstance(self.num_prefs, int) and not isinstance(self.num_prefs, bool)
                 and 1 <= self.num_prefs <= k):
             raise SimConfigError(f"numPrefs must be an integer in 1..{k}")
-        if int(self.dataset_size * self.test_fraction) < self.num_candidates:
+        # numpy refuses arrays of more bytes than an intp holds; these are the largest.
+        cells = np.iinfo(np.intp).max // 8
+        if self.dataset_size > cells // self.num_features:
+            raise SimConfigError("datasetSize too large: the dataset exceeds numpy's largest array")
+        n_test = int(self.dataset_size * self.test_fraction)
+        if self.num_voters > cells // max(n_test, 1):
+            raise SimConfigError("numVoters too large: the crowd exceeds numpy's largest array")
+        if n_test < self.num_candidates:
             raise SimConfigError("test split too small for the slate size")
         # Each staged variant's results are keyed by its label; distinct
         # configs have distinct labels.
@@ -367,8 +372,9 @@ def run_election(
     roster indices. Those ballots stamp ``num_prefs`` distinct candidates
     each, so the count table's row p is the bincount of column p over D = 1,
     what ``count_votes`` gives. Plurality leads its first row, instant-runoff
-    is ``baselines.irv_index`` on ``order`` and the study's best voter, row
-    ``best``, picks their row's top. The true rank of a winner is its
+    is ``baselines.irv_index`` on ``order``, the study's best voter, row
+    ``best``, picks their row's top, and the crowd comparators lead the
+    column means and medians of ``values``. The true rank of a winner is its
     1-based position by true quality within the slate; a NULL winner ranks
     where the median quality falls and never counts as below-NULL.
     """
@@ -384,7 +390,6 @@ def run_election(
                          minlength=k * num_prefs).reshape(num_prefs, k)
     table = score(cumulate(StageTable.from_ints(
         TableKind.COUNTS, ids, tuple(map(tuple, counts.tolist())), 1, n)))
-    with_null = PredictionMatrix(slate=ids, values=values)
 
     # Every candidate's outcome, NULL's included, ranked once: the number
     # of slate qualities strictly above its own is len minus those <= it.
@@ -401,10 +406,8 @@ def run_election(
     if include_baselines:
         results[LABEL_FPTP] = outcome(ids[baselines.leader(counts[0])])
         results[LABEL_IRV] = outcome(ids[baselines.irv_index(order, k)])
-        results[LABEL_CROWD_MEAN] = outcome(
-            baselines.crowd_mean_ranking(with_null)[0])
-        results[LABEL_CROWD_MEDIAN] = outcome(
-            baselines.crowd_median_ranking(with_null)[0])
+        results[LABEL_CROWD_MEAN] = outcome(ids[baselines.leader(values.mean(axis=0))])
+        results[LABEL_CROWD_MEDIAN] = outcome(ids[baselines.leader(np.median(values, axis=0))])
         results[LABEL_BEST_VOTER] = outcome(ids[order[best, 0]])
     return results
 
@@ -560,7 +563,7 @@ def config_echo_text(cfg: SimConfig) -> str:
     return "\n".join(f"{key} : {value}" for key, value in config_echo_dict(cfg).items())
 
 
-_IGNORED_CONFIG_KEYS = ("epochs", "trainableLayerCount", "workers")
+IGNORED_CONFIG_KEYS = ("epochs", "trainableLayerCount", "workers")
 
 
 def _parse_algorithm(entry: dict, where: str) -> SelectionConfig:
@@ -583,9 +586,10 @@ def _parse_algorithm(entry: dict, where: str) -> SelectionConfig:
 
 def _number(key: str, value) -> float:
     """``float(value)`` for a finite JSON number, refusing a string, a bool,
-    NaN and an infinity (Python's ``json`` reads ``NaN`` and ``Infinity``)."""
+    NaN, an infinity (Python's ``json`` reads ``NaN`` and ``Infinity``) and
+    an int beyond the largest float (int/float comparisons are exact)."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+            or not -sys.float_info.max <= value <= sys.float_info.max):
         raise SimConfigError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
@@ -656,17 +660,13 @@ def config_from_json_dict(doc: dict, seed_override: Optional[int] = None) -> Sim
     """Build a SimConfig from the printed header key set.
 
     Accepts both the ``numCandiates`` spelling found in older headers and
-    the corrected one. Neural-network training keys and ``workers`` are
-    accepted and ignored with a warning so historical headers keep loading.
+    the corrected one. Neural-network training keys and ``workers``
+    (``IGNORED_CONFIG_KEYS``) are accepted and dropped without a word, so
+    historical headers keep loading; ``cli.load_study`` reports them.
     """
     if not isinstance(doc, dict):
         raise SimConfigError("config must be a JSON object")
-    doc = dict(doc)
-
-    for key in _IGNORED_CONFIG_KEYS:
-        if key in doc:
-            del doc[key]
-            warnings.warn(f"config key {key!r} is accepted but ignored", stacklevel=2)
+    doc = {key: value for key, value in doc.items() if key not in IGNORED_CONFIG_KEYS}
     if "numCandiates" in doc:
         doc.setdefault("numCandidates", doc.pop("numCandiates"))
     if seed_override is not None:

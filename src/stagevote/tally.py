@@ -198,10 +198,13 @@ class StageTable:
 
 @dataclass(frozen=True)
 class StageStats:
-    """Per-stage entropy (bits) and population variance of the score row."""
+    """Per-stage entropy (bits) and population variance of the score row.
+    ``variance_key`` is k * sum(v^2) - sum(v)^2 over the int row v, the
+    variance times one constant per table: it orders stages exactly."""
 
     entropy: tuple[Optional[float], ...]
     variance: tuple[float, ...]
+    variance_key: tuple[int, ...]
 
 
 def count_votes(
@@ -324,7 +327,10 @@ def compute_stage_stats(st: StageTable) -> StageStats:
         except DegenerateDistributionError:
             entropy.append(None)
         variance.append(stage_variance(st, i))
-    return StageStats(entropy=tuple(entropy), variance=tuple(variance))
+    # Reduced by the gcd, equal tables give equal keys, whatever their D.
+    g = math.gcd(st.denom, *(v for row in st.ints for v in row)) ** 2
+    key = tuple((len(row) * sum(v * v for v in row) - sum(row) ** 2) // g for row in st.ints)
+    return StageStats(entropy=tuple(entropy), variance=tuple(variance), variance_key=key)
 
 
 def sort_columns(st: StageTable) -> tuple[str, ...]:

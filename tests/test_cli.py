@@ -465,6 +465,17 @@ class TestSimulate:
         assert first == "warning: config key 'workers' is accepted but ignored"
         assert second.startswith("error: bad config: ")
 
+    def test_five_thousand_digit_integer_is_one_error_line(self, sim_config, tmp_path):
+        # Python 3.11+ refuses it as JSON; older ones load it, and the
+        # config refuses it. Either way: one "error:" line.
+        doc = json.loads(open(sim_config).read())
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(dict(doc, numVoters="DIGITS")).replace(
+            '"DIGITS"', "9" * 5000))
+        code, out, err = run_cli("simulate", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_seed_override_changes_output(self, sim_config):
         base = run_cli("simulate", sim_config)
         other = run_cli("simulate", sim_config, "--seed", "123")

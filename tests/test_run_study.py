@@ -3,11 +3,13 @@
 import itertools
 import json
 import os
+import runpy
 import subprocess
 import sys
 
 import pytest
 
+from stagevote import sim
 from stagevote.select import GammaRule, SelectionConfig, Selector
 from stagevote.sim import config_from_json_dict
 
@@ -80,6 +82,25 @@ def test_missing_config_is_one_error_line(tmp_path):
     code, out, err = run_study(str(path))
     assert (code, out) == (1, "")
     assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # In-process and raised, not provoked: a real huge allocation can
+    # succeed under overcommit and take the machine's memory.
+    def out_of_memory(cfg):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(TINY))
+    monkeypatch.setattr(sim, "run_simulation", out_of_memory)
+    monkeypatch.setattr(sys, "argv", [SCRIPT, str(path), "--seeds", "1", "2"])
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src
+    with pytest.raises(SystemExit) as caught:
+        runpy.run_path(SCRIPT, run_name="__main__")
+    # sys.exit prints the message as one stderr line and exits with status 1.
+    assert caught.value.code == ("error: simulate ran out of memory "
+                                 "(Unable to allocate 7.28 TiB for an array)")
+    assert capsys.readouterr() == ("", "")
 
 
 def test_compact_study_is_the_compact_grid():

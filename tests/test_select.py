@@ -29,7 +29,7 @@ from stagevote.select import (
     select_stage,
     stage_window,
 )
-from stagevote.tally import StageStats, StageTable
+from stagevote.tally import StageStats, StageTable, TableKind, cumulate, score
 
 from conftest import make_score_table, pipeline
 
@@ -190,13 +190,14 @@ class TestSelectStage:
 
     def test_singleton_pool_all_selectors_agree(self):
         window = self._window([2])
-        stats = StageStats(entropy=(0.5, 1.0), variance=(10.0, 20.0))
+        stats = StageStats(entropy=(0.5, 1.0), variance=(10.0, 20.0), variance_key=(10, 20))
         for selector in Selector:
             assert select_stage(window, selector, stats) == 2
 
     def test_min_entropy_direct(self):
         window = self._window([2, 3])
-        stats = StageStats(entropy=(None, 1.0, 2.0), variance=(0.0, 1.0, 4.0))
+        stats = StageStats(entropy=(None, 1.0, 2.0), variance=(0.0, 1.0, 4.0),
+                           variance_key=(0, 1, 4))
         assert select_stage(window, Selector.MIN_ENTROPY, stats) == 2
         assert select_stage(window, Selector.MAX_ENTROPY, stats) == 3
         assert select_stage(window, Selector.MIN_VARIANCE, stats) == 2
@@ -204,7 +205,8 @@ class TestSelectStage:
 
     def test_exact_ties_pick_earliest(self):
         window = self._window([1, 2, 3])
-        stats = StageStats(entropy=(1.0, 1.0, 1.0), variance=(2.0, 2.0, 2.0))
+        stats = StageStats(entropy=(1.0, 1.0, 1.0), variance=(2.0, 2.0, 2.0),
+                           variance_key=(2, 2, 2))
         for selector in (Selector.MIN_ENTROPY, Selector.MAX_ENTROPY,
                          Selector.MIN_VARIANCE, Selector.MAX_VARIANCE,
                          Selector.MAX_STDDEV):
@@ -213,19 +215,67 @@ class TestSelectStage:
     def test_empty_pool(self):
         window = StageWindow(first_by_alpha=None, last_by_beta=0,
                              last_by_gamma=None, num_stages=3, pool=())
-        stats = StageStats(entropy=(1.0,) * 3, variance=(1.0,) * 3)
+        stats = StageStats(entropy=(1.0,) * 3, variance=(1.0,) * 3, variance_key=(1,) * 3)
         with pytest.raises(EmptyPoolError):
             select_stage(window, Selector.FIRST, stats)
 
-    @given(st.lists(st.floats(min_value=0, max_value=5000), min_size=1,
+    @given(st.lists(st.integers(min_value=0, max_value=10**12), min_size=1,
                     max_size=8))
-    def test_max_stddev_equals_max_variance(self, variances):
-        pool = tuple(range(1, len(variances) + 1))
+    def test_max_stddev_equals_max_variance(self, keys):
+        pool = tuple(range(1, len(keys) + 1))
         window = self._window(list(pool))
-        stats = StageStats(entropy=(1.0,) * len(variances),
-                           variance=tuple(variances))
+        stats = StageStats(entropy=(1.0,) * len(keys),
+                           variance=tuple(map(float, keys)), variance_key=tuple(keys))
         assert (select_stage(window, Selector.MAX_STDDEV, stats)
                 == select_stage(window, Selector.MAX_VARIANCE, stats))
+
+    # Desk study, seed 5, election 101: the count table (D = 1, 100 voters).
+    # Stages 5 and 6 have exactly equal variances, which read as the floats
+    # 114.61157024793391 and 114.61157024793388.
+    SEED5_ELECTION101 = (
+        ("c401", "c120", "c421", "c142", "c92", "c318", "c489", "c842", "c193", "c673",
+         "NULL"),
+        [[17, 9, 5, 9, 7, 16, 3, 13, 12, 9, 0], [13, 15, 2, 5, 10, 12, 5, 10, 13, 15, 0],
+         [12, 10, 6, 9, 14, 3, 13, 7, 10, 14, 2], [18, 8, 9, 11, 6, 6, 9, 4, 8, 10, 11],
+         [5, 11, 5, 9, 11, 11, 5, 8, 4, 11, 20], [12, 11, 8, 3, 4, 5, 9, 12, 8, 5, 23],
+         [4, 3, 8, 7, 10, 8, 10, 7, 9, 11, 23], [6, 4, 11, 11, 13, 11, 8, 8, 7, 9, 12],
+         [9, 12, 15, 12, 8, 8, 5, 8, 10, 5, 8], [3, 8, 7, 13, 10, 13, 16, 12, 13, 4, 1]],
+    )
+
+    @pytest.mark.parametrize("gamma", [None, 0.66, 0.8])
+    def test_exact_variance_tie_picks_the_earliest_stage(self, gamma):
+        ids, counts = self.SEED5_ELECTION101
+        table = score(cumulate(StageTable.from_ints(
+            TableKind.COUNTS, ids, tuple(map(tuple, counts)), 1, 100)))
+        stats = table.stats
+        assert stats.variance[4] != stats.variance[5]
+        assert stats.variance_key[4] == stats.variance_key[5]
+        cfg = SelectionConfig(alpha=0.5, gamma=parse_gamma_spec(gamma),
+                              selector=Selector.MIN_VARIANCE)
+        decision = beta_gamma_winner(table, cfg, "NULL")
+        assert decision.window.pool == (4, 5, 6)
+        assert (decision.winner, decision.stage, decision.diagnostics) == ("c401", 5, {})
+
+    @given(st.lists(st.lists(st.integers(0, 100), min_size=3, max_size=3),
+                    min_size=1, max_size=6), st.integers(1, 7))
+    @example([[0, 3, 3], [1, 1, 4]], 1)
+    @example([[1, 1, 4], [0, 3, 3], [2, 2, 2]], 3)
+    def test_variance_selectors_match_a_fraction_oracle(self, rows, n):
+        table = StageTable(TableKind.SCORES, ("A", "B", "C"),
+                           [[Fraction(v, n) for v in row] for row in rows], n)
+        pool = tuple(range(1, len(rows) + 1))
+
+        def variance(row):
+            mean = sum(row) / len(row)
+            return sum((v - mean) ** 2 for v in row) / len(row)
+
+        exact = [variance(row) for row in table.rows]
+        lowest = min(pool, key=lambda i: (exact[i - 1], i))
+        highest = min(pool, key=lambda i: (-exact[i - 1], i))
+        window = self._window(list(pool))
+        assert select_stage(window, Selector.MIN_VARIANCE, table.stats) == lowest
+        assert select_stage(window, Selector.MAX_VARIANCE, table.stats) == highest
+        assert select_stage(window, Selector.MAX_STDDEV, table.stats) == highest
 
 
 class TestBetaGammaWinner:

@@ -1,6 +1,7 @@
 """Dataset, crowd calibration, elections, and the study harness."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -581,13 +582,13 @@ class TestConfigParsing:
         with pytest.raises(SimConfigError, match="numVoters"):
             config_from_json_dict(doc)
 
-    def test_training_keys_ignored_with_warning(self):
-        doc = dict(self.BASE, epochs=133, trainableLayerCount=1)
-        with pytest.warns(UserWarning) as caught:
+    def test_training_keys_ignored_silently(self):
+        # The CLI's loader reports them; the library drops them.
+        doc = dict(self.BASE, epochs=133, trainableLayerCount=1, workers=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             cfg = config_from_json_dict(doc)
-        assert cfg.num_voters == 12
-        messages = " ".join(str(w.message) for w in caught)
-        assert "epochs" in messages and "trainableLayerCount" in messages
+        assert cfg == config_from_json_dict(dict(self.BASE))
 
     def test_blindness_interval(self):
         doc = dict(self.BASE, columnBlindness=[7, 9])
@@ -662,10 +663,39 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("field, value", [
         ("quality_mean", float("nan")), ("quality_mean", float("inf")),
-        ("quality_sd", float("nan")), ("quality_sd", float("inf"))])
+        ("quality_sd", float("nan")), ("quality_sd", float("inf")),
+        ("quality_mean", 10**400)])  # once an OverflowError
     def test_crowd_quality_must_be_finite(self, field, value):
         with pytest.raises(SimConfigError, match="finite"):
             small_config(**{field: value})
+
+    @pytest.mark.parametrize("edit, message", [
+        # numpy ended these in "array is too big" or "Maximum allowed
+        # dimension exceeded"; the float conversions in an OverflowError.
+        ({"numVoters": 10**17}, r"^numVoters too large: "),
+        ({"numVoters": 10**30}, r"^numVoters too large: "),
+        ({"datasetSize": 10**19}, r"^datasetSize too large: "),
+        ({"datasetSize": 10**400}, r"^datasetSize too large: "),
+        ({"crowdBuildMethod": {"mean": 10**400}},
+         r"^crowdBuildMethod\.mean must be a finite number, got 1000"),
+        ({"algorithms": [{"alpha": 10**400}]},
+         r"^algorithms\[0\]: alpha must be a finite number, got 1000"),
+        ({"algorithms": [{"alpha": 0.5, "gamma": 10**400}]},
+         r"^algorithms\[0\]: gamma threshold must be in \(0, 1\)$"),
+    ])
+    def test_oversized_integers_are_config_errors(self, edit, message):
+        with pytest.raises(SimConfigError, match=message):
+            config_from_json_dict(dict(self.BASE, **edit))
+
+    def test_size_bounds_are_numpys_largest_array(self):
+        # 3000 candidates: 10 features each, 900 in the test split.
+        cells = np.iinfo(np.intp).max // 8
+        config_from_json_dict(dict(self.BASE, numVoters=cells // 900))
+        with pytest.raises(SimConfigError, match="^numVoters too large"):
+            config_from_json_dict(dict(self.BASE, numVoters=cells // 900 + 1))
+        config_from_json_dict(dict(self.BASE, datasetSize=cells // 10))
+        with pytest.raises(SimConfigError, match="^datasetSize too large"):
+            config_from_json_dict(dict(self.BASE, datasetSize=cells // 10 + 1))
 
     def test_echo_layout(self):
         cfg = small_config()

@@ -392,6 +392,7 @@ class TestStageStatistics:
         assert stats.entropy[0] is None
         assert stats.entropy[1] == pytest.approx(1.0)
         assert stats.variance == (0.0, 0.0)
+        assert stats.variance_key == (0, 0)
 
 
 class TestSortColumns:
