@@ -24,6 +24,7 @@ from .select import (
     StageWindow,
     basic_winner,
     beta_gamma_winner,
+    grid_winners,
     min_stages,
     select_stage,
     stage_window,

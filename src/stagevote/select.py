@@ -26,9 +26,9 @@ Windows are decided from a crossing profile (``_Crossings``), built once
 per table and NULL column and cached on the table: per stage, the top real
 column and its numerator where NULL is not above it, and NULL's
 numerator. Each window bound is one scan for the first stage above its
-bar, and each distinct (alpha, beta, gamma) window is built once per
-table, so the many configurations of a grid decided on one table share
-it, along with the table's stage statistics.
+bar. The profile keeps each distinct scan, window and decided stage, so the
+decisions made on one table share them and its stage statistics, and
+``grid_winners`` decides a whole grid on one table with no ``Decision``.
 """
 
 from __future__ import annotations
@@ -285,8 +285,8 @@ def _first_above(values: Iterable[int], bar: int) -> Optional[int]:
 
 
 class _Crossings:
-    """One table's crossing profile for NULL column ``nj``, and the windows
-    decided from it, keyed by (alpha, beta, gamma).
+    """One table's crossing profile for NULL column ``nj``, with its scans by
+    (column, bar), windows by (alpha, beta, gamma) and stages by (pool, selector, bar).
 
     Per stage i (0-based), ``top[i]`` is the top real column (the first of
     the stage's ranking that is not NULL) and ``best[i]`` its numerator
@@ -302,6 +302,8 @@ class _Crossings:
         self.best = [row[j] if null <= row[j] else -1
                      for row, j, null in zip(self.ints, self.top, self.null)]
         self.windows: dict[tuple, StageWindow] = {}
+        self.scans: dict[tuple, Optional[int]] = {}
+        self.stages: dict[tuple, tuple[int, int]] = {}
 
     def window(self, cfg: SelectionConfig) -> StageWindow:
         key = (cfg.alpha, cfg.beta, cfg.gamma)
@@ -310,22 +312,29 @@ class _Crossings:
             window = self.windows[key] = self._decide(cfg)
         return window
 
+    def _scan(self, name, values: Iterable[int], bar: int) -> Optional[int]:
+        """``_first_above(values, bar)``, scanned once per (name, bar)."""
+        key = (name, bar)
+        if key not in self.scans:
+            self.scans[key] = _first_above(values, bar)
+        return self.scans[key]
+
     def _decide(self, cfg: SelectionConfig) -> StageWindow:
         bar_a = _bar(cfg.alpha, self.denom)
-        first_by_alpha = _first_above(self.best, bar_a)
+        first_by_alpha = self._scan("best", self.best, bar_a)
         if cfg.beta is not None:
-            crossing = _first_above(self.null, _bar(cfg.beta, self.denom))
+            crossing = self._scan("null", self.null, _bar(cfg.beta, self.denom))
             last_by_beta = None if crossing is None else crossing - 1
         else:
             # No beta: stop once NULL itself passes alpha; that stage stays
             # usable but a real winner there must not be beaten by NULL.
-            last_by_beta = _first_above(self.null, bar_a)
+            last_by_beta = self._scan("null", self.null, bar_a)
         # The rule fires where the c-th largest score exceeds the cap.
         k = len(self.ranking[0])
         c = cfg.gamma.needed(k)
-        last_by_gamma = (None if c is None or c > k else _first_above(
-            (row[order[c - 1]] for row, order in zip(self.ints, self.ranking)),
-            _bar(cfg.gamma.threshold, self.denom)))
+        last_by_gamma = None if c is None or c > k else self._scan(
+            c, (row[order[c - 1]] for row, order in zip(self.ints, self.ranking)),
+            _bar(cfg.gamma.threshold, self.denom))
 
         num_stages = len(self.ints)
         end = _window_end(last_by_beta, last_by_gamma, num_stages)
@@ -334,6 +343,19 @@ class _Crossings:
         return StageWindow(first_by_alpha=first_by_alpha, last_by_beta=last_by_beta,
                            last_by_gamma=last_by_gamma, num_stages=num_stages,
                            pool=pool)
+
+    def stage(self, st: StageTable, window: StageWindow, selector: Selector,
+              bar: int) -> tuple[int, int]:
+        """(selected, decided) stage of a nonempty window: the selector's
+        pick, then the walk-back to the latest stage at or before it whose
+        ``best`` exceeds the alpha ``bar`` (the pool's first one does)."""
+        pool = window.pool
+        key = (pool[0], pool[-1], selector, bar)
+        if key not in self.stages:
+            chosen = select_stage(window, selector, st.stats)
+            self.stages[key] = chosen, next(
+                s for s in range(chosen, pool[0] - 1, -1) if self.best[s - 1] > bar)
+        return self.stages[key]
 
 
 def _crossings(st: StageTable, null_id: str) -> _Crossings:
@@ -399,16 +421,32 @@ def beta_gamma_winner(st: StageTable, cfg: SelectionConfig, null_id: str) -> Dec
     if not window.pool:
         return Decision(winner=null_id, stage=None, score=None,
                         window=window, table=st)
-
-    bar = _bar(cfg.alpha, st.denom)
-    chosen = select_stage(window, cfg.selector, st.stats)
-    stage = next(s for s in range(chosen, window.first_by_alpha - 1, -1)
-                 if profile.best[s - 1] > bar)
+    chosen, stage = profile.stage(st, window, cfg.selector, _bar(cfg.alpha, st.denom))
     best = profile.top[stage - 1]
     return Decision(winner=st.candidates[best], stage=stage,
                     score=Fraction(st.ints[stage - 1][best], st.denom), window=window,
                     diagnostics={} if stage == chosen else {"walked_back_from": chosen},
                     table=st)
+
+
+def grid_winners(st: StageTable, configs: Sequence[SelectionConfig],
+                 null_id: str) -> list[str]:
+    """``beta_gamma_winner(st, cfg, null_id).winner`` for each config, with
+    no ``Decision`` built: each (alpha, beta, gamma) group of configs shares
+    one window, and each (pool, selector, alpha bar) one decided stage."""
+    profile = _crossings(st, null_id)
+    groups: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(configs):
+        groups.setdefault((cfg.alpha, cfg.beta, cfg.gamma), []).append(i)
+    winners = [null_id] * len(configs)
+    for members in groups.values():
+        window = profile.window(configs[members[0]])
+        if window.pool:
+            bar = _bar(configs[members[0]].alpha, st.denom)
+            for i in members:
+                stage = profile.stage(st, window, configs[i].selector, bar)[1]
+                winners[i] = st.candidates[profile.top[stage - 1]]
+    return winners
 
 
 def min_stages(n: int, k: int, alpha: Union[float, Fraction]) -> int:

@@ -10,7 +10,8 @@ lowest MSE. Each election ranks the matrix's voters x (slate + NULL) slice
 once into an int rank matrix, row i holding voter i's preferences as roster
 indices, that every algorithm reads: the staged variants, plurality and
 instant-runoff count it, and the best voter's pick is the top of their row.
-No per-voter ballot is built.
+No per-voter ballot is built, and one ``select.grid_winners`` call decides
+the staged grid.
 The whole run is a pure function of the config (seed included): per-election
 randomness comes from a stream keyed on (master seed, election index).
 Elections run serially: the work is pure Python and holds the GIL, so
@@ -32,7 +33,7 @@ from .select import (
     GammaRule,
     SelectionConfig,
     Selector,
-    beta_gamma_winner,
+    grid_winners,
     parse_gamma_spec,
     parse_selector,
 )
@@ -152,6 +153,8 @@ class SimConfig:
         cells = np.iinfo(np.intp).max // 8
         if self.dataset_size > cells // self.num_features:
             raise SimConfigError("datasetSize too large: the dataset exceeds numpy's largest array")
+        if self.num_elections > sys.maxsize // 8:
+            raise SimConfigError("numElections too large: the results exceed Python's largest list")
         n_test = int(self.dataset_size * self.test_fraction)
         if self.num_voters > cells // max(n_test, 1):
             raise SimConfigError("numVoters too large: the crowd exceeds numpy's largest array")
@@ -371,7 +374,8 @@ def run_election(
     test-items ``predictions`` ranked once, is voter i's ``cast_ballot`` as
     roster indices. Those ballots stamp ``num_prefs`` distinct candidates
     each, so the count table's row p is the bincount of column p over D = 1,
-    what ``count_votes`` gives. Plurality leads its first row, instant-runoff
+    what ``count_votes`` gives; one ``grid_winners`` call decides every
+    staged variant on its score table. Plurality leads its first row, instant-runoff
     is ``baselines.irv_index`` on ``order``, the study's best voter, row
     ``best``, picks their row's top, and the crowd comparators lead the
     column means and medians of ``values``. The true rank of a winner is its
@@ -399,10 +403,8 @@ def run_election(
                 for c, a, y in zip(ids, above.tolist(), qualities.tolist())}
     outcome = outcomes.__getitem__
 
-    results: dict[str, ElectionOutcome] = {}
-    for cfg in algorithms:
-        decision = beta_gamma_winner(table, cfg, roster.null_id)
-        results[STAGED_PREFIX + cfg.label()] = outcome(decision.winner)
+    results = {STAGED_PREFIX + cfg.label(): outcome(winner) for cfg, winner in
+               zip(algorithms, grid_winners(table, algorithms, roster.null_id))}
     if include_baselines:
         results[LABEL_FPTP] = outcome(ids[baselines.leader(counts[0])])
         results[LABEL_IRV] = outcome(ids[baselines.irv_index(order, k)])

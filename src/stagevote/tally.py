@@ -198,12 +198,11 @@ class StageTable:
 
 @dataclass(frozen=True)
 class StageStats:
-    """Per-stage entropy (bits) and population variance of the score row.
-    ``variance_key`` is k * sum(v^2) - sum(v)^2 over the int row v, the
-    variance times one constant per table: it orders stages exactly."""
+    """Per-stage entropy (bits) of the score row, and ``variance_key``:
+    k * sum(v^2) - sum(v)^2 over the int row v, the population variance
+    times one constant per table, so it orders stages exactly."""
 
     entropy: tuple[Optional[float], ...]
-    variance: tuple[float, ...]
     variance_key: tuple[int, ...]
 
 
@@ -318,19 +317,13 @@ def stage_variance(st: StageTable, stage: int) -> float:
 
 
 def compute_stage_stats(st: StageTable) -> StageStats:
-    """Entropy/variance for every stage (entropy is None for empty rows)."""
-    entropy: list[Optional[float]] = []
-    variance: list[float] = []
-    for i in range(1, st.num_stages + 1):
-        try:
-            entropy.append(stage_entropy(st, i))
-        except DegenerateDistributionError:
-            entropy.append(None)
-        variance.append(stage_variance(st, i))
+    """Entropy (None for empty rows) and variance key for every stage."""
+    entropy = tuple(stage_entropy(st, i) if sum(row) else None
+                    for i, row in enumerate(st.ints, 1))
     # Reduced by the gcd, equal tables give equal keys, whatever their D.
     g = math.gcd(st.denom, *(v for row in st.ints for v in row)) ** 2
     key = tuple((len(row) * sum(v * v for v in row) - sum(row) ** 2) // g for row in st.ints)
-    return StageStats(entropy=tuple(entropy), variance=tuple(variance), variance_key=key)
+    return StageStats(entropy=entropy, variance_key=key)
 
 
 def sort_columns(st: StageTable) -> tuple[str, ...]:

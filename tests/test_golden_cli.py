@@ -12,7 +12,10 @@ build fitted each distinct visible column set once and calibrated every
 voter's noise in one batched bisection. ``desk-study-text`` runs the
 shipped ``configs/desk_study.json`` (200 elections over the default grid);
 it was recorded before the windowed decision stopped building its
-report-only values. ``wide-windowed-json`` tallies ``tests/data/wide_roster.csv``
+report-only values; ``desk-study-seed5-json`` runs it at seed 5, whose
+election 101 holds an exact variance tie, and was recorded before each
+election decided the grid's windows and stages once per table.
+``wide-windowed-json`` tallies ``tests/data/wide_roster.csv``
 (ten real candidates, NULL and IDK, ballots cut after 0 to 6 stamps, so
 the missing mass is split over 6 to 11 candidates); it was recorded before
 the count summed integer numerators over one common denominator.
@@ -180,6 +183,8 @@ CASES = {
     "study-grid-json": (["simulate", "grid.json", "--format", "json"], 0),
     "study-crowd-json": (["simulate", "crowd.json", "--format", "json"], 0),
     "desk-study-text": (["simulate", "desk_study.json"], 0),
+    "desk-study-seed5-json": (["simulate", "desk_study.json", "--seed", "5",
+                               "--format", "json"], 0),
     "study-short-json": (["simulate", "short_ballots.json", "--format", "json"], 0),
     "crowd-blocks-json": (["simulate", "crowd_blocks.json", "--format", "json"], 0),
 }

@@ -23,13 +23,14 @@ from stagevote.select import (
     basic_winner,
     beta_gamma_winner,
     betagamma_report,
+    grid_winners,
     min_stages,
     parse_gamma_spec,
     parse_selector,
     select_stage,
     stage_window,
 )
-from stagevote.tally import StageStats, StageTable, TableKind, cumulate, score
+from stagevote.tally import StageStats, StageTable, TableKind, cumulate, score, stage_variance
 
 from conftest import make_score_table, pipeline
 
@@ -190,14 +191,13 @@ class TestSelectStage:
 
     def test_singleton_pool_all_selectors_agree(self):
         window = self._window([2])
-        stats = StageStats(entropy=(0.5, 1.0), variance=(10.0, 20.0), variance_key=(10, 20))
+        stats = StageStats(entropy=(0.5, 1.0), variance_key=(10, 20))
         for selector in Selector:
             assert select_stage(window, selector, stats) == 2
 
     def test_min_entropy_direct(self):
         window = self._window([2, 3])
-        stats = StageStats(entropy=(None, 1.0, 2.0), variance=(0.0, 1.0, 4.0),
-                           variance_key=(0, 1, 4))
+        stats = StageStats(entropy=(None, 1.0, 2.0), variance_key=(0, 1, 4))
         assert select_stage(window, Selector.MIN_ENTROPY, stats) == 2
         assert select_stage(window, Selector.MAX_ENTROPY, stats) == 3
         assert select_stage(window, Selector.MIN_VARIANCE, stats) == 2
@@ -205,8 +205,7 @@ class TestSelectStage:
 
     def test_exact_ties_pick_earliest(self):
         window = self._window([1, 2, 3])
-        stats = StageStats(entropy=(1.0, 1.0, 1.0), variance=(2.0, 2.0, 2.0),
-                           variance_key=(2, 2, 2))
+        stats = StageStats(entropy=(1.0, 1.0, 1.0), variance_key=(2, 2, 2))
         for selector in (Selector.MIN_ENTROPY, Selector.MAX_ENTROPY,
                          Selector.MIN_VARIANCE, Selector.MAX_VARIANCE,
                          Selector.MAX_STDDEV):
@@ -215,7 +214,7 @@ class TestSelectStage:
     def test_empty_pool(self):
         window = StageWindow(first_by_alpha=None, last_by_beta=0,
                              last_by_gamma=None, num_stages=3, pool=())
-        stats = StageStats(entropy=(1.0,) * 3, variance=(1.0,) * 3, variance_key=(1,) * 3)
+        stats = StageStats(entropy=(1.0,) * 3, variance_key=(1,) * 3)
         with pytest.raises(EmptyPoolError):
             select_stage(window, Selector.FIRST, stats)
 
@@ -224,8 +223,7 @@ class TestSelectStage:
     def test_max_stddev_equals_max_variance(self, keys):
         pool = tuple(range(1, len(keys) + 1))
         window = self._window(list(pool))
-        stats = StageStats(entropy=(1.0,) * len(keys),
-                           variance=tuple(map(float, keys)), variance_key=tuple(keys))
+        stats = StageStats(entropy=(1.0,) * len(keys), variance_key=tuple(keys))
         assert (select_stage(window, Selector.MAX_STDDEV, stats)
                 == select_stage(window, Selector.MAX_VARIANCE, stats))
 
@@ -247,9 +245,8 @@ class TestSelectStage:
         ids, counts = self.SEED5_ELECTION101
         table = score(cumulate(StageTable.from_ints(
             TableKind.COUNTS, ids, tuple(map(tuple, counts)), 1, 100)))
-        stats = table.stats
-        assert stats.variance[4] != stats.variance[5]
-        assert stats.variance_key[4] == stats.variance_key[5]
+        assert stage_variance(table, 5) != stage_variance(table, 6)
+        assert table.stats.variance_key[4] == table.stats.variance_key[5]
         cfg = SelectionConfig(alpha=0.5, gamma=parse_gamma_spec(gamma),
                               selector=Selector.MIN_VARIANCE)
         decision = beta_gamma_winner(table, cfg, "NULL")
@@ -527,6 +524,81 @@ def test_window_and_decision_match_linear_scan(table_and_configs):
             _outcome(_scan_decision, table, cfg, "NULL")
     if table is _TWENTY_FIVE:
         assert stage_window(table, configs[0], "NULL").last_by_gamma == 2
+
+
+@st.composite
+def _grids(draw):
+    """Names and rows of a score table, and configs over at most four
+    windows, so windows and (pool, selector) pairs repeat. Now and then
+    NULL is missing, or the table has no stage or no real candidate; half
+    the tables have every column nondecreasing, as cumulative scores are."""
+    k = draw(st.integers(min_value=2, max_value=6))
+    stages = draw(st.integers(min_value=1, max_value=6))
+    odd = draw(st.integers(min_value=0, max_value=11))
+    k, stages = (1 if odd == 1 else k), (0 if odd == 2 else stages)
+    names = [f"K{i}" for i in range(k)]
+    if odd != 3:
+        names[draw(st.integers(min_value=0, max_value=k - 1))] = "NULL"
+    rows = [[draw(st.sampled_from(_SCORES)) for _ in range(k)] for _ in range(stages)]
+    if draw(st.booleans()):
+        rows = [list(row) for row in zip(*map(sorted, zip(*rows)))]
+    threshold = st.sampled_from(_THRESHOLDS)
+    gamma = st.one_of(
+        st.just(GammaRule.none()),
+        st.builds(GammaRule.any_exceeds, threshold),
+        st.builds(GammaRule.count_exceeds, threshold, st.integers(min_value=1, max_value=k + 2)),
+        st.builds(GammaRule.fraction_exceeds, threshold,
+                  st.sampled_from([0.1, 0.28, 0.5, 2 / 3, 1.0])))
+    # Two values at most per parameter, so windows share alphas, betas and gammas.
+    alphas, betas, gammas = (
+        draw(st.lists(values, min_size=1, max_size=2))
+        for values in (st.sampled_from([0.0, *_THRESHOLDS, 1.0]),
+                       st.one_of(st.none(), threshold), gamma))
+    windows = draw(st.lists(st.tuples(st.sampled_from(alphas), st.sampled_from(betas),
+                                      st.sampled_from(gammas)), min_size=1, max_size=4))
+    picks = draw(st.lists(st.tuples(st.sampled_from(windows), st.sampled_from(list(Selector))),
+                          min_size=1, max_size=24))
+    return names, rows, [SelectionConfig(a, b, g, s) for (a, b, g), s in picks]
+
+
+def _grid_configs(*specs):
+    return [SelectionConfig(alpha, beta, parse_gamma_spec(gamma), Selector(selector))
+            for alpha, beta, gamma, selector in specs]
+
+
+@given(_grids())
+# NULL is column 0: LAST walks back from stage 3 to 1. Alpha 0.8 elects NULL:
+# NULL passes it at stage 3, before stage 4 first qualifies.
+@example((["NULL", "A", "B"], [[10, 60, 60], [40, 50, 35], [90, 85, 40], [96, 100, 100]],
+          _grid_configs((0.5, 0.95, None, "Last"), (0.5, 0.95, None, "First"),
+                        (0.5, 0.95, None, "Last"), (0.8, None, None, "Last"),
+                        (0.5, 0.95, None, "MaxVariance"), (0.8, None, None, "First"))))
+# One pool, two alpha bars: NULL vetoes stage 3, and the walk-back stops
+# at stage 2 (B, 60) for alpha 0.5 but at stage 1 (A, 70) for alpha 0.66.
+@example((["NULL", "A", "B"], [[0, 70, 10], [0, 20, 60], [90, 85, 40]],
+          _grid_configs((0.5, 0.95, None, "Last"), (0.66, 0.95, None, "Last"))))
+# One first stage, two ends: the gamma cap closes the second pool at stage 1.
+@example((["A", "B", "NULL"], [[60, 0, 0], [0, 70, 0], [0, 80, 0]],
+          _grid_configs((0.5, None, None, "Last"), (0.5, None, "any:0.55", "Last"))))
+# An empty pool elects NULL; MinEntropy then meets stage 3's empty row.
+@example((["A", "B", "NULL"], [[0, 0, 0], [60, 20, 20], [0, 0, 0]],
+          _grid_configs((0.8, None, None, "First"), (0.5, None, None, "First"),
+                        (0.5, None, None, "MinEntropy"))))
+@settings(max_examples=300, deadline=None)
+def test_grid_winners_match_each_decision(grid):
+    names, rows, configs = grid
+    try:  # each config on a table of its own, so no decision is shared
+        expected = [beta_gamma_winner(make_score_table(names, rows), cfg, "NULL").winner
+                    for cfg in configs]
+    except Exception as exc:
+        with pytest.raises(Exception) as caught:
+            grid_winners(make_score_table(names, rows), configs, "NULL")
+        assert type(caught.value) is type(exc)
+    else:
+        table = make_score_table(names, rows)
+        assert grid_winners(table, configs, "NULL") == expected
+        # Again, now from the windows and stages the first call decided.
+        assert grid_winners(table, configs, "NULL") == expected
 
 
 def test_null_veto_walks_back_past_vetoed_stages():

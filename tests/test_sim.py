@@ -1,12 +1,13 @@
 """Dataset, crowd calibration, elections, and the study harness."""
 
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from stagevote import ballot, baselines, sim
+from stagevote import ballot, baselines, select, sim
 from stagevote.ballot import expand_incomplete
 from stagevote.select import GammaRule, SelectionConfig, Selector, beta_gamma_winner
 from stagevote.sim import (
@@ -491,6 +492,20 @@ class TestOneRankingPerElection:
         results = run_election(*stacked(crowd), slate, rng.normal(size=5), 1.0, self.ALGOS, 3)
         assert LABEL_IRV in results and LABEL_BEST_VOTER in results
 
+    def test_run_election_builds_no_decision(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        crowd = tied_crowd(rng, 9, 12)
+        slate = rng.choice(12, size=5, replace=False)
+        election = (*stacked(crowd), slate, rng.normal(size=5), 1.0,
+                    sim.default_algorithm_grid(), 4)
+        expected = run_election(*election)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_election built a Decision")
+
+        monkeypatch.setattr(select, "Decision", refuse)
+        assert run_election(*election) == expected
+
 
 class TestRunSimulation:
     def test_single_election_rates_are_indicators(self):
@@ -676,6 +691,8 @@ class TestConfigParsing:
         ({"numVoters": 10**30}, r"^numVoters too large: "),
         ({"datasetSize": 10**19}, r"^datasetSize too large: "),
         ({"datasetSize": 10**400}, r"^datasetSize too large: "),
+        # Once accepted: the run appended results until it was killed.
+        ({"numElections": 10**400}, r"^numElections too large: "),
         ({"crowdBuildMethod": {"mean": 10**400}},
          r"^crowdBuildMethod\.mean must be a finite number, got 1000"),
         ({"algorithms": [{"alpha": 10**400}]},
@@ -696,6 +713,11 @@ class TestConfigParsing:
         config_from_json_dict(dict(self.BASE, datasetSize=cells // 10))
         with pytest.raises(SimConfigError, match="^datasetSize too large"):
             config_from_json_dict(dict(self.BASE, datasetSize=cells // 10 + 1))
+
+    def test_election_bound_is_pythons_largest_list(self):
+        config_from_json_dict(dict(self.BASE, numElections=sys.maxsize // 8))
+        with pytest.raises(SimConfigError, match="^numElections too large"):
+            config_from_json_dict(dict(self.BASE, numElections=sys.maxsize // 8 + 1))
 
     def test_echo_layout(self):
         cfg = small_config()

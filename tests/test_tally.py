@@ -391,7 +391,7 @@ class TestStageStatistics:
         stats = compute_stage_stats(table)
         assert stats.entropy[0] is None
         assert stats.entropy[1] == pytest.approx(1.0)
-        assert stats.variance == (0.0, 0.0)
+        assert stage_variance(table, 1) == stage_variance(table, 2) == 0.0
         assert stats.variance_key == (0, 0)
 
 
