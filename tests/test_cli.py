@@ -278,11 +278,6 @@ BAD_CONFIG_VALUES = [
     ("numVoters", 4.7, "numVoters must be a whole number, got 4.7"),
     ("seed", 1.9, "seed must be a whole number, got 1.9"),
     ("numElections", 2.5, "numElections must be a whole number, got 2.5"),
-    # Counts beyond Python's largest list once ran until killed.
-    ("numElections", 10**400,
-     "numElections too large: the results exceed Python's largest list"),
-    ("numElections", sys.maxsize // 8 + 1,
-     "numElections too large: the results exceed Python's largest list"),
     ("columnBlindness", 2.5, "columnBlindness must be a whole number, got 2.5"),
     ("columnBlindness", [2, 4.5], "columnBlindness must be a whole number, got 4.5"),
     # Keys once taken on trust: a string is truthy.
@@ -331,6 +326,11 @@ BAD_CONFIG_VALUES = [
     # A misspelt key was once dropped, and the crowd's spread read as 0.
     ("crowdBuildMethod", {"mean": 1500, "standardDeviaton": 400},
      "crowdBuildMethod: unknown keys: standardDeviaton"),
+    # Counts beyond Python's largest list once ran until killed.
+    ("numElections", 10**400,
+     "numElections too large: the results exceed Python's largest list"),
+    ("numElections", sys.maxsize // 8 + 1,
+     "numElections too large: the results exceed Python's largest list"),
 ]
 
 

@@ -691,14 +691,14 @@ class TestConfigParsing:
         ({"numVoters": 10**30}, r"^numVoters too large: "),
         ({"datasetSize": 10**19}, r"^datasetSize too large: "),
         ({"datasetSize": 10**400}, r"^datasetSize too large: "),
-        # Once accepted: the run appended results until it was killed.
-        ({"numElections": 10**400}, r"^numElections too large: "),
         ({"crowdBuildMethod": {"mean": 10**400}},
          r"^crowdBuildMethod\.mean must be a finite number, got 1000"),
         ({"algorithms": [{"alpha": 10**400}]},
          r"^algorithms\[0\]: alpha must be a finite number, got 1000"),
         ({"algorithms": [{"alpha": 0.5, "gamma": 10**400}]},
          r"^algorithms\[0\]: gamma threshold must be in \(0, 1\)$"),
+        # Once accepted: the run appended results until it was killed.
+        ({"numElections": 10**400}, r"^numElections too large: "),
     ])
     def test_oversized_integers_are_config_errors(self, edit, message):
         with pytest.raises(SimConfigError, match=message):
