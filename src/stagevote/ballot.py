@@ -1,26 +1,19 @@
 """Ballots and rosters: CSV parsing, validation, fractional expansion.
 
-A ballot file is read in one streaming pass: one row generator checks the
-header, reads each row (a line that is not valid UTF-8 is an error naming
-that line), checks and decodes each distinct raw row once, at its first
-line, and yields ``(line, voter_id, prefs)`` for every row.
-``parse_ballots`` turns those rows into a list; ``stagevote tally`` groups
-them by preference tuple instead, so that validation and expansion run once
-per distinct ballot.
+``parse_ballots`` reads a ballot file row by row with ``_rows``, which decodes
+each distinct raw row once. ``stagevote tally`` counts the raw rows in C and
+decodes each distinct one; on an error it reads the file again with ``_rows``,
+so an error always names the first bad line in file order.
 
 A ``Ballot`` is one voter's ordered stamps over a fixed candidate roster,
 built once (by the parser or the study) and checked in place by
 ``validate_ballot``. The roster always contains an explicit protest option
 (the NULL candidate, spelled ``NULL`` in ballot files) and may contain an
 "I don't know" abstention marker (``IDK``) whose stamps are ignored at
-tally time.
-
-Incomplete ballots are expanded into fractional form: a
-``FractionalBallot`` keeps the truncated stamps, and every missing
-preference row splits one unit of vote mass evenly over the candidates the
-voter never stamped, so downstream tables keep exact row sums. Weights are
-exact (the int 1 or a `fractions.Fraction`). Equal stamps make equal,
-hashable ballots, so a tally weighs each distinct ballot once.
+tally time. ``expand_incomplete`` makes a ``FractionalBallot``, whose
+missing rows split one unit of vote mass evenly over the candidates the
+voter never stamped; equal stamps make equal, hashable ballots, so a tally
+weighs each distinct ballot once.
 """
 
 from __future__ import annotations
@@ -28,9 +21,11 @@ from __future__ import annotations
 import csv
 import io
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import IO, Iterable, Iterator, Optional, Union
 
 NULL_TOKEN = "NULL"
@@ -164,8 +159,7 @@ class FractionalBallot:
 def _open_lines(source: Union[str, bytes, IO[str], Iterable[str]]) -> Iterable[str]:
     # newline=None: CR, CRLF and LF all end a line, as in a text-mode file.
     if isinstance(source, bytes):
-        # Undecodable bytes become lone surrogates, which _utf8_lines reports
-        # with their line number.
+        # Undecodable bytes become lone surrogates, reported by _utf8_lines.
         return io.StringIO(source.decode("utf-8-sig", "surrogateescape"), newline=None)
     if isinstance(source, str):
         return io.StringIO(source.removeprefix("\ufeff"), newline=None)
@@ -204,48 +198,35 @@ def _read_header(reader) -> int:
         raise BallotFormatError("empty file: missing header row", line=1)
     header = [h.strip() for h in header]
     if not header or header[0] != "voter_id":
-        raise BallotFormatError(
-            "unknown header layout: first column must be 'voter_id'", line=1
-        )
+        raise BallotFormatError("unknown header layout: first column must be 'voter_id'", line=1)
     expected = [f"pref{i}" for i in range(1, len(header))]
     if len(header) < 2 or header[1:] != expected:
-        raise BallotFormatError(
-            "unknown header layout: expected columns pref1..prefP", line=1
-        )
+        raise BallotFormatError("unknown header layout: expected columns pref1..prefP", line=1)
     return len(header) - 1
 
 
 def _read_rows(
-    source: Union[str, bytes, IO[str], Iterable[str]],
-    roster: Optional[CandidateRoster],
-) -> tuple[int, Iterator[tuple[int, str, tuple[str, ...]]]]:
-    """Check the header now; return P and a generator of the data rows as
-    ``(line, voter_id, prefs)``, which decodes each row as it is read."""
+        source: Union[str, bytes, IO[str], Iterable[str]]) -> tuple[int, Iterator[list[str]]]:
+    """Check the header now; return P and the csv reader at the first data row."""
     reader = csv.reader(_utf8_lines(_open_lines(source)))
-    num_cols = _read_header(reader)
-    return num_cols, _rows(reader, num_cols, roster)
+    return _read_header(reader), reader
 
 
 def _decode_cells(raw: tuple[str, ...], num_cols: int,
-                  roster: Optional[CandidateRoster], line: int) -> tuple[str, ...]:
+                  roster: Optional[CandidateRoster], line: Optional[int]) -> tuple[str, ...]:
     """Strip one row's preference cells, check its width and the empty-suffix
     rule, and decode its tokens; an error names ``line``. Interned cells let
     the distinct rows kept by the reader and the tally share their strings."""
     cells = [sys.intern(cell.strip()) for cell in raw]
     if len(cells) > num_cols:
-        raise BallotFormatError(
-            f"row has {len(cells)} preference cells, header allows {num_cols}",
-            line=line,
-        )
+        raise BallotFormatError(f"row has {len(cells)} preference cells, "
+                                f"header allows {num_cols}", line=line)
     if "" in cells:
         end = cells.index("")
         for pos, cell in enumerate(cells[end:], start=end + 1):
             if cell:
-                raise BallotFormatError(
-                    f"stamped cell at preference {pos} after an empty cell "
-                    "(empty cells are only allowed as a suffix)",
-                    line=line,
-                )
+                raise BallotFormatError(f"stamped cell at preference {pos} after an empty cell "
+                                        "(empty cells are only allowed as a suffix)", line=line)
         del cells[end:]
     if roster is None:
         return tuple(cells)
@@ -258,9 +239,7 @@ def _rows(reader, num_cols: int,
     # first line, so an error still names the first bad line in file order.
     decoded: dict[tuple[str, ...], tuple[str, ...]] = {}
     try:
-        for row in reader:
-            if not row:
-                continue
+        for row in filter(None, reader):
             line = reader.line_num
             raw = tuple(row[1:])
             prefs = decoded.get(raw)
@@ -286,13 +265,34 @@ def parse_ballots(
     UTF-8 is a ``BallotFormatError`` naming that line. Duplicate voter ids
     are allowed: each row is one ballot.
     """
-    _, rows = _read_rows(source, roster)
-    return [Ballot(voter_id, prefs, line) for line, voter_id, prefs in rows]
+    num_cols, reader = _read_rows(source)
+    return [Ballot(voter, prefs, line) for line, voter, prefs in _rows(reader, num_cols, roster)]
+
+
+def _count_rows(fh: io.TextIOWrapper) -> tuple[int, dict[tuple[str, ...], int]]:
+    """Check the header; return P and ``{prefs: rows}``, tokens as written, in
+    first-seen order: rows are counted by raw cells in C, then each distinct
+    one is decoded once. ``fh`` is seekable and decodes strictly; on any error
+    it is read again row by row, bad bytes escaped, to raise the first one."""
+    reader = csv.reader(fh)
+    try:
+        num_cols = _read_header(reader)
+        raw_counts = Counter(map(tuple, map(itemgetter(slice(1, None)), filter(None, reader))))
+        groups: dict[tuple[str, ...], int] = {}
+        for raw, voters in raw_counts.items():
+            prefs = _decode_cells(raw, num_cols, None, None)
+            groups[prefs] = groups.get(prefs, 0) + voters
+        return num_cols, groups
+    except (BallotError, csv.Error, UnicodeDecodeError):
+        fh.seek(0)
+        fh.reconfigure(errors="surrogateescape")
+        parse_ballots(fh, None)
+        raise
 
 
 def csv_preference_columns(source: Union[str, bytes, IO[str], Iterable[str]]) -> int:
     """Number of preference columns declared by a ballot CSV header."""
-    return _read_rows(source, None)[0]
+    return _read_rows(source)[0]
 
 
 def validate_ballot(ballot: Ballot, roster: CandidateRoster) -> Ballot:

@@ -29,8 +29,9 @@ from .ballot import (
     Ballot,
     BallotError,
     CandidateRoster,
-    _read_rows,
+    _count_rows,
     expand_incomplete,
+    parse_ballots,
     validate_ballot,
 )
 from .select import (
@@ -106,8 +107,8 @@ def _exact_decimal(text: str):
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
 
 
-def _infer_roster(ballots) -> CandidateRoster:
-    seen = dict.fromkeys(c for ballot in ballots for c in ballot.prefs)
+def _infer_roster(groups) -> CandidateRoster:
+    seen = dict.fromkeys(c for prefs in groups for c in prefs)
     real = sorted(c for c in seen if c not in (NULL_TOKEN, IDK_TOKEN))
     candidates = real + [NULL_TOKEN]
     idk = IDK_TOKEN if IDK_TOKEN in seen else None
@@ -130,29 +131,22 @@ def _roster_from_flag(spec: str) -> CandidateRoster:
 
 
 def _read_ballot_groups(fh, candidates: Optional[str]):
-    """Read the ballot file in one pass, grouping rows by preference tuple.
+    """Count the ballot file's rows by preference tuple, in one pass.
 
-    Returns ``(P, roster, {prefs: [first Ballot, voters]})`` in first-seen
-    order. The roster, the off-roster warning and validation all work on
-    the distinct tuples; only when some tuple is invalid is the file read a
-    second time, to list every line that holds one.
+    Returns ``(P, roster, [(ballot, voters), ...])``, one validated ballot
+    per distinct tuple in first-seen order. The roster, the off-roster
+    warning and validation all work on the distinct tuples; only on an
+    error is the seekable ``fh`` read a second time, row by row, to name the
+    first bad line or to list every line that holds an invalid ballot.
     """
     # Every roster built here spells NULL and IDK literally, so the ballots
     # can be parsed with their tokens as written, before the roster exists.
     try:
-        num_cols, rows = _read_rows(fh, None)
-        groups: dict[tuple[str, ...], list] = {}
-        for line, voter_id, prefs in rows:
-            group = groups.get(prefs)
-            if group is None:
-                groups[prefs] = [Ballot(voter_id, prefs, line), 1]
-            else:
-                group[1] += 1
+        num_cols, groups = _count_rows(fh)
     except BallotError as exc:
         raise CliError(str(exc)) from exc
     if not groups:
         raise CliError("no ballots in file")
-    ballots = [ballot for ballot, _ in groups.values()]
     if candidates:
         roster = _roster_from_flag(candidates)
         extra = sorted({c for prefs in groups for c in prefs} - set(roster.candidates))
@@ -160,8 +154,9 @@ def _read_ballot_groups(fh, candidates: Optional[str]):
             print(f"warning: ballots contain identifiers not on the roster: "
                   f"{', '.join(extra)}", file=sys.stderr)
     else:
-        roster = _infer_roster(ballots)
+        roster = _infer_roster(groups)
 
+    ballots = [Ballot("", prefs) for prefs in groups]
     failures = {}
     for ballot in ballots:
         try:
@@ -170,17 +165,16 @@ def _read_ballot_groups(fh, candidates: Optional[str]):
             failures[ballot.prefs] = exc
     if failures:
         fh.seek(0)
-        _, rows = _read_rows(fh, None)
-        problems = [f"line {line}: {failures[prefs]}"
-                    for line, _, prefs in rows if prefs in failures]
+        problems = [f"line {b.line}: {failures[b.prefs]}"
+                    for b in parse_ballots(fh, None) if b.prefs in failures]
         raise CliError("invalid ballots:\n  " + "\n  ".join(problems))
-    return num_cols, roster, groups
+    return num_cols, roster, list(zip(ballots, groups.values()))
 
 
 def cmd_tally(args) -> int:
-    """Tally a ballot file: one streaming pass groups its rows by preference
-    tuple, then validation, expansion and counting run once per distinct
-    ballot, each weighted by its number of voters."""
+    """Tally a ballot file: one pass counts its rows by preference tuple,
+    then validation, expansion and counting run once per distinct ballot,
+    each weighted by its number of voters."""
     # Built for the basic rule too, so alpha is checked on both paths.
     try:
         cfg = SelectionConfig(
@@ -195,12 +189,12 @@ def cmd_tally(args) -> int:
 
     try:
         # utf-8-sig: spreadsheet CSV exports start with a byte-order mark.
-        # surrogateescape: bytes that are not UTF-8 reach the reader, which
-        # reports them with their line number.
-        with open(args.ballots, "r", encoding="utf-8-sig",
-                  errors="surrogateescape") as fh:
-            # A pipe cannot be read twice; keep its text for the error pass.
-            source = fh if fh.seekable() else io.StringIO(fh.read())
+        # Bytes that are not UTF-8 stop the counting pass, whose row-by-row
+        # replay reports them with their line number.
+        with open(args.ballots, "r", encoding="utf-8-sig") as fh:
+            # A pipe cannot be read twice; keep its bytes for the error passes.
+            source = fh if fh.seekable() else io.TextIOWrapper(
+                io.BytesIO(fh.buffer.read()), encoding="utf-8-sig")
             num_cols, roster, groups = _read_ballot_groups(source, args.candidates)
     except OSError as exc:
         raise CliError(f"cannot read {args.ballots}: {exc}") from exc
@@ -213,7 +207,7 @@ def cmd_tally(args) -> int:
 
     # Distinct tuples can still expand alike (cut at num_prefs, IDK stamps).
     expanded: Counter = Counter()
-    for ballot, voters in groups.values():
+    for ballot, voters in groups:
         expanded[expand_incomplete(ballot, roster, num_prefs)] += voters
     vc = count_votes(expanded, roster, num_prefs)
     pt = cumulate(vc)
@@ -237,13 +231,7 @@ def cmd_tally(args) -> int:
         }
         print(json.dumps(doc, indent=2))
     else:
-        print(vc.to_text())
-        print()
-        print(pt.to_text())
-        print()
-        print(st.to_text())
-        print()
-        print(report_to_text(report))
+        print("\n\n".join([vc.to_text(), pt.to_text(), st.to_text(), report_to_text(report)]))
 
     return 2 if decision.winner == roster.null_id else 0
 
@@ -317,10 +305,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "min-stages": cmd_min_stages,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        print(end="", flush=True)  # stdout's write errors surface here, not at exit
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # stdout's reader is gone (``| head``): end quietly, with stdout on
+        # devnull so that the interpreter's last flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

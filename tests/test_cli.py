@@ -179,6 +179,21 @@ class TestTally:
                        "  line 2: candidate 'A' stamped twice (preferences 1 and 2)\n"
                        "  line 4: candidate 'A' stamped twice (preferences 1 and 2)\n")
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    @pytest.mark.parametrize("data, error", [
+        # The counting pass stops at the bad byte on line 4; the replay of
+        # the buffered pipe names the earlier width error on line 3.
+        (b"voter_id,pref1\nv1,A\nv2,A,B\nv3,\xff\n",
+         "line 3: row has 2 preference cells, header allows 1"),
+        (b"\xef\xbb\xbfvoter_id,pref1\r\nv1,A\r\nv2,\xc3\r\n",
+         "line 3: not valid UTF-8 (character 4)"),
+    ])
+    def test_first_bad_line_named_from_a_pipe(self, tmp_path, data, error):
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        threading.Thread(target=path.write_bytes, args=(data,), daemon=True).start()
+        assert run_cli("tally", str(path)) == (1, "", f"error: {error}\n")
+
     def test_checks_and_expands_each_distinct_tuple_once(self, tmp_path, monkeypatch):
         calls: Counter = Counter()
         for name in ("validate_ballot", "expand_incomplete"):
@@ -593,3 +608,20 @@ def test_simulate_without_numpy_is_one_error_line(sim_config, tmp_path):
                           capture_output=True, text=True, env=env, check=False)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, "", "error: simulate needs numpy (numpy is blocked)\n")
+
+
+@pytest.mark.parametrize("command", ["tally", "simulate"])
+def test_closed_stdout_pipe_ends_quietly(command, sim_config):
+    # As in "stagevote ... | head": the reader of stdout is gone. The wide
+    # roster's tables fail inside a print, the small study's at the flush.
+    target = {"tally": os.path.join(os.path.dirname(__file__), "data", "wide_roster.csv"),
+              "simulate": sim_config}[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "stagevote.cli", command, target],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=src_env(), check=False)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")

@@ -3,14 +3,16 @@
 Whatever the bytes, ``parse_ballots`` may only raise a ``BallotError``
 (a ``BallotFormatError`` always names its line) and ``cli.main`` must end
 with exit status 0, 1 or 2 and no traceback. On files whose rows repeat,
-verbatim or dressed differently, ``parse_ballots`` must agree with a reader
-that decodes every row on its own.
+verbatim or dressed differently, ``parse_ballots`` and ``stagevote tally``
+must agree with a reader that decodes every row on its own: the same
+first error, or the same ballots and counts.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -20,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stagevote.ballot import (
+    Ballot,
     BallotError,
     BallotFormatError,
     CandidateRoster,
@@ -27,9 +30,13 @@ from stagevote.ballot import (
     _open_lines,
     _read_header,
     _utf8_lines,
+    csv_preference_columns,
+    expand_incomplete,
     parse_ballots,
+    validate_ballot,
 )
 from stagevote.cli import main
+from stagevote.tally import count_votes
 
 CANDIDATES = ["A", "B", "C", "NULL", "IDK"]
 # Cells as a spreadsheet might write them: padded or quoted.
@@ -159,18 +166,85 @@ FLAGS = [[], ["--candidates", "A,B,NULL,IDK"], ["--num-prefs", "1"],
          ["--beta", "0.3", "--selector", "max-entropy"]]
 
 
-@given(FILES, st.sampled_from(FLAGS))
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_tally_exits_cleanly(data, flags):
+def run_tally(data: bytes, flags) -> tuple[int, str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ballots.csv"
         path.write_bytes(data)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(["tally", str(path), *flags])
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(FILES, st.sampled_from(FLAGS))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_tally_exits_cleanly(data, flags):
+    code, out, err = run_tally(data, flags)
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code == 1:
-        assert out.getvalue() == ""
-        assert "error: " in err.getvalue()
+        assert out == ""
+        assert "error: " in err
+
+
+def oracle_counts(data: bytes, rows, flags):
+    """The count table's JSON over the oracle's rows, each expanded on its
+    own; None where ``tally`` must refuse the ballots (none at all, no real
+    candidate to infer, an invalid ballot, ``--num-prefs`` out of range)."""
+    ballots = [Ballot(voter, prefs, line) for line, voter, prefs in rows]
+    stamps = {c for b in ballots for c in b.prefs}
+    if "--candidates" in flags:
+        ids = flags[flags.index("--candidates") + 1].split(",")
+    else:
+        real = sorted(stamps - {"NULL", "IDK"})
+        ids = real + ["NULL"] + ["IDK"] * ("IDK" in stamps)
+        if not real:
+            return None
+    if not ballots:
+        return None
+    roster = CandidateRoster(tuple(ids), idk_id="IDK" if "IDK" in ids else None)
+    try:
+        for ballot in ballots:
+            validate_ballot(ballot, roster)
+    except BallotError:
+        return None
+    num_prefs = (int(flags[flags.index("--num-prefs") + 1]) if "--num-prefs" in flags
+                 else min(csv_preference_columns(data), roster.k))
+    if not 1 <= num_prefs <= roster.k:
+        return None
+    expanded = [expand_incomplete(b, roster, num_prefs) for b in ballots]
+    return count_votes(expanded, roster, num_prefs).to_json_dict()
+
+
+@given(ballot_files(repeats=True), st.sampled_from(FLAGS))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_tally_agrees_with_a_row_by_row_oracle(data, flags):
+    try:
+        rows = list(oracle_rows(data, None))
+    except BallotError as exc:
+        assert run_tally(data, flags) == (1, "", f"error: {exc}\n")
+        return
+    code, out, err = run_tally(data, [*flags, "--format", "json"])
+    expected = oracle_counts(data, rows, flags)
+    if expected is None:
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1].startswith(("error: ", "  line "))
+    else:
+        assert code in (0, 2)
+        assert json.loads(out)["counts"] == expected
+
+
+LONG_CELL = "x" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize("tail", [["v,\udcff", f"w,{LONG_CELL}"],
+                                  [f"w,{LONG_CELL}", "v,\udcff"]])
+def test_tally_names_a_width_error_before_later_bad_lines(tail):
+    # The counting pass first fails on the bad byte or the malformed row;
+    # the error still names the earlier width error, as a row-by-row read does.
+    body = [f"v{i},A,NULL" for i in range(5000)] + ["u,A,B,C", *tail]
+    data = "\n".join(["voter_id,pref1,pref2", *body, ""]).encode("utf-8", "surrogateescape")
+    assert run_tally(data, []) == (
+        1, "", "error: line 5002: row has 3 preference cells, header allows 2\n")
