@@ -26,9 +26,10 @@ Windows are decided from a crossing profile (``_Crossings``), built once
 per table and NULL column and cached on the table: per stage, the top real
 column and its numerator where NULL is not above it, and NULL's
 numerator. Each window bound is one scan for the first stage above its
-bar. The profile keeps each distinct scan, window and decided stage, so the
-decisions made on one table share them and its stage statistics, and
-``grid_winners`` decides a whole grid on one table with no ``Decision``.
+bar. The profile keeps each distinct scan and decided stage, so the
+decisions made on one table share them and its stage statistics.
+``grid_winners`` decides a whole grid on one table with no ``Decision``,
+deciding each distinct (alpha, beta, gamma) window once.
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ def _first_above(values: Iterable[int], bar: int) -> Optional[int]:
 
 class _Crossings:
     """One table's crossing profile for NULL column ``nj``, with its scans by
-    (column, bar), windows by (alpha, beta, gamma) and stages by (pool, selector, bar).
+    (column, bar) and decided stages by (pool, selector, bar).
 
     Per stage i (0-based), ``top[i]`` is the top real column (the first of
     the stage's ranking that is not NULL) and ``best[i]`` its numerator
@@ -301,16 +302,8 @@ class _Crossings:
         self.null = [row[nj] for row in self.ints]
         self.best = [row[j] if null <= row[j] else -1
                      for row, j, null in zip(self.ints, self.top, self.null)]
-        self.windows: dict[tuple, StageWindow] = {}
         self.scans: dict[tuple, Optional[int]] = {}
         self.stages: dict[tuple, tuple[int, int]] = {}
-
-    def window(self, cfg: SelectionConfig) -> StageWindow:
-        key = (cfg.alpha, cfg.beta, cfg.gamma)
-        window = self.windows.get(key)
-        if window is None:
-            window = self.windows[key] = self._decide(cfg)
-        return window
 
     def _scan(self, name, values: Iterable[int], bar: int) -> Optional[int]:
         """``_first_above(values, bar)``, scanned once per (name, bar)."""
@@ -319,7 +312,7 @@ class _Crossings:
             self.scans[key] = _first_above(values, bar)
         return self.scans[key]
 
-    def _decide(self, cfg: SelectionConfig) -> StageWindow:
+    def window(self, cfg: SelectionConfig) -> StageWindow:
         bar_a = _bar(cfg.alpha, self.denom)
         first_by_alpha = self._scan("best", self.best, bar_a)
         if cfg.beta is not None:
@@ -378,8 +371,7 @@ def stage_window(st: StageTable, cfg: SelectionConfig, null_id: str) -> StageWin
     candidate that NULL does not strictly beat. The upper bound is the
     tightest of: the stage before NULL crosses beta (or the stage where it
     crosses alpha, when beta is unset), the stage where the gamma rule
-    fires, and the last stage of the table. The window is decided once
-    per table and (alpha, beta, gamma), and shared by later calls.
+    fires, and the last stage of the table.
     """
     return _crossings(st, null_id).window(cfg)
 

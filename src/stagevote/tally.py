@@ -15,8 +15,8 @@ divisions, entropy reads the int rows, and the column order and per-stage
 ranking compare ints;
 the ``Fraction`` cells are built only when read (text/JSON readers,
 ``row()``). A table's Fraction and float rows, stage statistics, column
-order, tie rank and per-stage ranking are computed once, on first use,
-and shared by every later reader of that table.
+order and per-stage ranking are computed once, on first use, and shared
+by every later reader of that table.
 """
 
 from __future__ import annotations
@@ -82,9 +82,9 @@ class StageTable:
     their denominators.
 
     ``rows`` (the cells as ``Fraction``s), ``floats``, ``stats``,
-    ``column_order``, ``tie_rank``, ``ranking`` and ``crossings`` are
-    computed once per table, on first read, and cached on the instance, so
-    every decision made on one table shares them. Equality and hashing
+    ``column_order``, ``ranking`` and ``crossings`` are computed once per
+    table, on first read, and cached on the instance, so every decision
+    made on one table shares them. Equality and hashing
     compare kind, candidates, cell values and n; the cache never enters them.
     """
 
@@ -156,15 +156,11 @@ class StageTable:
         return sort_columns(self)
 
     @cached_property
-    def tie_rank(self) -> dict[str, int]:
-        """Each candidate's position in ``column_order``; lower wins a tie."""
-        return {c: i for i, c in enumerate(self.column_order)}
-
-    @cached_property
     def ranking(self) -> tuple[tuple[int, ...], ...]:
         """Per stage, the column indices from highest score to lowest, ties
-        by ``tie_rank``; ``ranking[i][0]`` leads stage i + 1."""
-        tie = [self.tie_rank[c] for c in self.candidates]
+        to the earlier in ``column_order``; ``ranking[i][0]`` leads stage i + 1."""
+        rank = {c: i for i, c in enumerate(self.column_order)}
+        tie = [rank[c] for c in self.candidates]
         return tuple(tuple(sorted(range(len(tie)), key=lambda j: (-row[j], tie[j])))
                      for row in self.ints)
 

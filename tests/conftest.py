@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from stagevote import tally
+from stagevote import select, tally
 from stagevote.ballot import Ballot, CandidateRoster, expand_incomplete
 from stagevote.tally import StageTable, TableKind, count_votes, cumulate, score
 
@@ -74,6 +74,19 @@ def table_builds(monkeypatch) -> Counter:
             calls[name] += 1
             return real(st)
         monkeypatch.setattr(tally, name, counted)
+    return calls
+
+
+@pytest.fixture
+def window_requests(monkeypatch) -> Counter:
+    """Counts window requests by (crossing profile, alpha, beta, gamma)."""
+    calls: Counter = Counter()
+    real = select._Crossings.window
+
+    def counted(profile, cfg):
+        calls[profile, cfg.alpha, cfg.beta, cfg.gamma] += 1
+        return real(profile, cfg)
+    monkeypatch.setattr(select._Crossings, "window", counted)
     return calls
 
 

@@ -98,6 +98,15 @@ class TestTally:
         assert "firstStageByAlpha: 2" in out
         assert "lastStageByBeta: 2" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_windowed_report_asks_for_one_window_once(self, beta_csv, fmt,
+                                                      window_requests):
+        # The report reads the decision's profile and asks for no window again.
+        code, _, _ = run_cli("tally", beta_csv, "--alpha", "0.5", "--beta", "0.3333",
+                             "--selector", "last", "--format", fmt)
+        assert code == 0
+        assert list(window_requests.values()) == [1]
+
     def test_json_matches_text(self, concrete_csv):
         code, text_out, _ = run_cli("tally", concrete_csv, "--alpha", "0.5")
         code2, json_out, _ = run_cli("tally", concrete_csv, "--alpha", "0.5",

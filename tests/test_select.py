@@ -597,7 +597,7 @@ def test_grid_winners_match_each_decision(grid):
     else:
         table = make_score_table(names, rows)
         assert grid_winners(table, configs, "NULL") == expected
-        # Again, now from the windows and stages the first call decided.
+        # Again, now from the scans and stages the first call decided.
         assert grid_winners(table, configs, "NULL") == expected
 
 
@@ -822,23 +822,35 @@ def test_basic_equals_windowed_first_when_null_not_strict_max():
     assert checked > 50
 
 
+def _two_default_grid_elections() -> list:
+    """The default grid's results on two 5-candidate slates of one crowd."""
+    cfg = sim.SimConfig(num_candidates=5, num_voters=12, num_elections=2,
+                        column_blindness=5, quality_mean=1500.0,
+                        quality_sd=300.0, seed=3, dataset_size=300)
+    ds = sim.generate_dataset(3, num_candidates=300)
+    crowd = sim.build_crowd(cfg, ds, np.random.default_rng(3))
+    predictions = np.stack([v.predictions for v in crowd])
+    y_test = ds.y[ds.test_idx]
+    return [sim.run_election(predictions, 0, slate, y_test[slate], ds.null_y,
+                             sim.default_algorithm_grid(), num_prefs=5,
+                             include_baselines=False)
+            for slate in (np.arange(5), np.arange(5, 10))]
+
+
 class TestPerTableCache:
     """Decisions share one table's float rows, stats and tie order."""
 
     def test_default_grid_builds_stats_and_order_once_per_table(self, table_builds):
-        cfg = sim.SimConfig(num_candidates=5, num_voters=12, num_elections=2,
-                            column_blindness=5, quality_mean=1500.0,
-                            quality_sd=300.0, seed=3, dataset_size=300)
-        ds = sim.generate_dataset(3, num_candidates=300)
-        crowd = sim.build_crowd(cfg, ds, np.random.default_rng(3))
-        predictions = np.stack([v.predictions for v in crowd])
-        y_test = ds.y[ds.test_idx]
-        grid = sim.default_algorithm_grid()
-        for slate in (np.arange(5), np.arange(5, 10)):
-            results = sim.run_election(predictions, 0, slate, y_test[slate], ds.null_y,
-                                       grid, num_prefs=5, include_baselines=False)
-            assert len(results) == len(grid) == 126
+        for results in _two_default_grid_elections():
+            assert len(results) == len(sim.default_algorithm_grid()) == 126
         assert table_builds == {"compute_stage_stats": 2, "sort_columns": 2}
+
+    def test_election_asks_for_no_window_twice(self, window_requests):
+        # No window repeats on a table, so a window memo would never hit.
+        _two_default_grid_elections()
+        assert len({key[0] for key in window_requests}) == 2
+        assert len(window_requests) == 2 * 18
+        assert set(window_requests.values()) == {1}
 
     def test_decisions_build_no_fraction_rows(self, beta_tables):
         _, _, table = beta_tables
@@ -847,22 +859,6 @@ class TestPerTableCache:
             beta_gamma_winner(table, cfg, "NULL")
         basic_winner(table, 0.5)
         assert "rows" not in vars(table)
-
-    def test_tie_rank_built_once_per_table(self, beta_tables, monkeypatch):
-        builds = []
-        real = StageTable.tie_rank.func
-
-        def counted(table):
-            builds.append(table)
-            return real(table)
-        rank = cached_property(counted)
-        rank.__set_name__(StageTable, "tie_rank")
-        monkeypatch.setattr(StageTable, "tie_rank", rank)
-        _, _, table = beta_tables
-        for cfg in sim.default_algorithm_grid():
-            betagamma_report(beta_gamma_winner(table, cfg, "NULL"), cfg, "NULL")
-        basic_winner(table, 0.5)
-        assert builds == [table]
 
     def test_ranking_built_once_per_table(self, beta_tables, monkeypatch):
         builds = []
@@ -880,20 +876,20 @@ class TestPerTableCache:
         basic_winner(table, 0.5)
         assert builds == [table]
 
-    def test_each_distinct_window_decided_once_per_table(self, beta_tables, monkeypatch):
+    def test_grid_decides_each_distinct_window_once(self, beta_tables, monkeypatch):
         decided = []
-        real = select._Crossings._decide
+        real = select._Crossings.window
 
         def counted(profile, cfg):
             decided.append((cfg.alpha, cfg.beta, cfg.gamma))
             return real(profile, cfg)
-        monkeypatch.setattr(select._Crossings, "_decide", counted)
+        monkeypatch.setattr(select._Crossings, "window", counted)
         _, _, table = beta_tables
         grid = sim.default_algorithm_grid()
-        windows = {cfg: beta_gamma_winner(table, cfg, "NULL").window for cfg in grid}
+        grid_winners(table, grid, "NULL")
         assert len(decided) == len(set(decided)) == 18
-        assert all(stage_window(table, cfg, "NULL") is windows[cfg] for cfg in grid)
-        assert len(decided) == 18
+        assert all(stage_window(table, cfg, "NULL")
+                   == beta_gamma_winner(table, cfg, "NULL").window for cfg in grid)
 
     def test_mutating_float_rows_leaves_decisions_alone(self, beta_tables):
         _, _, table = beta_tables

@@ -423,11 +423,9 @@ class TestPerTableCache:
     def test_each_member_is_built_once(self, concrete_tables, table_builds):
         _, _, table = concrete_tables
         for _ in range(3):
-            table.stats, table.column_order, table.floats, table.tie_rank
+            table.stats, table.column_order, table.floats
         assert table_builds == {"compute_stage_stats": 1, "sort_columns": 1}
         assert table.floats is table.floats
-        assert table.tie_rank is table.tie_rank
-        assert table.tie_rank == {c: i for i, c in enumerate(table.column_order)}
 
     def test_float_rows_are_fresh_lists(self, concrete_tables):
         _, _, table = concrete_tables
