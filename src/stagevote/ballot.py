@@ -1,9 +1,9 @@
 """Ballots and rosters: CSV parsing, validation, fractional expansion.
 
-``parse_ballots`` reads a ballot file row by row with ``_rows``, which decodes
-each distinct raw row once. ``stagevote tally`` counts the raw rows in C and
-decodes each distinct one; on an error it reads the file again with ``_rows``,
-so an error always names the first bad line in file order.
+``parse_ballots`` reads a ballot file row by row with ``_read_rows``, which
+decodes each distinct raw row once. ``stagevote tally`` counts the raw rows in
+C and decodes each distinct one; on an error it streams the file again, so an
+error always names the first bad line in file order.
 
 A ``Ballot`` is one voter's ordered stamps over a fixed candidate roster,
 built once (by the parser or the study) and checked in place by
@@ -205,11 +205,12 @@ def _read_header(reader) -> int:
     return len(header) - 1
 
 
-def _read_rows(
-        source: Union[str, bytes, IO[str], Iterable[str]]) -> tuple[int, Iterator[list[str]]]:
-    """Check the header now; return P and the csv reader at the first data row."""
+def _read_rows(source: Union[str, bytes, IO[str], Iterable[str]],
+               roster: Optional[CandidateRoster] = None) -> tuple[int, Iterator[tuple]]:
+    """Check the header now; return P and the data rows as ``_rows`` reads them."""
     reader = csv.reader(_utf8_lines(_open_lines(source)))
-    return _read_header(reader), reader
+    num_cols = _read_header(reader)
+    return num_cols, _rows(reader, num_cols, roster)
 
 
 def _decode_cells(raw: tuple[str, ...], num_cols: int,
@@ -265,15 +266,14 @@ def parse_ballots(
     UTF-8 is a ``BallotFormatError`` naming that line. Duplicate voter ids
     are allowed: each row is one ballot.
     """
-    num_cols, reader = _read_rows(source)
-    return [Ballot(voter, prefs, line) for line, voter, prefs in _rows(reader, num_cols, roster)]
+    return [Ballot(voter, prefs, line) for line, voter, prefs in _read_rows(source, roster)[1]]
 
 
 def _count_rows(fh: io.TextIOWrapper) -> tuple[int, dict[tuple[str, ...], int]]:
     """Check the header; return P and ``{prefs: rows}``, tokens as written, in
     first-seen order: rows are counted by raw cells in C, then each distinct
     one is decoded once. ``fh`` is seekable and decodes strictly; on any error
-    it is read again row by row, bad bytes escaped, to raise the first one."""
+    it is streamed again row by row, bad bytes escaped, to raise the first one."""
     reader = csv.reader(fh)
     try:
         num_cols = _read_header(reader)
@@ -286,7 +286,8 @@ def _count_rows(fh: io.TextIOWrapper) -> tuple[int, dict[tuple[str, ...], int]]:
     except (BallotError, csv.Error, UnicodeDecodeError):
         fh.seek(0)
         fh.reconfigure(errors="surrogateescape")
-        parse_ballots(fh, None)
+        for _ in _read_rows(fh)[1]:
+            pass
         raise
 
 

@@ -30,8 +30,8 @@ from .ballot import (
     BallotError,
     CandidateRoster,
     _count_rows,
+    _read_rows,
     expand_incomplete,
-    parse_ballots,
     validate_ballot,
 )
 from .select import (
@@ -136,8 +136,8 @@ def _read_ballot_groups(fh, candidates: Optional[str]):
     Returns ``(P, roster, [(ballot, voters), ...])``, one validated ballot
     per distinct tuple in first-seen order. The roster, the off-roster
     warning and validation all work on the distinct tuples; only on an
-    error is the seekable ``fh`` read a second time, row by row, to name the
-    first bad line or to list every line that holds an invalid ballot.
+    error is the seekable ``fh`` streamed a second time, row by row, to name
+    the first bad line or to list every line that holds an invalid ballot.
     """
     # Every roster built here spells NULL and IDK literally, so the ballots
     # can be parsed with their tokens as written, before the roster exists.
@@ -165,8 +165,8 @@ def _read_ballot_groups(fh, candidates: Optional[str]):
             failures[ballot.prefs] = exc
     if failures:
         fh.seek(0)
-        problems = [f"line {b.line}: {failures[b.prefs]}"
-                    for b in parse_ballots(fh, None) if b.prefs in failures]
+        problems = [f"line {line}: {failures[prefs]}"
+                    for line, _, prefs in _read_rows(fh)[1] if prefs in failures]
         raise CliError("invalid ballots:\n  " + "\n  ".join(problems))
     return num_cols, roster, list(zip(ballots, groups.values()))
 

@@ -23,13 +23,14 @@ strictly exceeds 100 * p / q exactly when v > 100 * p * D // q. No score
 is compared as a float, so a cell just above the typed bar crosses it.
 
 Windows are decided from a crossing profile (``_Crossings``), built once
-per table and NULL column and cached on the table: per stage, the top real
-column and its numerator where NULL is not above it, and NULL's
+per decision call from the table and its NULL column: per stage, the top
+real column and its numerator where NULL is not above it, and NULL's
 numerator. Each window bound is one scan for the first stage above its
-bar. The profile keeps each distinct scan and decided stage, so the
-decisions made on one table share them and its stage statistics.
-``grid_winners`` decides a whole grid on one table with no ``Decision``,
-deciding each distinct (alpha, beta, gamma) window once.
+bar. The profile keeps each distinct scan and decided stage for the
+configs of its call; separate calls on one table share only the table's
+stage statistics and ranking. ``grid_winners`` decides a whole grid on one
+table and one profile with no ``Decision``, deciding each distinct
+(alpha, beta, gamma) window once.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from numbers import Real
 from typing import Iterable, Optional, Sequence, Union
 
@@ -168,11 +169,15 @@ class GammaRule:
         return cap
 
 
-def _fmt_typed(x: float, spec: str) -> str:
-    """``x`` formatted by ``spec`` when that reads back as ``x``, else its
-    shortest repr, so distinct thresholds never print alike."""
-    text = format(x, spec)
-    return text if float(text) == x else repr(x)
+def _fmt_typed(x: Real, spec: str) -> str:
+    """``x`` as the float equal to it, formatted by ``spec`` when that reads
+    back as it, else its shortest repr; with no equal float (Fraction(2, 3)),
+    ``x`` exactly. Equal thresholds print alike, distinct ones never do."""
+    f = float(x)
+    if f != x:
+        return str(x)
+    text = format(f, spec)
+    return text if float(text) == f else repr(f)
 
 
 @dataclass(frozen=True)
@@ -219,24 +224,17 @@ class StageWindow:
     ``first_by_alpha`` is the first stage where some real candidate
     crosses alpha without NULL scoring strictly higher. ``last_by_beta``
     and ``last_by_gamma`` are the cutoff bounds (None means the cutoff
-    never fired). The pool runs from ``first_by_alpha`` to the tightest
-    bound; an empty pool means NULL wins.
+    never fired). ``end`` is the last stage the cutoffs allow: the
+    tightest bound, else the table's last stage (0 when nothing is
+    usable). The pool runs from ``first_by_alpha`` to ``end``; an empty
+    pool means NULL wins.
     """
 
     first_by_alpha: Optional[int]
     last_by_beta: Optional[int]
     last_by_gamma: Optional[int]
-    num_stages: int
+    end: int
     pool: tuple[int, ...]
-
-    @property
-    def end(self) -> int:
-        """Last stage allowed by the cutoffs (0 when nothing is usable)."""
-        return _window_end(self.last_by_beta, self.last_by_gamma, self.num_stages)
-
-
-def _window_end(*bounds: Optional[int]) -> int:
-    return min(b for b in bounds if b is not None)
 
 
 @dataclass(frozen=True)
@@ -286,8 +284,8 @@ def _first_above(values: Iterable[int], bar: int) -> Optional[int]:
 
 
 class _Crossings:
-    """One table's crossing profile for NULL column ``nj``, with its scans by
-    (column, bar) and decided stages by (pool, selector, bar).
+    """A table's crossing profile for the NULL column ``null_id``, with its
+    scans by (column, bar) and decided stages by (pool, selector, bar).
 
     Per stage i (0-based), ``top[i]`` is the top real column (the first of
     the stage's ranking that is not NULL) and ``best[i]`` its numerator
@@ -296,8 +294,14 @@ class _Crossings:
     bar. ``null[i]`` is NULL's numerator.
     """
 
-    def __init__(self, st: StageTable, nj: int):
-        self.ints, self.ranking, self.denom = st.ints, st.ranking, st.denom
+    def __init__(self, st: StageTable, null_id: str):
+        _check_table(st)
+        if null_id not in st.candidates:
+            raise MissingNullColumnError(f"{null_id!r} is not a column of the table")
+        if len(st.candidates) < 2:
+            raise EmptyTableError("score table has no real candidate")
+        nj = st.candidates.index(null_id)
+        self.st, self.ints, self.ranking, self.denom = st, st.ints, st.ranking, st.denom
         self.top = [order[order[0] == nj] for order in self.ranking]
         self.null = [row[nj] for row in self.ints]
         self.best = [row[j] if null <= row[j] else -1
@@ -329,39 +333,24 @@ class _Crossings:
             c, (row[order[c - 1]] for row, order in zip(self.ints, self.ranking)),
             _bar(cfg.gamma.threshold, self.denom))
 
-        num_stages = len(self.ints)
-        end = _window_end(last_by_beta, last_by_gamma, num_stages)
+        end = min(b for b in (last_by_beta, last_by_gamma, len(self.ints)) if b is not None)
         # Empty when nothing qualifies or the first qualifying stage is past end.
         pool = () if first_by_alpha is None else tuple(range(first_by_alpha, end + 1))
         return StageWindow(first_by_alpha=first_by_alpha, last_by_beta=last_by_beta,
-                           last_by_gamma=last_by_gamma, num_stages=num_stages,
-                           pool=pool)
+                           last_by_gamma=last_by_gamma, end=end, pool=pool)
 
-    def stage(self, st: StageTable, window: StageWindow, selector: Selector,
-              bar: int) -> tuple[int, int]:
+    def stage(self, window: StageWindow, selector: Selector, bar: int) -> tuple[int, int]:
         """(selected, decided) stage of a nonempty window: the selector's
         pick, then the walk-back to the latest stage at or before it whose
         ``best`` exceeds the alpha ``bar`` (the pool's first one does)."""
         pool = window.pool
         key = (pool[0], pool[-1], selector, bar)
         if key not in self.stages:
-            chosen = select_stage(window, selector, st.stats)
+            endpoint = selector in (Selector.FIRST, Selector.LAST)
+            chosen = select_stage(window, selector, None if endpoint else self.st.stats)
             self.stages[key] = chosen, next(
                 s for s in range(chosen, pool[0] - 1, -1) if self.best[s - 1] > bar)
         return self.stages[key]
-
-
-def _crossings(st: StageTable, null_id: str) -> _Crossings:
-    """The table's crossing profile for ``null_id``, built on first use."""
-    profile = st.crossings.get(null_id)
-    if profile is None:
-        _check_table(st)
-        if null_id not in st.candidates:
-            raise MissingNullColumnError(f"{null_id!r} is not a column of the table")
-        if len(st.candidates) < 2:
-            raise EmptyTableError("score table has no real candidate")
-        profile = st.crossings[null_id] = _Crossings(st, st.candidates.index(null_id))
-    return profile
 
 
 def stage_window(st: StageTable, cfg: SelectionConfig, null_id: str) -> StageWindow:
@@ -373,13 +362,13 @@ def stage_window(st: StageTable, cfg: SelectionConfig, null_id: str) -> StageWin
     crosses alpha, when beta is unset), the stage where the gamma rule
     fires, and the last stage of the table.
     """
-    return _crossings(st, null_id).window(cfg)
+    return _Crossings(st, null_id).window(cfg)
 
 
-def select_stage(window: StageWindow, selector: Selector, stats: StageStats) -> int:
-    """Pick the decision stage from the pool (earliest stage on ties). The
-    variance and stddev selectors compare the exact ``stats.variance_key``;
-    the entropy selectors compare floats, which can split a true tie."""
+def select_stage(window: StageWindow, selector: Selector, stats: Optional[StageStats]) -> int:
+    """Pick the decision stage from the pool (earliest stage on ties); First
+    and Last read no ``stats``. Variance and stddev compare the exact
+    ``stats.variance_key``; entropy compares floats, which can split a true tie."""
     pool = window.pool
     if not pool:
         raise EmptyPoolError("no valid stage to select from")
@@ -408,12 +397,12 @@ def beta_gamma_winner(st: StageTable, cfg: SelectionConfig, null_id: str) -> Dec
     one exists). The winner is the top-scoring real candidate there, who
     scores strictly above alpha.
     """
-    profile = _crossings(st, null_id)
+    profile = _Crossings(st, null_id)
     window = profile.window(cfg)
     if not window.pool:
         return Decision(winner=null_id, stage=None, score=None,
                         window=window, table=st)
-    chosen, stage = profile.stage(st, window, cfg.selector, _bar(cfg.alpha, st.denom))
+    chosen, stage = profile.stage(window, cfg.selector, _bar(cfg.alpha, st.denom))
     best = profile.top[stage - 1]
     return Decision(winner=st.candidates[best], stage=stage,
                     score=Fraction(st.ints[stage - 1][best], st.denom), window=window,
@@ -426,7 +415,7 @@ def grid_winners(st: StageTable, configs: Sequence[SelectionConfig],
     """``beta_gamma_winner(st, cfg, null_id).winner`` for each config, with
     no ``Decision`` built: each (alpha, beta, gamma) group of configs shares
     one window, and each (pool, selector, alpha bar) one decided stage."""
-    profile = _crossings(st, null_id)
+    profile = _Crossings(st, null_id)
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(configs):
         groups.setdefault((cfg.alpha, cfg.beta, cfg.gamma), []).append(i)
@@ -436,7 +425,7 @@ def grid_winners(st: StageTable, configs: Sequence[SelectionConfig],
         if window.pool:
             bar = _bar(configs[members[0]].alpha, st.denom)
             for i in members:
-                stage = profile.stage(st, window, configs[i].selector, bar)[1]
+                stage = profile.stage(window, configs[i].selector, bar)[1]
                 winners[i] = st.candidates[profile.top[stage - 1]]
     return winners
 
@@ -475,15 +464,16 @@ def betagamma_report(decision: Decision, cfg: SelectionConfig, null_id: str) -> 
 
     The ``best*`` fields are the top real candidate and score (ties in
     ``column_order``) at the window's end and at each bound, read from the
-    decision's table; a bound outside the table gives None.
+    decision's table through one profile; a bound outside the table gives None.
     """
     w = decision.window
     st = decision.table
+    top = cache(lambda: _Crossings(st, null_id).top)
 
     def best_real(stage: Optional[int]) -> tuple[Optional[str], Optional[float]]:
         if st is None or stage is None or not 1 <= stage <= st.num_stages:
             return None, None
-        j = _crossings(st, null_id).top[stage - 1]
+        j = top()[stage - 1]
         return st.candidates[j], st.ints[stage - 1][j] / st.denom
 
     first, last_b, last_g, end = ((w.first_by_alpha, w.last_by_beta, w.last_by_gamma,

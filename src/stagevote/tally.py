@@ -82,10 +82,10 @@ class StageTable:
     their denominators.
 
     ``rows`` (the cells as ``Fraction``s), ``floats``, ``stats``,
-    ``column_order``, ``ranking`` and ``crossings`` are computed once per
-    table, on first read, and cached on the instance, so every decision
-    made on one table shares them. Equality and hashing
-    compare kind, candidates, cell values and n; the cache never enters them.
+    ``column_order`` and ``ranking`` are computed once per table, on first
+    read, and cached on the instance, so every decision made on one table
+    shares them. Equality and hashing compare kind, candidates, cell
+    values and n; the cache never enters them.
     """
 
     kind: TableKind
@@ -163,12 +163,6 @@ class StageTable:
         tie = [rank[c] for c in self.candidates]
         return tuple(tuple(sorted(range(len(tie)), key=lambda j: (-row[j], tie[j])))
                      for row in self.ints)
-
-    @cached_property
-    def crossings(self) -> dict:
-        """The window rule's crossing profiles of this table, by NULL id;
-        ``select`` builds and fills them."""
-        return {}
 
     def to_text(self) -> str:
         labels = [f"{self.kind.row_label}{i}" for i in range(1, self.num_stages + 1)]

@@ -203,6 +203,28 @@ class TestTally:
         threading.Thread(target=path.write_bytes, args=(data,), daemon=True).start()
         assert run_cli("tally", str(path)) == (1, "", f"error: {error}\n")
 
+    @pytest.mark.parametrize("bad_row, error", [
+        ("w,A,B,C", "line 5002: row has 3 preference cells, header allows 2"),
+        ("x,A,A", "invalid ballots:\n"
+                  "  line 5002: candidate 'A' stamped twice (preferences 1 and 2)"),
+    ], ids=["row-replay", "invalid-listing"])
+    def test_error_passes_build_no_ballot_per_line(self, tmp_path, monkeypatch,
+                                                   bad_row, error):
+        # The replay naming the first bad line and the listing of invalid
+        # ballots both stream the file: a Ballot per distinct row at most.
+        built = []
+
+        def counted(*args, real=cli.Ballot):
+            built.append(args)
+            return real(*args)
+        monkeypatch.setattr("stagevote.ballot.Ballot", counted)
+        monkeypatch.setattr(cli, "Ballot", counted)
+        path = tmp_path / "late-error.csv"
+        rows = [f"v{i},A,NULL" for i in range(5000)] + [bad_row]
+        path.write_text("voter_id,pref1,pref2\n" + "\n".join(rows) + "\n")
+        assert run_cli("tally", str(path)) == (1, "", f"error: {error}\n")
+        assert len(built) <= 2
+
     def test_checks_and_expands_each_distinct_tuple_once(self, tmp_path, monkeypatch):
         calls: Counter = Counter()
         for name in ("validate_ballot", "expand_incomplete"):

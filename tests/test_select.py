@@ -186,7 +186,7 @@ class TestGammaRule:
 class TestSelectStage:
     def _window(self, pool):
         return StageWindow(first_by_alpha=pool[0], last_by_beta=None,
-                           last_by_gamma=None, num_stages=max(pool),
+                           last_by_gamma=None, end=max(pool),
                            pool=tuple(pool))
 
     def test_singleton_pool_all_selectors_agree(self):
@@ -213,7 +213,7 @@ class TestSelectStage:
 
     def test_empty_pool(self):
         window = StageWindow(first_by_alpha=None, last_by_beta=0,
-                             last_by_gamma=None, num_stages=3, pool=())
+                             last_by_gamma=None, end=0, pool=())
         stats = StageStats(entropy=(1.0,) * 3, variance_key=(1,) * 3)
         with pytest.raises(EmptyPoolError):
             select_stage(window, Selector.FIRST, stats)
@@ -409,6 +409,8 @@ def test_window_matches_brute_force_scan():
         expected = _window_oracle(table, cfg, "NULL")
         assert (window.first_by_alpha, window.last_by_beta,
                 window.last_by_gamma, window.pool) == expected
+        bounds = [b for b in expected[1:3] if b is not None]
+        assert window.end == min(bounds + [table.num_stages])
 
 
 def _typed_bar(x):
@@ -455,7 +457,7 @@ def _scan_decision(table, cfg, null_id):
     end = min(b for b in (last_b, last_g, table.num_stages) if b is not None)
     pool = () if first is None else tuple(range(first, end + 1))
     window = StageWindow(first_by_alpha=first, last_by_beta=last_b, last_by_gamma=last_g,
-                         num_stages=table.num_stages, pool=pool)
+                         end=end, pool=pool)
     if not pool:
         return window, null_id, None, None, {}
     chosen = select_stage(window, cfg.selector, table.stats)
@@ -999,3 +1001,13 @@ class TestParsing:
         assert GammaRule.any_exceeds(0.56).label() == "0.56"
         assert GammaRule.count_exceeds(0.125, 2).label() == "0.125@n2"
         assert GammaRule.fraction_exceeds(0.5, 0.1234567).label() == "0.50@f0.1234567"
+        # Every Real threshold labels as the float equal to it, or exactly.
+        assert SelectionConfig(alpha=Fraction(1, 2)).label() == \
+            SelectionConfig(alpha=0.5).label() == "<α=0.50, β=____, γ=____, First>"
+        assert GammaRule(threshold=0.66, fraction=Fraction(1, 2)).label() == "0.66@f0.5"
+        assert SelectionConfig(alpha=np.float64(0.504), beta=np.float64(0.5)).label() == \
+            "<α=0.504, β=0.50, γ=____, First>"
+        assert SelectionConfig(alpha=Fraction(2, 3)).label() == "<α=2/3, β=____, γ=____, First>"
+        assert SelectionConfig(alpha=2 / 3).label() == \
+            "<α=0.6666666666666666, β=____, γ=____, First>"
+        assert GammaRule.fraction_exceeds(Fraction(2, 3), Fraction(1, 3)).label() == "2/3@f1/3"
