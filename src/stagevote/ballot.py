@@ -13,7 +13,9 @@ built once (by the parser or the study) and checked in place by
 tally time. ``expand_incomplete`` makes a ``FractionalBallot``, whose
 missing rows split one unit of vote mass evenly over the candidates the
 voter never stamped; equal stamps make equal, hashable ballots, so a tally
-weighs each distinct ballot once.
+weighs each distinct ballot once. Both functions wrap a helper on the plain
+preference tuple (``_check_prefs``, ``_stamp_tuple``), which ``stagevote
+tally`` calls on each distinct tuple without building either object.
 """
 
 from __future__ import annotations
@@ -106,6 +108,11 @@ class CandidateRoster:
     def k(self) -> int:
         """Number of tallyable candidates, the NULL candidate included."""
         return len(self.tally_candidates)
+
+    @cached_property
+    def _members(self) -> frozenset[str]:
+        """``candidates`` as a set, for the per-ballot membership check."""
+        return frozenset(self.candidates)
 
 
 @dataclass(frozen=True)
@@ -296,16 +303,34 @@ def csv_preference_columns(source: Union[str, bytes, IO[str], Iterable[str]]) ->
     return _read_rows(source)[0]
 
 
+def _check_prefs(prefs: tuple[str, ...], roster: CandidateRoster) -> None:
+    """Raise ``UnknownCandidate``/``DuplicateCandidate`` at the first stamp
+    of ``prefs`` that is off the roster or repeats an earlier one."""
+    stamped = set(prefs)
+    if len(stamped) == len(prefs) and stamped <= roster._members:
+        return
+    for pos, cand in enumerate(prefs, start=1):
+        if cand not in roster._members:
+            raise UnknownCandidate(cand, pos)
+        first = prefs.index(cand) + 1
+        if first != pos:
+            raise DuplicateCandidate(cand, (first, pos))
+
+
+def _stamp_tuple(prefs: tuple[str, ...], roster: CandidateRoster,
+                 num_prefs: int) -> tuple[Optional[str], ...]:
+    """The stamps of ``prefs`` on rows 1..num_prefs: cut there, the IDK
+    candidate read as None, and padded with None for the missing rows."""
+    stamps = tuple(prefs[:num_prefs])
+    if roster.idk_id in stamps:
+        stamps = tuple(None if c == roster.idk_id else c for c in stamps)
+    return stamps + (None,) * (num_prefs - len(stamps))
+
+
 def validate_ballot(ballot: Ballot, roster: CandidateRoster) -> Ballot:
     """Return ``ballot`` itself once its stamps are distinct roster members;
     raise ``UnknownCandidate``/``DuplicateCandidate`` at the first bad stamp."""
-    for pos, cand in enumerate(ballot.prefs, start=1):
-        if cand not in roster.candidates:
-            raise UnknownCandidate(cand, pos)
-        # Stamps before pos are distinct members, so pos <= k: O(k^2) at worst.
-        first = ballot.prefs.index(cand) + 1
-        if first != pos:
-            raise DuplicateCandidate(cand, (first, pos))
+    _check_prefs(ballot.prefs, roster)
     return ballot
 
 
@@ -331,6 +356,4 @@ def expand_incomplete(
         num_prefs = k - 1
     if not 1 <= num_prefs <= k:
         raise ValueError(f"num_prefs must be in 1..{k}, got {num_prefs}")
-
-    stamps = tuple(None if c == roster.idk_id else c for c in ballot.prefs[:num_prefs])
-    return FractionalBallot(roster.tally_candidates, stamps + (None,) * (num_prefs - len(stamps)))
+    return FractionalBallot(roster.tally_candidates, _stamp_tuple(ballot.prefs, roster, num_prefs))

@@ -108,21 +108,33 @@ def irv_winner(ballots: Sequence[Ballot], roster: CandidateRoster) -> str:
 
 
 def _ranking_by(pm: PredictionMatrix, statistic) -> tuple[str, ...]:
-    """Slate sorted by descending per-column ``statistic``; ties keep slate order."""
+    """Slate sorted by descending ``statistic(values)``, one value per
+    column; ties keep slate order."""
     if pm.values.shape[0] < 1:
         raise BaselineError("need at least one voter")
-    order = np.argsort(-statistic(pm.values, axis=0), kind="stable")
+    order = np.argsort(-statistic(pm.values), kind="stable")
     return tuple(pm.slate[j] for j in order)
 
 
 def crowd_mean_ranking(pm: PredictionMatrix) -> tuple[str, ...]:
     """Slate sorted by descending column mean; ties keep slate order."""
-    return _ranking_by(pm, np.mean)
+    return _ranking_by(pm, lambda values: values.mean(axis=0))
 
 
 def crowd_median_ranking(pm: PredictionMatrix) -> tuple[str, ...]:
     """Slate sorted by descending column median; ties keep slate order."""
-    return _ranking_by(pm, np.median)
+    return _ranking_by(pm, column_median)
+
+
+def column_median(values: np.ndarray):
+    """``np.median(values, axis=0)`` bit for bit, read off one sort along
+    axis 0; an even count averages its middle two as ``(a + b) / 2``.
+    ``np.median`` would import ``numpy.ma``, which nothing else here needs."""
+    ordered = np.sort(values, axis=0)
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[half]
+    return (ordered[half - 1] + ordered[half]) / 2
 
 
 def best_voter(predictions: np.ndarray, truth: np.ndarray) -> int:

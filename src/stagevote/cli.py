@@ -19,20 +19,18 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .ballot import (
     IDK_TOKEN,
     NULL_TOKEN,
-    Ballot,
     BallotError,
     CandidateRoster,
+    _check_prefs,
     _count_rows,
     _read_rows,
-    expand_incomplete,
-    validate_ballot,
+    _stamp_tuple,
 )
 from .select import (
     SelectionConfig,
@@ -46,7 +44,7 @@ from .select import (
     parse_selector,
     report_to_text,
 )
-from .tally import count_votes, cumulate, score
+from .tally import _count_stamps, cumulate, score
 
 SEED_ENV_VAR = "STAGEVOTE_SEED"
 
@@ -133,11 +131,12 @@ def _roster_from_flag(spec: str) -> CandidateRoster:
 def _read_ballot_groups(fh, candidates: Optional[str]):
     """Count the ballot file's rows by preference tuple, in one pass.
 
-    Returns ``(P, roster, [(ballot, voters), ...])``, one validated ballot
-    per distinct tuple in first-seen order. The roster, the off-roster
-    warning and validation all work on the distinct tuples; only on an
-    error is the seekable ``fh`` streamed a second time, row by row, to name
-    the first bad line or to list every line that holds an invalid ballot.
+    Returns ``(P, roster, {prefs: voters})``, one checked preference tuple
+    per distinct row in first-seen order, with its number of voters. The
+    roster, the off-roster warning and the checks all work on the distinct
+    tuples, and no ``Ballot`` is built; only on an error is the seekable
+    ``fh`` streamed a second time, row by row, to name the first bad line
+    or to list every line that holds an invalid ballot.
     """
     # Every roster built here spells NULL and IDK literally, so the ballots
     # can be parsed with their tokens as written, before the roster exists.
@@ -156,25 +155,45 @@ def _read_ballot_groups(fh, candidates: Optional[str]):
     else:
         roster = _infer_roster(groups)
 
-    ballots = [Ballot("", prefs) for prefs in groups]
     failures = {}
-    for ballot in ballots:
+    for prefs in groups:
         try:
-            validate_ballot(ballot, roster)
+            _check_prefs(prefs, roster)
         except BallotError as exc:
-            failures[ballot.prefs] = exc
+            failures[prefs] = exc
     if failures:
         fh.seek(0)
         problems = [f"line {line}: {failures[prefs]}"
                     for line, _, prefs in _read_rows(fh)[1] if prefs in failures]
         raise CliError("invalid ballots:\n  " + "\n  ".join(problems))
-    return num_cols, roster, list(zip(ballots, groups.values()))
+    return num_cols, roster, groups
+
+
+def _seekable(fh):
+    """``fh`` when it can seek; else a strict utf-8-sig reader over a
+    temporary file that a pipe's bytes are copied into in chunks, so the
+    error passes can read the input again without holding it in memory."""
+    if fh.seekable():
+        return fh
+    # Only a pipe pays for these imports.
+    import shutil
+    import tempfile
+
+    copy = tempfile.TemporaryFile()
+    try:
+        shutil.copyfileobj(fh.buffer, copy)
+    except OSError:
+        copy.close()
+        raise
+    copy.seek(0)
+    return io.TextIOWrapper(copy, encoding="utf-8-sig")
 
 
 def cmd_tally(args) -> int:
     """Tally a ballot file: one pass counts its rows by preference tuple,
-    then validation, expansion and counting run once per distinct ballot,
-    each weighted by its number of voters."""
+    then each distinct tuple is checked and cut to its stamp tuple once,
+    and the count adds each distinct stamp tuple once, weighted by its
+    number of voters."""
     # Built for the basic rule too, so alpha is checked on both paths.
     try:
         cfg = SelectionConfig(
@@ -191,10 +210,7 @@ def cmd_tally(args) -> int:
         # utf-8-sig: spreadsheet CSV exports start with a byte-order mark.
         # Bytes that are not UTF-8 stop the counting pass, whose row-by-row
         # replay reports them with their line number.
-        with open(args.ballots, "r", encoding="utf-8-sig") as fh:
-            # A pipe cannot be read twice; keep its bytes for the error passes.
-            source = fh if fh.seekable() else io.TextIOWrapper(
-                io.BytesIO(fh.buffer.read()), encoding="utf-8-sig")
+        with open(args.ballots, "r", encoding="utf-8-sig") as fh, _seekable(fh) as source:
             num_cols, roster, groups = _read_ballot_groups(source, args.candidates)
     except OSError as exc:
         raise CliError(f"cannot read {args.ballots}: {exc}") from exc
@@ -205,11 +221,12 @@ def cmd_tally(args) -> int:
     if not 1 <= num_prefs <= roster.k:
         raise CliError(f"--num-prefs must be in 1..{roster.k}")
 
-    # Distinct tuples can still expand alike (cut at num_prefs, IDK stamps).
-    expanded: Counter = Counter()
-    for ballot, voters in groups:
-        expanded[expand_incomplete(ballot, roster, num_prefs)] += voters
-    vc = count_votes(expanded, roster, num_prefs)
+    # Distinct tuples can still cut alike (at num_prefs, IDK stamps).
+    stamps: dict = {}
+    for prefs, voters in groups.items():
+        key = _stamp_tuple(prefs, roster, num_prefs)
+        stamps[key] = stamps.get(key, 0) + voters
+    vc = _count_stamps(stamps, roster, num_prefs)
     pt = cumulate(vc)
     st = score(pt)
 

@@ -211,7 +211,7 @@ def generate_dataset(seed, num_candidates: int = 3000,
     train_idx = np.sort(perm[n_test:])
     return Dataset(features=features, weights=weights, y=y,
                    train_idx=train_idx, test_idx=test_idx,
-                   null_y=float(np.median(y)))
+                   null_y=float(baselines.column_median(y)))
 
 
 def _calibrate_noise(mse0: Sequence[float], m1: Sequence[float], m2: Sequence[float],
@@ -409,7 +409,8 @@ def run_election(
         results[LABEL_FPTP] = outcome(ids[baselines.leader(counts[0])])
         results[LABEL_IRV] = outcome(ids[baselines.irv_index(order, k)])
         results[LABEL_CROWD_MEAN] = outcome(ids[baselines.leader(values.mean(axis=0))])
-        results[LABEL_CROWD_MEDIAN] = outcome(ids[baselines.leader(np.median(values, axis=0))])
+        results[LABEL_CROWD_MEDIAN] = outcome(
+            ids[baselines.leader(baselines.column_median(values))])
         results[LABEL_BEST_VOTER] = outcome(ids[order[best, 0]])
     return results
 
@@ -535,7 +536,7 @@ def run_simulation(cfg: SimConfig) -> SimulationResult:
     if cfg.include_baselines:
         val_mse = [(label, float(np.mean((guess - y_test) ** 2))) for label, guess in (
             (LABEL_CROWD_MEAN, predictions.mean(axis=0)),
-            (LABEL_CROWD_MEDIAN, np.median(predictions, axis=0)),
+            (LABEL_CROWD_MEDIAN, baselines.column_median(predictions)),
             (LABEL_BEST_VOTER, predictions[best]))]
 
     metrics = metrics_from_outcomes(order, outcomes, val_mse)

@@ -4,7 +4,9 @@ The pipeline is ``count_votes`` -> ``cumulate`` -> ``score``, and each step
 returns a ``StageTable`` of its ``TableKind``. ``count_votes`` takes one
 fractional ballot per voter or a voter count per distinct ballot, and adds
 each distinct ballot once either way, summing exact integer numerators
-over one common denominator D. Every view keeps those ints: the cumulative
+over one common denominator D. Its core, ``_count_stamps``, counts a
+``{stamps: voters}`` dict of plain stamp tuples, which ``stagevote tally``
+passes directly. Every view keeps those ints: the cumulative
 table is their prefix sums over the same D, and the score table the same
 numerators read as ``100 * v / (n * D)``.
 Stage i of the cumulative table adds up preferences 1..i, so a candidate's
@@ -206,36 +208,51 @@ def count_votes(
     ``ballots`` is one fractional ballot per voter, or a mapping from each
     distinct ballot to the number of voters who cast it (a ``Counter``).
     Each distinct ballot's stamps are added once, times that number, so the
-    cost grows with distinct ballots, not voters. The sums are ints over
-    one common denominator D, the lcm of the unstamped-set sizes m among
-    ballots with a missing row: a stamp adds D and a missing row D // m to
-    each of the m unstamped candidates. The table keeps those ints over D.
+    cost grows with distinct ballots, not voters (see ``_count_stamps``).
 
     All ballots must be expanded over the same roster and ``num_prefs`` and
     stamp no candidate twice; anything else raises ``TallyError``.
     """
     cands = roster.tally_candidates
-    column = {c: j for j, c in enumerate(cands)}
-    names = frozenset(cands)
-    voters = Counter(ballots)
-    # (stamps, voters, column indices of the unstamped candidates or None
-    # when no row is missing), one entry per distinct ballot.
-    entries = []
-    for fb, size in voters.items():
+    stamps = {}
+    for fb, size in Counter(ballots).items():
         if fb.candidates != cands or fb.num_prefs != num_prefs:
             raise TallyError(
                 "ballot expanded over a different roster or preference count"
             )
-        stamped = set(fb.stamps)
+        stamps[fb.stamps] = size
+    return _count_stamps(stamps, roster, num_prefs)
+
+
+def _count_stamps(counts: Mapping[tuple[Optional[str], ...], int],
+                  roster: CandidateRoster, num_prefs: int) -> StageTable:
+    """The count table of ``{stamps: voters}``, one entry per distinct
+    stamp tuple of length ``num_prefs`` (``expand_incomplete``'s
+    ``stamps``: None on a missing or IDK row).
+
+    The sums are ints over one common denominator D, the lcm of the
+    unstamped-set sizes m among tuples with a missing row: a stamp adds D
+    and a missing row D // m to each of the m unstamped candidates, times
+    the tuple's voters. A stamp off the roster or a repeated stamp raises
+    ``TallyError``.
+    """
+    cands = roster.tally_candidates
+    column = {c: j for j, c in enumerate(cands)}
+    names = frozenset(cands)
+    # (stamps, voters, column indices of the unstamped candidates or None
+    # when no row is missing), one entry per distinct tuple.
+    entries = []
+    for stamps, size in counts.items():
+        stamped = set(stamps)
         stamped.discard(None)
         if not stamped <= names:
-            raise TallyError(f"ballot {fb.stamps!r} stamps a candidate not on the roster")
+            raise TallyError(f"ballot {stamps!r} stamps a candidate not on the roster")
         # A repeated stamp leaves fewer None rows than this.
         missing = num_prefs - len(stamped)
-        if missing and fb.stamps.count(None) != missing:
-            raise TallyError(f"ballot {fb.stamps!r} stamps a candidate more than once")
+        if missing and stamps.count(None) != missing:
+            raise TallyError(f"ballot {stamps!r} stamps a candidate more than once")
         free = [j for j, c in enumerate(cands) if c not in stamped] if missing else None
-        entries.append((fb.stamps, size, free))
+        entries.append((stamps, size, free))
     denom = math.lcm(*(len(free) for _, _, free in entries if free is not None))
     totals = [[0] * len(cands) for _ in range(num_prefs)]
     for stamps, size, free in entries:
@@ -248,7 +265,7 @@ def count_votes(
             else:
                 slot[column[stamp]] += whole
     return StageTable.from_ints(TableKind.COUNTS, cands, tuple(map(tuple, totals)),
-                                denom, voters.total())
+                                denom, sum(counts.values()))
 
 
 def cumulate(vc: StageTable) -> StageTable:

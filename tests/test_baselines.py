@@ -10,6 +10,7 @@ from stagevote.baselines import (
     BaselineError,
     PredictionMatrix,
     best_voter,
+    column_median,
     crowd_mean_ranking,
     crowd_median_ranking,
     fptp_winner,
@@ -191,6 +192,19 @@ class TestCrowdRankings:
         shifted[2] += 123.456
         pm2 = PredictionMatrix(slate=pm.slate, values=shifted)
         assert crowd_mean_ranking(pm) == crowd_mean_ranking(pm2)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 100, 101, 130, 500])
+    def test_column_median_is_np_median_bit_for_bit(self, rows):
+        rng = np.random.default_rng(rows)
+        for values in (rng.normal(1500.0, 400.0, size=(rows, 11)),
+                       # Ties: few distinct values, so middle pairs repeat.
+                       rng.integers(0, 4, size=(rows, 11)) * 0.1,
+                       rng.uniform(-1e300, 1e300, size=(rows, 3))):
+            expected = np.median(values, axis=0)
+            got = column_median(values)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+            assert column_median(values[:, 0]).tobytes() == expected[0].tobytes()
 
     def test_validation(self):
         with pytest.raises(BaselineError):

@@ -5,13 +5,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stagevote import cli
+from stagevote.ballot import Ballot, FractionalBallot
 from stagevote.cli import main
 
 from conftest import BETA_PATTERNS, ballots_from_patterns, concrete_csv_text
@@ -22,6 +27,17 @@ def run_cli(*argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def count_instances(monkeypatch, *classes) -> Counter:
+    """Count the instances of ``classes`` built while the test runs."""
+    built = Counter(dict.fromkeys(classes, 0))
+    for cls in classes:
+        def init(self, *args, real=cls.__init__, **kwargs):
+            built[type(self)] += 1
+            real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", init)
+    return built
 
 
 def src_env():
@@ -212,25 +228,31 @@ class TestTally:
                                                    bad_row, error):
         # The replay naming the first bad line and the listing of invalid
         # ballots both stream the file: a Ballot per distinct row at most.
-        built = []
-
-        def counted(*args, real=cli.Ballot):
-            built.append(args)
-            return real(*args)
-        monkeypatch.setattr("stagevote.ballot.Ballot", counted)
-        monkeypatch.setattr(cli, "Ballot", counted)
+        built = count_instances(monkeypatch, Ballot)
         path = tmp_path / "late-error.csv"
         rows = [f"v{i},A,NULL" for i in range(5000)] + [bad_row]
         path.write_text("voter_id,pref1,pref2\n" + "\n".join(rows) + "\n")
         assert run_cli("tally", str(path)) == (1, "", f"error: {error}\n")
-        assert len(built) <= 2
+        assert built[Ballot] <= 2
+
+    def test_success_builds_no_ballot_object(self, tmp_path, monkeypatch):
+        # The counted rows are checked, cut and counted as plain tuples.
+        built = count_instances(monkeypatch, Ballot, FractionalBallot)
+        path = tmp_path / "many.csv"
+        rows = [f"v{i},{'ABC'[i % 3]},IDK,{'NULL' if i % 2 else ''}" for i in range(300)]
+        path.write_text("voter_id,pref1,pref2,pref3\n" + "\n".join(rows) + "\n")
+        for flags in ([], ["--num-prefs", "2", "--format", "json"],
+                      ["--beta", "0.4", "--candidates", "A,B,C,D,NULL,IDK"]):
+            code, out, err = run_cli("tally", str(path), *flags)
+            assert (code, err) == (0, "") and out
+        assert built == Counter({Ballot: 0, FractionalBallot: 0})
 
     def test_checks_and_expands_each_distinct_tuple_once(self, tmp_path, monkeypatch):
         calls: Counter = Counter()
-        for name in ("validate_ballot", "expand_incomplete"):
-            def counted(ballot, *args, real=getattr(cli, name), name=name):
-                calls[name, ballot.prefs] += 1
-                return real(ballot, *args)
+        for name in ("_check_prefs", "_stamp_tuple"):
+            def counted(prefs, *args, real=getattr(cli, name), name=name):
+                calls[name, prefs] += 1
+                return real(prefs, *args)
             monkeypatch.setattr(cli, name, counted)
         # Five distinct tuples over 60 voters, interleaved; with two rows
         # counted, A,B,C and A,B,D expand to the same ballot.
@@ -243,7 +265,7 @@ class TestTally:
         distinct = {tuple(c for c in t.split(",") if c) for t in tuples}
         assert len(distinct) == 5
         assert calls == Counter({(name, prefs): 1 for prefs in distinct
-                                 for name in ("validate_ballot", "expand_incomplete")})
+                                 for name in ("_check_prefs", "_stamp_tuple")})
         counts = json.loads(out)["counts"]
         assert counts["n"] == 60
         assert counts["candidates"] == ["A", "B", "C", "D", "NULL"]
@@ -304,6 +326,85 @@ class TestTally:
         assert code == 0
         assert "Stage3" not in out
         assert "winner: X" in out and "stage: 2" in out
+
+
+REAL = ("A", "B", "C", "D")
+
+
+@st.composite
+def tally_inputs(draw):
+    """A ballot file drawn from a few distinct rows, each repeated and
+    interleaved; rows stop early and may stamp IDK. Also a ``--candidates``
+    roster or none (inferred), and a ``--num-prefs`` cut or none."""
+    pool = draw(st.lists(
+        st.permutations(REAL + ("NULL", "IDK")).flatmap(
+            lambda order: st.integers(0, 5).map(lambda n: tuple(order[:n]))),
+        min_size=1, max_size=5))
+    prefs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    seen = {c for row in prefs for c in row}
+    if not seen & set(REAL):
+        # The inferred roster needs a real candidate somewhere in the file.
+        prefs.append((draw(st.sampled_from(REAL)),))
+        seen.add(prefs[-1][0])
+    width = draw(st.integers(max(map(len, prefs)), 6))
+    roster = None
+    if draw(st.booleans()):
+        ids = list(draw(st.permutations(REAL + ("NULL",))))
+        if "IDK" in seen or draw(st.booleans()):
+            ids.insert(draw(st.integers(0, len(ids))), "IDK")
+        roster = ids
+    else:
+        ids = sorted(c for c in seen if c in REAL) + ["NULL"] + (["IDK"] if "IDK" in seen else [])
+    cands = [c for c in ids if c != "IDK"]
+    num_prefs = draw(st.one_of(st.none(), st.integers(1, len(cands))))
+    return prefs, width, roster, cands, num_prefs
+
+
+def per_voter_counts(prefs, cands, num_prefs) -> list[list[Fraction]]:
+    """The count table voter by voter, in exact fractions: a stamp on row
+    i gives its candidate 1; a row the ballot stops before, or one stamped
+    IDK, gives 1/m to each of the m candidates the voter did not stamp on
+    rows 1..num_prefs."""
+    table = [[Fraction(0)] * len(cands) for _ in range(num_prefs)]
+    for row in prefs:
+        kept = [c if c != "IDK" else None for c in row[:num_prefs]]
+        kept += [None] * (num_prefs - len(kept))
+        absent = [j for j, c in enumerate(cands) if c not in kept]
+        for cells, stamp in zip(table, kept):
+            if stamp is None:
+                for j in absent:
+                    cells[j] += Fraction(1, len(absent))
+            else:
+                cells[cands.index(stamp)] += 1
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(tally_inputs())
+def test_tally_counts_match_a_per_voter_oracle(drawn):
+    prefs, width, roster, cands, num_prefs = drawn
+    lines = [f"voter_id,{','.join(f'pref{i}' for i in range(1, width + 1))}"]
+    lines += [",".join([f"v{i}", *row] + [""] * (width - len(row)))
+              for i, row in enumerate(prefs)]
+    flags = ["--format", "json"]
+    if roster is not None:
+        flags += ["--candidates", ",".join(roster)]
+    if num_prefs is not None:
+        flags += ["--num-prefs", str(num_prefs)]
+    else:
+        num_prefs = min(width, len(cands))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ballots.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code, out, err = run_cli("tally", path, *flags)
+    assert (code in (0, 2), err) == (True, "")
+    expected = per_voter_counts(prefs, cands, num_prefs)
+    assert json.loads(out)["counts"] == {
+        "candidates": cands,
+        "preferences": [[float(v) for v in row] for row in expected],
+        "n": len(prefs),
+    }
 
 
 # (key, value, message): a bad value for one key of the sim_config document

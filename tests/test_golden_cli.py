@@ -19,6 +19,10 @@ election decided the grid's windows and stages once per table.
 (ten real candidates, NULL and IDK, ballots cut after 0 to 6 stamps, so
 the missing mass is split over 6 to 11 candidates); it was recorded before
 the count summed integer numerators over one common denominator.
+``wide-cut3-json`` tallies the same file cut at three preferences, so
+the 24 rows with more than three stamps lose them and their missing rows
+split over more candidates; it was recorded before the tally counted plain
+stamp tuples instead of ``FractionalBallot`` objects.
 ``study-short-json`` runs ``tests/data/short_ballots.json`` (ten
 candidates, 200 voters, ballots cut after 3 of 11 preferences, so
 instant-runoff exhausts ballots and the count table has 3 rows); it was
@@ -179,6 +183,7 @@ CASES = {
                                "--beta", "0.3333"], 2),
     "wide-windowed-json": (["tally", "wide.csv", "--alpha", "0.4", "--beta", "0.45",
                             "--selector", "max-variance", "--format", "json"], 0),
+    "wide-cut3-json": (["tally", "wide.csv", "--num-prefs", "3", "--format", "json"], 0),
     "study-text": (["simulate", "study.json"], 0),
     "study-grid-json": (["simulate", "grid.json", "--format", "json"], 0),
     "study-crowd-json": (["simulate", "crowd.json", "--format", "json"], 0),

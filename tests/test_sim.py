@@ -1,8 +1,11 @@
 """Dataset, crowd calibration, elections, and the study harness."""
 
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -562,6 +565,20 @@ class TestRunSimulation:
         # Equal configs, though -0.0 prints unlike 0.0.
         with pytest.raises(SimConfigError, match=r"^algorithms\[1\] repeats algorithms\[0\]$"):
             small_config(algorithms=(SelectionConfig(alpha=0.0), SelectionConfig(alpha=-0.0)))
+
+    def test_run_simulation_never_imports_numpy_ma(self):
+        # The crowd medians come from one sort; np.median imports numpy.ma.
+        script = ("import sys\n"
+                  "from stagevote import sim\n"
+                  "sim.run_simulation(sim.SimConfig(num_candidates=5, num_voters=12, "
+                  "num_elections=2, column_blindness=5, quality_mean=1500.0, "
+                  "quality_sd=300.0, seed=3, dataset_size=300))\n"
+                  "print('numpy.ma' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
     def test_val_mse_reported_for_comparators(self):
         res = run_simulation(small_config(seed=10))
