@@ -126,15 +126,26 @@ def crowd_median_ranking(pm: PredictionMatrix) -> tuple[str, ...]:
     return _ranking_by(pm, column_median)
 
 
+_MEDIAN_BLOCK = 64  # columns sorted at a time by column_median
+
+
 def column_median(values: np.ndarray):
-    """``np.median(values, axis=0)`` bit for bit, read off one sort along
-    axis 0; an even count averages its middle two as ``(a + b) / 2``.
-    ``np.median`` would import ``numpy.ma``, which nothing else here needs."""
-    ordered = np.sort(values, axis=0)
-    half = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[half]
-    return (ordered[half - 1] + ordered[half]) / 2
+    """``np.median(values, axis=0)`` bit for bit. Each block of 64 columns
+    is copied out as contiguous rows and sorted in place, so every column
+    meets the same sort kernel in the same order as under ``np.sort`` along
+    axis 0, and the largest temporary is one block, not a copy of
+    ``values``. An even count averages its middle two as ``(a + b) / 2``.
+    ``values`` is 2-D, or 1-D: one column, giving a scalar. ``np.median``
+    would import ``numpy.ma``, which nothing else here needs."""
+    columns = values if values.ndim > 1 else values[:, None]
+    half, odd = divmod(len(values), 2)
+    median = np.empty(columns.shape[1])
+    for j in range(0, columns.shape[1], _MEDIAN_BLOCK):
+        block = columns[:, j:j + _MEDIAN_BLOCK].T.copy()
+        block.sort(axis=1)
+        median[j:j + _MEDIAN_BLOCK] = (
+            block[:, half] if odd else (block[:, half - 1] + block[:, half]) / 2)
+    return median if values.ndim > 1 else median[0]
 
 
 def best_voter(predictions: np.ndarray, truth: np.ndarray) -> int:

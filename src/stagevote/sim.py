@@ -5,13 +5,15 @@ feature-blind noisy estimators, then runs many independent elections on
 slates drawn from the held-out split. The crowd's predictions are written
 once, into one voters x test-items matrix; each distinct visible column set
 is fitted once, and the noise moments are formed over blocks of voters,
-bit-identical to a voter-by-voter build. The best voter is the crowd's own
-lowest MSE. Each election ranks the matrix's voters x (slate + NULL) slice
-once into an int rank matrix, row i holding voter i's preferences as roster
-indices, that every algorithm reads: the staged variants, plurality and
-instant-runoff count it, and the best voter's pick is the top of their row.
-No per-voter ballot is built, and one ``select.grid_winners`` call decides
-the staged grid.
+bit-identical to a voter-by-voter build. The study reads that matrix and an
+array of achieved MSEs and builds no ``Voter``: the best voter is the first
+lowest MSE, and the crowd median is sorted a block of columns at a time, so
+a study holds one crowd matrix and block-sized temporaries. Each election ranks
+the matrix's voters x (slate + NULL) slice once into an int rank matrix,
+row i holding voter i's preferences as roster indices, that every algorithm
+reads: the staged variants, plurality and instant-runoff count it, and the
+best voter's pick is the top of their row. No per-voter ballot is built, and
+one ``select.grid_winners`` call decides the staged grid.
 The whole run is a pure function of the config (seed included): per-election
 randomness comes from a stream keyed on (master seed, election index).
 Elections run serially: the work is pure Python and holds the GIL, so
@@ -271,12 +273,21 @@ def build_crowd(cfg: SimConfig, dataset: Dataset,
     columns share one fit; moments and predictions are formed per block of
     voters. The result is bit-identical to a voter-by-voter build.
     """
-    return _crowd(cfg, dataset, rng)[1]
+    predictions, achieved, parts = _crowd(cfg, dataset, rng)
+    return [Voter(index=i, hidden=hidden, coef=fit[0].copy(), intercept=fit[1],
+                  noise_sd=scale, target_mse=target, achieved_mse=mse, clamped=clamp,
+                  predictions=predictions[i])
+            for i, (hidden, fit, scale, target, clamp, mse)
+            in enumerate(zip(*parts, achieved.tolist()))]
 
 
-def _crowd(cfg: SimConfig, dataset: Dataset,
-           rng: np.random.Generator) -> tuple[np.ndarray, list[Voter]]:
-    """``build_crowd``'s predictions matrix and its voters."""
+def _crowd(cfg: SimConfig, dataset: Dataset, rng: np.random.Generator):
+    """``build_crowd``'s voters as arrays: the voters x test-items
+    predictions matrix, each voter's achieved MSE, and the per-voter lists
+    (hidden columns, shared (coef, intercept, noise-free predictions) fit,
+    noise scale, target MSE, clamped) that ``build_crowd`` turns into
+    ``Voter`` objects. Beside the matrix it holds one block of working space and
+    each distinct fit's noise-free predictions."""
     # Column-major: a fit's columns are then a cheap copy, as lstsq wants them.
     design = np.asfortranarray(np.column_stack([dataset.features[dataset.train_idx],
                                                 np.ones(len(dataset.train_idx))]))
@@ -323,11 +334,7 @@ def _crowd(cfg: SimConfig, dataset: Dataset,
         z += base
         achieved[rows] = np.mean(np.square(np.subtract(z, y_test, out=base), out=base), axis=1)
 
-    return predictions, [
-        Voter(index=i, hidden=hiddens[i], coef=fit[0].copy(), intercept=fit[1],
-              noise_sd=scales[i], target_mse=targets[i], achieved_mse=mse,
-              clamped=clamped[i], predictions=predictions[i])
-        for i, (fit, mse) in enumerate(zip(fit_of, achieved.tolist()))]
+    return predictions, achieved, (hiddens, fit_of, scales, targets, clamped)
 
 
 def slate_roster(slate: Sequence[int]) -> CandidateRoster:
@@ -514,11 +521,15 @@ class SimulationResult:
 
 
 def run_simulation(cfg: SimConfig) -> SimulationResult:
-    """Build the dataset, the crowd matrix and best voter once, then run the elections."""
+    """Build the dataset, the crowd matrix and best voter once, then run the
+    elections. The best voter is the first lowest achieved MSE (``argmin``),
+    and no ``Voter`` is built; the crowd's mean and median are read off the
+    matrix with no whole-matrix temporary, so the study's peak is about one
+    crowd matrix."""
     dataset = generate_dataset([cfg.seed, 0], num_candidates=cfg.dataset_size)
-    predictions, crowd = _crowd(cfg, dataset, np.random.default_rng([cfg.seed, 1]))
+    predictions, achieved, _ = _crowd(cfg, dataset, np.random.default_rng([cfg.seed, 1]))
     y_test = dataset.y[dataset.test_idx]
-    best = int(np.argmin([v.achieved_mse for v in crowd]))
+    best = int(np.argmin(achieved))
     algorithms = cfg.effective_algorithms()
 
     per_election = []

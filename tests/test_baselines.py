@@ -1,6 +1,7 @@
 """Plurality, instant-runoff, and raw-prediction comparators."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,16 +196,34 @@ class TestCrowdRankings:
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 100, 101, 130, 500])
     def test_column_median_is_np_median_bit_for_bit(self, rows):
+        # Widths around the 64-column sort block; odd and even row counts.
         rng = np.random.default_rng(rows)
-        for values in (rng.normal(1500.0, 400.0, size=(rows, 11)),
-                       # Ties: few distinct values, so middle pairs repeat.
-                       rng.integers(0, 4, size=(rows, 11)) * 0.1,
-                       rng.uniform(-1e300, 1e300, size=(rows, 3))):
-            expected = np.median(values, axis=0)
-            got = column_median(values)
-            assert got.dtype == expected.dtype
-            assert got.tobytes() == expected.tobytes()
-            assert column_median(values[:, 0]).tobytes() == expected[0].tobytes()
+        for width in (1, 3, 11, 63, 64, 65, 130, 900):
+            for values in (rng.normal(1500.0, 400.0, size=(rows, width)),
+                           # Ties: few distinct values, so middle pairs repeat.
+                           rng.integers(0, 4, size=(rows, width)) * 0.1,
+                           rng.uniform(-1e300, 1e300, size=(rows, width))):
+                # The array, a column-sliced view and a Fortran-order copy.
+                for view in (values, values[:, ::2], np.asfortranarray(values)):
+                    expected = np.median(view, axis=0)
+                    got = column_median(view)
+                    assert got.dtype == expected.dtype
+                    assert got.tobytes() == expected.tobytes()
+                got, expected = column_median(values[:, 0]), np.median(values[:, 0])
+                assert type(got) is type(expected) is np.float64
+                assert got.tobytes() == expected.tobytes()
+
+    def test_column_median_peak_memory_is_one_block(self):
+        # Columns are sorted 64 at a time: no copy of the whole matrix.
+        values = np.random.default_rng(7).normal(size=(5000, 900))
+        column_median(values[:10])  # first-call allocations
+        tracemalloc.start()
+        try:
+            column_median(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes / 4, f"peak {peak / values.nbytes:.2f} matrices"
 
     def test_validation(self):
         with pytest.raises(BaselineError):

@@ -266,28 +266,67 @@ class TestCrowdOracle:
     def test_predictions_are_rows_of_one_matrix(self):
         cfg = small_config(num_voters=sim._BLOCK + 1, column_blindness=(2, 8))
         ds = generate_dataset(3, num_candidates=300)
-        predictions, crowd = sim._crowd(cfg, ds, np.random.default_rng(5))
+        predictions, achieved, _ = sim._crowd(cfg, ds, np.random.default_rng(5))
         assert predictions.flags.c_contiguous
         assert predictions.shape == (cfg.num_voters, len(ds.test_idx))
-        assert all(v.predictions.base is predictions for v in crowd)
+        # build_crowd's voters are views of the rows of one such matrix.
+        crowd = build_crowd(cfg, ds, np.random.default_rng(5))
+        matrix = crowd[0].predictions.base
+        assert matrix.flags.c_contiguous and matrix.shape == predictions.shape
+        assert all(v.predictions.base is matrix for v in crowd)
         np.testing.assert_array_equal(np.stack([v.predictions for v in crowd]), predictions)
+        assert [v.achieved_mse for v in crowd] == achieved.tolist()
 
-    def test_study_peak_memory_near_one_crowd_matrix(self):
-        # The traced peak of a 500-voter study stays within 2.5 crowd
-        # matrices (voters x test items floats); stacking the crowd again
-        # or holding whole-crowd temporaries goes past it.
-        kw = dict(num_candidates=10, num_elections=2, column_blindness=(2, 8),
+    def test_study_builds_no_voter(self, monkeypatch):
+        # run_simulation reads the matrix and the achieved-MSE array only;
+        # build_crowd still builds the voters the per-voter oracle builds.
+        built = []
+        real_init = Voter.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Voter, "__init__", counted_init)
+        cfg = small_config(num_voters=sim._BLOCK + 1, column_blindness=(2, 8))
+        run_simulation(cfg)
+        assert len(built) == 0
+        ds = generate_dataset([cfg.seed, 0], num_candidates=cfg.dataset_size)
+        crowd = build_crowd(cfg, ds, np.random.default_rng([cfg.seed, 1]))
+        assert len(built) == cfg.num_voters
+        oracle = oracle_crowd(cfg, ds, np.random.default_rng([cfg.seed, 1]))
+        assert [voter_bits(v) for v in crowd] == [voter_bits(v) for v in oracle]
+
+    @staticmethod
+    def _study_peak_in_crowd_matrices(num_voters, num_elections):
+        """The traced peak of a study, in crowd matrices (voters x test
+        items floats), after a tiny study has done the lazy imports."""
+        kw = dict(num_candidates=10, num_elections=num_elections, column_blindness=(2, 8),
                   quality_mean=1500.0, quality_sd=400.0, seed=3, algorithms=FAST_ALGOS)
         run_simulation(SimConfig(num_voters=5, dataset_size=300, **kw))  # lazy imports
-        cfg = SimConfig(num_voters=500, **kw)
+        cfg = SimConfig(num_voters=num_voters, **kw)
         tracemalloc.start()
         try:
             run_simulation(cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        matrix = cfg.num_voters * int(cfg.dataset_size * cfg.test_fraction) * 8
-        assert peak <= 2.5 * matrix, f"peak {peak / matrix:.2f} crowd matrices"
+        return peak / (cfg.num_voters * int(cfg.dataset_size * cfg.test_fraction) * 8)
+
+    def test_study_peak_memory_near_one_crowd_matrix(self):
+        # At 500 voters 364 of them have a fit of their own, and the fits'
+        # noise-free predictions weigh 0.73 of a matrix; so this bound is
+        # loose. It catches a stacked second crowd beside them, but not
+        # one whole-crowd temporary (a sorted copy for the crowd median
+        # read 2.23 here). The scale test below catches that.
+        peak = self._study_peak_in_crowd_matrices(500, 2)
+        assert peak <= 2.5, f"peak {peak:.2f} crowd matrices"
+
+    def test_study_peak_memory_one_crowd_matrix_at_scale(self):
+        # At 5,000 voters the matrix dominates: one whole-crowd temporary,
+        # such as a sorted copy for the crowd median, goes past 1.5.
+        peak = self._study_peak_in_crowd_matrices(5000, 1)
+        assert peak <= 1.5, f"peak {peak:.2f} crowd matrices"
 
     def test_voters_sharing_a_fit_own_their_coef(self):
         cfg = small_config(num_voters=60, column_blindness=9)
