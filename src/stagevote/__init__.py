@@ -37,7 +37,6 @@ from .tally import (
     score,
     sort_columns,
     stage_entropy,
-    stage_variance,
 )
 
 __version__ = "0.1.0"

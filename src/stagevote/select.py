@@ -14,7 +14,8 @@ Two families are provided:
 A stage *qualifies* when its top real candidate scores strictly above
 alpha and NULL does not score strictly higher: the first one opens the
 window and a NULL veto walks back to the latest one. Reports derive their
-best-candidate fields from a decision's table when rendered.
+best-candidate fields from a decision's table when rendered, by the
+profile's top-real-column rule and with no profile of their own.
 
 Each threshold (alpha, beta, the gamma cap) is read as typed, as the
 exact decimal written (0.57 is 57/100), and every crossing is decided on
@@ -39,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from numbers import Real
 from typing import Iterable, Optional, Sequence, Union
 
@@ -95,6 +96,8 @@ class GammaRule:
     Variants: any candidate exceeds 100*threshold; at least
     ``fraction``*k candidates exceed it, with ``fraction`` taken exactly as
     the decimal it was written as; at least ``count`` candidates exceed it.
+    The rule only states that count (``needed``); a decision finds the first
+    stage whose c-th largest score numerator exceeds the cap (``stage_window``).
     """
 
     threshold: Optional[float] = None
@@ -151,12 +154,6 @@ class GammaRule:
             # 0.28 is 7/25, and 0.28 of 25 is 7, not 7.000000000000001.
             return math.ceil(_typed(self.fraction) * k)
         return 1
-
-    def fires(self, scores: Sequence[float]) -> bool:
-        """True if this stage row trips the rule (compared exactly)."""
-        needed = self.needed(len(scores))
-        return needed is not None and sum(
-            1 for s in scores if s > 100 * _typed(self.threshold)) >= needed
 
     def label(self) -> str:
         if not self.enabled:
@@ -283,6 +280,11 @@ def _first_above(values: Iterable[int], bar: int) -> Optional[int]:
     return next((i for i, v in enumerate(values, 1) if v > bar), None)
 
 
+def _top_real(order: Sequence[int], nj: int) -> int:
+    """The first column of a stage's ranking ``order`` that is not NULL's ``nj``."""
+    return order[order[0] == nj]
+
+
 class _Crossings:
     """A table's crossing profile for the NULL column ``null_id``, with its
     scans by (column, bar) and decided stages by (pool, selector, bar).
@@ -302,7 +304,7 @@ class _Crossings:
             raise EmptyTableError("score table has no real candidate")
         nj = st.candidates.index(null_id)
         self.st, self.ints, self.ranking, self.denom = st, st.ints, st.ranking, st.denom
-        self.top = [order[order[0] == nj] for order in self.ranking]
+        self.top = [_top_real(order, nj) for order in self.ranking]
         self.null = [row[nj] for row in self.ints]
         self.best = [row[j] if null <= row[j] else -1
                      for row, j, null in zip(self.ints, self.top, self.null)]
@@ -464,16 +466,16 @@ def betagamma_report(decision: Decision, cfg: SelectionConfig, null_id: str) -> 
 
     The ``best*`` fields are the top real candidate and score (ties in
     ``column_order``) at the window's end and at each bound, read from the
-    decision's table through one profile; a bound outside the table gives None.
+    decision's table by ``_top_real``, the rule its crossing profile used;
+    the report builds no profile. A bound outside the table gives None.
     """
     w = decision.window
     st = decision.table
-    top = cache(lambda: _Crossings(st, null_id).top)
 
     def best_real(stage: Optional[int]) -> tuple[Optional[str], Optional[float]]:
         if st is None or stage is None or not 1 <= stage <= st.num_stages:
             return None, None
-        j = top()[stage - 1]
+        j = _top_real(st.ranking[stage - 1], st.candidates.index(null_id))
         return st.candidates[j], st.ints[stage - 1][j] / st.denom
 
     first, last_b, last_g, end = ((w.first_by_alpha, w.last_by_beta, w.last_by_gamma,

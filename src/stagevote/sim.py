@@ -399,8 +399,8 @@ def run_election(
     # Column p's stamps land in bins p * k .. p * k + k - 1: one bincount.
     counts = np.bincount((order + k * np.arange(num_prefs)).ravel(),
                          minlength=k * num_prefs).reshape(num_prefs, k)
-    table = score(cumulate(StageTable.from_ints(
-        TableKind.COUNTS, ids, tuple(map(tuple, counts.tolist())), 1, n)))
+    table = score(cumulate(StageTable(TableKind.COUNTS, ids,
+                                      tuple(map(tuple, counts.tolist())), 1, n)))
 
     # Every candidate's outcome, NULL's included, ranked once: the number
     # of slate qualities strictly above its own is len minus those <= it.

@@ -6,19 +6,18 @@ fractional ballot per voter or a voter count per distinct ballot, and adds
 each distinct ballot once either way, summing exact integer numerators
 over one common denominator D. Its core, ``_count_stamps``, counts a
 ``{stamps: voters}`` dict of plain stamp tuples, which ``stagevote tally``
-passes directly. Every view keeps those ints: the cumulative
-table is their prefix sums over the same D, and the score table the same
-numerators read as ``100 * v / (n * D)``.
-Stage i of the cumulative table adds up preferences 1..i, so a candidate's
-score at stage i is the percentage of voters who ranked them within their
-first i preferences.
-All table entries are exact rationals. Float scores are int / int true
-divisions, entropy reads the int rows, and the column order and per-stage
-ranking compare ints;
-the ``Fraction`` cells are built only when read (text/JSON readers,
-``row()``). A table's Fraction and float rows, stage statistics, column
-order and per-stage ranking are computed once, on first use, and shared
-by every later reader of that table.
+passes directly. Every view keeps those ints: the cumulative table is
+their prefix sums over the same D, and the score table the same
+numerators read as ``100 * v / (n * D)``. Stage i of the cumulative table
+adds up preferences 1..i, so a candidate's score at stage i is the
+percentage of voters who ranked them within their first i preferences.
+A table is built only from int numerators and their D, so all its entries
+are exact rationals. Float scores are int / int true divisions, entropy
+and the exact variance key read the int rows, and the column order and
+per-stage ranking compare ints; the ``Fraction`` cells are built only
+when read (text/JSON readers, ``row()``). A table's Fraction and float
+rows, stage statistics, column order and per-stage ranking are computed
+once, on first use, and shared by every later reader of that table.
 """
 
 from __future__ import annotations
@@ -69,6 +68,7 @@ class TableKind(Enum):
         self.json_key = json_key
 
 
+@dataclass(frozen=True, eq=False)
 class StageTable:
     """One row per stage, one column per candidate, in exact integers.
 
@@ -78,16 +78,14 @@ class StageTable:
     percentages of n in [0, 100] (``SCORES``). Columns stay in roster order.
 
     Cell (i, j) is ``ints[i][j] / denom``: int numerators over one common
-    denominator. ``count_votes``, ``cumulate`` and ``score`` build tables
-    from them with ``from_ints``; the constructor takes exact-rational rows
-    (``Fraction`` or int cells) and derives the numerators over the lcm of
-    their denominators.
+    denominator, the only form a table is built from.
 
     ``rows`` (the cells as ``Fraction``s), ``floats``, ``stats``,
     ``column_order`` and ``ranking`` are computed once per table, on first
     read, and cached on the instance, so every decision made on one table
     shares them. Equality and hashing compare kind, candidates, cell
-    values and n; the cache never enters them.
+    values and n, so equal cells over different denominators are equal;
+    the cache never enters them.
     """
 
     kind: TableKind
@@ -95,26 +93,6 @@ class StageTable:
     ints: tuple[IntRow, ...]
     denom: int
     n: int
-
-    def __init__(self, kind: TableKind, candidates: tuple[str, ...],
-                 rows: Sequence[Sequence[Fraction]], n: int):
-        rows = tuple(tuple(row) for row in rows)
-        denom = math.lcm(*(v.denominator for row in rows for v in row))
-        ints = tuple(tuple(v.numerator * (denom // v.denominator) for v in row)
-                     for row in rows)
-        vars(self).update(kind=kind, candidates=candidates, ints=ints, denom=denom,
-                          n=n, rows=rows)
-
-    @classmethod
-    def from_ints(cls, kind: TableKind, candidates: tuple[str, ...],
-                  ints: tuple[IntRow, ...], denom: int, n: int) -> StageTable:
-        """The table whose cell (i, j) is ``ints[i][j] / denom``."""
-        table = cls.__new__(cls)
-        vars(table).update(kind=kind, candidates=candidates, ints=ints, denom=denom, n=n)
-        return table
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"StageTable is immutable; cannot set {name!r}")
 
     def _key(self) -> tuple:
         return self.kind, self.candidates, self.rows, self.n
@@ -126,10 +104,6 @@ class StageTable:
 
     def __hash__(self):
         return hash(self._key())
-
-    def __repr__(self):
-        return (f"StageTable(kind={self.kind!r}, candidates={self.candidates!r}, "
-                f"rows={self.rows!r}, n={self.n!r})")
 
     @property
     def num_stages(self) -> int:
@@ -264,8 +238,8 @@ def _count_stamps(counts: Mapping[tuple[Optional[str], ...], int],
                     slot[j] += share
             else:
                 slot[column[stamp]] += whole
-    return StageTable.from_ints(TableKind.COUNTS, cands, tuple(map(tuple, totals)),
-                                denom, sum(counts.values()))
+    return StageTable(TableKind.COUNTS, cands, tuple(map(tuple, totals)), denom,
+                      sum(counts.values()))
 
 
 def cumulate(vc: StageTable) -> StageTable:
@@ -275,8 +249,7 @@ def cumulate(vc: StageTable) -> StageTable:
     for row in vc.ints:
         prev = tuple(map(add, prev, row))
         rows.append(prev)
-    return StageTable.from_ints(TableKind.PROCESSED, vc.candidates, tuple(rows),
-                                vc.denom, vc.n)
+    return StageTable(TableKind.PROCESSED, vc.candidates, tuple(rows), vc.denom, vc.n)
 
 
 def score(pt: StageTable) -> StageTable:
@@ -291,8 +264,7 @@ def score(pt: StageTable) -> StageTable:
     if pt.n == 0:
         raise UndefinedScoreError("scores are undefined with zero ballots")
     rows = tuple(tuple(100 * v for v in row) for row in pt.ints)
-    return StageTable.from_ints(TableKind.SCORES, pt.candidates, rows,
-                                pt.n * pt.denom, pt.n)
+    return StageTable(TableKind.SCORES, pt.candidates, rows, pt.n * pt.denom, pt.n)
 
 
 def stage_entropy(st: StageTable, stage: int) -> float:
@@ -312,15 +284,6 @@ def stage_entropy(st: StageTable, stage: int) -> float:
             p = v / total
             h -= p * math.log2(p)
     return h
-
-
-def stage_variance(st: StageTable, stage: int) -> float:
-    """Population variance of the stage's score values across candidates."""
-    if not 1 <= stage <= st.num_stages:
-        raise TallyError(f"stage {stage} out of range 1..{st.num_stages}")
-    row = st.floats[stage - 1]
-    mean = sum(row) / len(row)
-    return sum((v - mean) ** 2 for v in row) / len(row)
 
 
 def compute_stage_stats(st: StageTable) -> StageStats:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -60,9 +61,40 @@ def pipeline(roster, ballots, num_prefs):
     return vc, pt, score(pt)
 
 
+def table_from_rows(kind, candidates, rows, n) -> StageTable:
+    """The table whose cells are the exact rationals ``rows`` (``Fraction``
+    or int cells), its ints taken over the lcm of their denominators."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    denom = math.lcm(*(v.denominator for row in rows for v in row))
+    ints = tuple(tuple(v.numerator * (denom // v.denominator) for v in row) for row in rows)
+    return StageTable(kind, tuple(candidates), ints, denom, n)
+
+
 def make_score_table(candidates, rows, n=100) -> StageTable:
-    scores = tuple(tuple(Fraction(v) for v in row) for row in rows)
-    return StageTable(TableKind.SCORES, tuple(candidates), scores, n)
+    return table_from_rows(TableKind.SCORES, candidates, rows, n)
+
+
+def population_variance(row):
+    """Population variance of one row, in the arithmetic of its cells."""
+    mean = sum(row) / len(row)
+    return sum((v - mean) ** 2 for v in row) / len(row)
+
+
+def gamma_fires(rule, scores) -> bool:
+    """Independent gamma oracle: True when enough of one stage row's exact
+    ``scores`` strictly exceed 100 times the cap as typed. The count needed
+    of k scores is ``count``, ``ceil(fraction * k)`` with the fraction as
+    typed, or 1; more than k never fires."""
+    if rule.threshold is None:
+        return False
+    if rule.count is not None:
+        needed = rule.count
+    elif rule.fraction is not None:
+        needed = math.ceil(Fraction(str(rule.fraction)) * len(scores))
+    else:
+        needed = 1
+    cap = 100 * Fraction(str(rule.threshold))
+    return sum(1 for s in scores if s > cap) >= needed
 
 
 @pytest.fixture

@@ -36,7 +36,6 @@ from stagevote.sim import (
     run_simulation,
 )
 from stagevote.tally import (
-    StageTable,
     TableKind,
     count_votes,
     cumulate,
@@ -51,6 +50,7 @@ from conftest import (
     ROSTER_SIX,
     ballots_from_patterns,
     pipeline,
+    table_from_rows,
 )
 from test_select import _random_table, _window_oracle
 
@@ -209,7 +209,7 @@ def test_criterion_8_oracle_equivalence():
             tuple(Fraction(rng.randint(0, 30)) for _ in range(3))
             for _ in range(rng.randint(1, 6))
         )
-        vc = StageTable(TableKind.COUNTS, ("A", "B", "NULL"), counts, 9)
+        vc = table_from_rows(TableKind.COUNTS, ("A", "B", "NULL"), counts, 9)
         pt = cumulate(vc)
         for i in range(len(counts)):
             for j in range(3):

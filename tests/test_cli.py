@@ -10,12 +10,13 @@ import threading
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagevote import cli
+from stagevote import cli, select
 from stagevote.ballot import Ballot, FractionalBallot
 from stagevote.cli import main
 
@@ -45,6 +46,16 @@ def src_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src"),
          os.environ.get("PYTHONPATH", "")]))
+
+
+def no_numpy_env(tmp_path):
+    """``src_env()`` behind a ``numpy`` package whose import fails."""
+    blocker = tmp_path / "no-numpy" / "numpy"
+    blocker.mkdir(parents=True)
+    (blocker / "__init__.py").write_text('raise ImportError("numpy is blocked")\n')
+    env = src_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(blocker.parent), env["PYTHONPATH"]])
+    return env
 
 
 @pytest.fixture
@@ -122,6 +133,15 @@ class TestTally:
                              "--selector", "last", "--format", fmt)
         assert code == 0
         assert list(window_requests.values()) == [1]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_windowed_tally_builds_one_crossing_profile(self, beta_csv, fmt, monkeypatch):
+        # The decision's profile is the only one; the report builds none.
+        built = count_instances(monkeypatch, select._Crossings)
+        code, _, _ = run_cli("tally", beta_csv, "--alpha", "0.5", "--beta", "0.3333",
+                             "--gamma", "any:0.6666", "--format", fmt)
+        assert code == 0
+        assert built == {select._Crossings: 1}
 
     def test_json_matches_text(self, concrete_csv):
         code, text_out, _ = run_cli("tally", concrete_csv, "--alpha", "0.5")
@@ -730,16 +750,22 @@ def test_tally_and_min_stages_never_import_numpy(concrete_csv):
 def test_simulate_without_numpy_is_one_error_line(sim_config, tmp_path):
     # Where numpy cannot be imported, simulate fails like any other bad
     # input: one "error:" line and exit 1, not an ImportError traceback.
-    blocker = tmp_path / "no-numpy" / "numpy"
-    blocker.mkdir(parents=True)
-    (blocker / "__init__.py").write_text('raise ImportError("numpy is blocked")\n')
-    env = src_env()
-    env["PYTHONPATH"] = os.pathsep.join([str(blocker.parent), env["PYTHONPATH"]])
     script = "import sys\nfrom stagevote import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
     proc = subprocess.run([sys.executable, "-c", script, "simulate", sim_config],
-                          capture_output=True, text=True, env=env, check=False)
+                          capture_output=True, text=True, env=no_numpy_env(tmp_path),
+                          check=False)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, "", "error: simulate needs numpy (numpy is blocked)\n")
+
+
+def test_readme_library_example_runs_without_numpy(tmp_path):
+    # README's Library code block, run as written where numpy cannot be
+    # imported: the package root it imports from needs none.
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=no_numpy_env(tmp_path), check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "A 1 200/3\n", "")
 
 
 @pytest.mark.parametrize("command", ["tally", "simulate"])

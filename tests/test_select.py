@@ -30,9 +30,10 @@ from stagevote.select import (
     select_stage,
     stage_window,
 )
-from stagevote.tally import StageStats, StageTable, TableKind, cumulate, score, stage_variance
+from stagevote.tally import StageStats, StageTable, TableKind, cumulate, score
 
-from conftest import make_score_table, pipeline
+from conftest import (gamma_fires, make_score_table, pipeline, population_variance,
+                      table_from_rows)
 
 
 class TestBasicWinner:
@@ -127,26 +128,44 @@ class TestStageWindow:
 
 
 class TestGammaRule:
+    """Each case holds ``stage_window``'s gamma bound on a one-stage score
+    table (1 where the rule fires, else None) beside the oracle's verdict."""
+
+    @staticmethod
+    def _verdicts(rule, scores):
+        """(oracle, production) on one stage row whose last column is NULL."""
+        names = [f"K{j}" for j in range(len(scores) - 1)] + ["NULL"]
+        table = make_score_table(names, [scores])
+        window = stage_window(table, SelectionConfig(alpha=0.99, gamma=rule), "NULL")
+        return gamma_fires(rule, table.rows[0]), window.last_by_gamma
+
     def test_any_variant(self):
         rule = GammaRule.any_exceeds(0.8)
-        assert not rule.fires([80.0, 10.0])  # strict: 80 does not exceed 80
-        assert rule.fires([80.1, 10.0])
+        assert self._verdicts(rule, [80.0, 10.0]) == (False, None)  # strict: 80 is not above 80
+        assert self._verdicts(rule, [80.1, 10.0]) == (True, 1)
 
     def test_fraction_variant(self):
         rule = GammaRule.fraction_exceeds(0.9, 0.5)
-        assert not rule.fires([95.0, 10.0, 10.0, 10.0])
-        assert rule.fires([95.0, 95.0, 10.0, 10.0])
+        assert self._verdicts(rule, [95.0, 10.0, 10.0, 10.0]) == (False, None)
+        assert self._verdicts(rule, [95.0, 95.0, 10.0, 10.0]) == (True, 1)
 
     def test_fraction_is_the_typed_decimal(self):
         # 0.28 * 25 == 7.000000000000001 in floats; 28% of 25 is exactly 7.
         rule = parse_gamma_spec("frac:0.28:0.5")
-        assert rule.fires([60.0] * 7 + [10.0] * 18)
-        assert not rule.fires([60.0] * 6 + [10.0] * 19)
+        assert self._verdicts(rule, [60.0] * 7 + [10.0] * 18) == (True, 1)
+        assert self._verdicts(rule, [60.0] * 6 + [10.0] * 19) == (False, None)
+
+    def test_fraction_of_columns_rounds_up(self):
+        # 0.3 of 4 columns is 1.2: the rule needs 2 above the cap, not 1.
+        rule = parse_gamma_spec("frac:0.3:0.5")
+        assert rule.needed(4) == 2
+        assert self._verdicts(rule, [60.0, 10.0, 10.0, 10.0]) == (False, None)
+        assert self._verdicts(rule, [60.0, 60.0, 10.0, 10.0]) == (True, 1)
 
     def test_count_variant(self):
         rule = GammaRule.count_exceeds(0.95, 2)
-        assert not rule.fires([96.0, 10.0, 10.0])
-        assert rule.fires([96.0, 97.0, 10.0])
+        assert self._verdicts(rule, [96.0, 10.0, 10.0]) == (False, None)
+        assert self._verdicts(rule, [96.0, 97.0, 10.0]) == (True, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -243,9 +262,9 @@ class TestSelectStage:
     @pytest.mark.parametrize("gamma", [None, 0.66, 0.8])
     def test_exact_variance_tie_picks_the_earliest_stage(self, gamma):
         ids, counts = self.SEED5_ELECTION101
-        table = score(cumulate(StageTable.from_ints(
-            TableKind.COUNTS, ids, tuple(map(tuple, counts)), 1, 100)))
-        assert stage_variance(table, 5) != stage_variance(table, 6)
+        table = score(cumulate(StageTable(TableKind.COUNTS, ids,
+                                          tuple(map(tuple, counts)), 1, 100)))
+        assert population_variance(table.floats[4]) != population_variance(table.floats[5])
         assert table.stats.variance_key[4] == table.stats.variance_key[5]
         cfg = SelectionConfig(alpha=0.5, gamma=parse_gamma_spec(gamma),
                               selector=Selector.MIN_VARIANCE)
@@ -258,15 +277,10 @@ class TestSelectStage:
     @example([[0, 3, 3], [1, 1, 4]], 1)
     @example([[1, 1, 4], [0, 3, 3], [2, 2, 2]], 3)
     def test_variance_selectors_match_a_fraction_oracle(self, rows, n):
-        table = StageTable(TableKind.SCORES, ("A", "B", "C"),
-                           [[Fraction(v, n) for v in row] for row in rows], n)
+        table = table_from_rows(TableKind.SCORES, ("A", "B", "C"),
+                                [[Fraction(v, n) for v in row] for row in rows], n)
         pool = tuple(range(1, len(rows) + 1))
-
-        def variance(row):
-            mean = sum(row) / len(row)
-            return sum((v - mean) ** 2 for v in row) / len(row)
-
-        exact = [variance(row) for row in table.rows]
+        exact = [population_variance(row) for row in table.rows]
         lowest = min(pool, key=lambda i: (exact[i - 1], i))
         highest = min(pool, key=lambda i: (-exact[i - 1], i))
         window = self._window(list(pool))
@@ -363,7 +377,7 @@ def _window_oracle(table, cfg, null_id):
         last_b = min(crossed) if crossed else None
 
     if cfg.gamma.enabled:
-        fired = [i for i in stages if cfg.gamma.fires(rows[i - 1])]
+        fired = [i for i in stages if gamma_fires(cfg.gamma, rows[i - 1])]
         last_g = min(fired) if fired else None
     else:
         last_g = None
@@ -678,7 +692,7 @@ class TestTypedThresholds:
             "alpha": alpha.first_by_alpha == 1,
             "beta": beta.last_by_beta == 0,
             "gamma": gamma.last_by_gamma == 1,
-            "fires": GammaRule.any_exceeds(typed).fires(table.rows[0]),
+            "fires": gamma_fires(GammaRule.any_exceeds(typed), table.rows[0]),
         }
 
     def test_whole_percent_bars(self):
@@ -736,7 +750,7 @@ class TestSubUlpCells:
         window = stage_window(table, SelectionConfig(
             alpha=0.5, gamma=parse_gamma_spec("any:0.66")), "NULL")
         assert (window.last_by_gamma, window.pool) == (1, (1,))
-        assert GammaRule.any_exceeds(0.66).fires(table.rows[0])
+        assert gamma_fires(GammaRule.any_exceeds(0.66), table.rows[0])
 
     def test_higher_cell_leads_although_the_doubles_tie(self):
         # A leads the column order, but B is 1e-15 ahead at stage 1.
@@ -903,7 +917,7 @@ class TestPerTableCache:
         for row in rows:
             row[:] = [0.0] * len(row)
             row[-1] = 100.0
-        fresh = StageTable(table.kind, table.candidates, table.rows, table.n)
+        fresh = table_from_rows(table.kind, table.candidates, table.rows, table.n)
         assert table.floats == fresh.floats
         assert beta_gamma_winner(table, cfg, "NULL") == before
         assert basic_winner(table, 0.5) == basic_winner(fresh, 0.5)
@@ -924,8 +938,8 @@ class TestPerTableCache:
             for cfg in reversed(grid):
                 decide(shared, cfg)
             for cfg in grid:
-                fresh = StageTable(shared.kind, shared.candidates,
-                                   shared.rows, shared.n)
+                fresh = table_from_rows(shared.kind, shared.candidates,
+                                        shared.rows, shared.n)
                 assert decide(shared, cfg) == decide(fresh, cfg), (trial, cfg)
 
 

@@ -31,10 +31,9 @@ from stagevote.tally import (
     score,
     sort_columns,
     stage_entropy,
-    stage_variance,
 )
 
-from conftest import ROSTER_SIX, make_score_table, pipeline
+from conftest import ROSTER_SIX, make_score_table, pipeline, population_variance, table_from_rows
 
 # Printed tables of the 100-voter worked example (columns A B C D X NULL).
 COUNTS_GOLDEN = [
@@ -223,7 +222,7 @@ class TestGrouping:
                 min_size=1, max_size=6))
 def test_cumulate_matches_prefix_sum_oracle(rows):
     counts = tuple(tuple(Fraction(v) for v in row) for row in rows)
-    vc = StageTable(TableKind.COUNTS, ("A", "B", "NULL"), counts, 10)
+    vc = table_from_rows(TableKind.COUNTS, ("A", "B", "NULL"), counts, 10)
     pt = cumulate(vc)
     for i in range(len(rows)):
         for j in range(3):
@@ -232,8 +231,8 @@ def test_cumulate_matches_prefix_sum_oracle(rows):
 
 
 def test_cumulate_single_stage_is_identity():
-    vc = StageTable(TableKind.COUNTS, ("A", "NULL"),
-                    ((Fraction(3), Fraction(1)),), 4)
+    vc = table_from_rows(TableKind.COUNTS, ("A", "NULL"),
+                         ((Fraction(3), Fraction(1)),), 4)
     assert cumulate(vc).rows == vc.rows
 
 
@@ -335,6 +334,19 @@ class TestStageDistribution:
                 stage_entropy(table, stage)
 
 
+def _exact_variances(table):
+    """Population variance of each stage's cells, in ``Fraction``s."""
+    return [population_variance(row) for row in table.rows]
+
+
+def _assert_key_is_scaled_variance(table):
+    """``variance_key`` is the exact variance times one positive constant
+    per table: every pair of stages is in proportion, and zero at zero."""
+    exact, key = _exact_variances(table), table.stats.variance_key
+    assert all((v == 0) == (k == 0) and k >= 0 for v, k in zip(exact, key))
+    assert all(ki * vj == kj * vi for vi, ki in zip(exact, key) for vj, kj in zip(exact, key))
+
+
 class TestStageStatistics:
     def test_entropy_uniform_six(self, concrete_tables):
         _, _, table = concrete_tables
@@ -350,17 +362,20 @@ class TestStageStatistics:
 
     def test_variance_constant_row(self):
         table = make_score_table(["A", "B", "C"], [[40, 40, 40]])
-        assert stage_variance(table, 1) == 0.0
+        assert _exact_variances(table) == [0]
+        assert table.stats.variance_key == (0,)
 
     def test_variance_concrete_stage2(self, concrete_tables):
         # Population variance of (25,25,25,25,100,0): mean 100/3,
         # sum of squared deviations 52500/9, divided by 6 -> 8750/9.
         _, _, table = concrete_tables
-        assert stage_variance(table, 2) == pytest.approx(8750 / 9, rel=1e-12)
+        assert _exact_variances(table)[1] == Fraction(8750, 9)
+        _assert_key_is_scaled_variance(table)
 
     def test_variance_two_candidate_split(self):
-        table = make_score_table(["A", "B"], [[0, 100]])
-        assert stage_variance(table, 1) == pytest.approx(2500.0)
+        table = make_score_table(["A", "B"], [[0, 100], [25, 75], [50, 50]])
+        assert _exact_variances(table) == [2500, 625, 0]
+        _assert_key_is_scaled_variance(table)
 
     @given(random_profiles())
     @settings(max_examples=60)
@@ -391,7 +406,7 @@ class TestStageStatistics:
         stats = compute_stage_stats(table)
         assert stats.entropy[0] is None
         assert stats.entropy[1] == pytest.approx(1.0)
-        assert stage_variance(table, 1) == stage_variance(table, 2) == 0.0
+        assert _exact_variances(table) == [0, 0]
         assert stats.variance_key == (0, 0)
 
 
@@ -440,9 +455,32 @@ class TestPerTableCache:
     def test_cache_is_outside_equality_and_hash(self, concrete_tables):
         _, _, used = concrete_tables
         used.stats, used.column_order, used.floats
-        fresh = StageTable(used.kind, used.candidates, used.rows, used.n)
+        fresh = table_from_rows(used.kind, used.candidates, used.rows, used.n)
         assert fresh == used
         assert hash(fresh) == hash(used)
+
+
+class TestValueType:
+    """A table is an immutable value built from int numerators only."""
+
+    def test_fields_cannot_be_assigned(self, concrete_tables):
+        _, _, table = concrete_tables
+        before = table.ints
+        with pytest.raises(AttributeError):
+            table.ints = ((0,) * len(table.candidates),)
+        assert table.ints is before
+
+    def test_equal_cells_over_other_denominators_are_equal(self):
+        half = StageTable(TableKind.SCORES, ("A", "NULL"), ((1, 1),), 2, 3)
+        quarters = StageTable(TableKind.SCORES, ("A", "NULL"), ((2, 2),), 4, 3)
+        assert half == quarters
+        assert hash(half) == hash(quarters)
+        assert half != StageTable(TableKind.SCORES, ("A", "NULL"), ((1, 2),), 4, 3)
+
+    def test_rows_without_a_denominator_are_refused(self):
+        rows = ((Fraction(1, 2), Fraction(1, 2)),)
+        with pytest.raises(TypeError):
+            StageTable(TableKind.SCORES, ("A", "NULL"), rows, 3)
 
 
 WIDE_CSV = Path(__file__).parent / "data" / "wide_roster.csv"
@@ -492,9 +530,10 @@ class TestIntegerViews:
         for table in (vc, cumulate(vc), score(cumulate(vc))):
             assert (table.floats, table.stats.entropy, table.column_order) == \
                 self._fraction_views(table)
-            oracle = StageTable(table.kind, table.candidates, table.rows, table.n)
+            oracle = table_from_rows(table.kind, table.candidates, table.rows, table.n)
             assert self._views(table) == self._views(oracle)
             assert table == oracle and hash(table) == hash(oracle)
+            _assert_key_is_scaled_variance(table)
             assert all(type(v) is Fraction for row in table.rows for v in row)
 
     def test_random_ballots(self):
