@@ -1,9 +1,10 @@
 """Ballots and rosters: CSV parsing, validation, fractional expansion.
 
 ``parse_ballots`` reads a ballot file row by row with ``_read_rows``, which
-decodes each distinct raw row once. ``stagevote tally`` counts the raw rows in
-C and decodes each distinct one; on an error it streams the file again, so an
-error always names the first bad line in file order.
+decodes each distinct raw row once. ``stagevote tally`` counts the lines in C
+by their text after the voter id (by raw rows once a quote, a NUL or an
+over-long line shows) and decodes each distinct one; on an error it streams
+the file again, so an error always names the first bad line in file order.
 
 A ``Ballot`` is one voter's ordered stamps over a fixed candidate roster,
 built once (by the parser or the study) and checked in place by
@@ -26,7 +27,8 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import repeat
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, Optional, Union
 
@@ -220,7 +222,7 @@ def _read_rows(source: Union[str, bytes, IO[str], Iterable[str]],
     return num_cols, _rows(reader, num_cols, roster)
 
 
-def _decode_cells(raw: tuple[str, ...], num_cols: int,
+def _decode_cells(raw: Iterable[str], num_cols: int,
                   roster: Optional[CandidateRoster], line: Optional[int]) -> tuple[str, ...]:
     """Strip one row's preference cells, check its width and the empty-suffix
     rule, and decode its tokens; an error names ``line``. Interned cells let
@@ -278,15 +280,35 @@ def parse_ballots(
 
 def _count_rows(fh: io.TextIOWrapper) -> tuple[int, dict[tuple[str, ...], int]]:
     """Check the header; return P and ``{prefs: rows}``, tokens as written, in
-    first-seen order: rows are counted by raw cells in C, then each distinct
-    one is decoded once. ``fh`` is seekable and decodes strictly; on any error
-    it is streamed again row by row, bad bytes escaped, to raise the first one."""
+    first-seen order: lines are counted in C by their text after the voter id
+    (by raw cells from the top once a batch may hold a line that is not its
+    comma split), then each distinct row is decoded once. ``fh`` is seekable,
+    reads universal newlines and decodes strictly; on any error it is streamed
+    again row by row, bad bytes escaped, to raise the first one."""
     reader = csv.reader(fh)
     try:
         num_cols = _read_header(reader)
-        raw_counts = Counter(map(tuple, map(itemgetter(slice(1, None)), filter(None, reader))))
+        # With newlines translated, a line free of '"' and NUL is one CSV
+        # record, and its fields are its comma split.
+        tails: Counter[str] = Counter()
+        limit = csv.field_size_limit()
+        for lines in iter(partial(fh.readlines, 1 << 16), []):
+            text = "".join(lines)
+            if '"' in text or "\0" in text or len(text) > limit and max(map(len, lines)) > limit:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                _read_header(reader)
+                raw_counts = Counter(map(tuple, map(itemgetter(slice(1, None)),
+                                                    filter(None, reader)))).items()
+                break
+            if "\n" in lines:
+                lines = list(filter("\n".__ne__, lines))
+            tails.update(map(itemgetter(2), map(str.partition, lines, repeat(","))))
+        else:
+            # The last cell's newline is stripped with its padding.
+            raw_counts = ((tail.split(","), voters) for tail, voters in tails.items())
         groups: dict[tuple[str, ...], int] = {}
-        for raw, voters in raw_counts.items():
+        for raw, voters in raw_counts:
             prefs = _decode_cells(raw, num_cols, None, None)
             groups[prefs] = groups.get(prefs, 0) + voters
         return num_cols, groups

@@ -129,10 +129,13 @@ def _roster_from_flag(spec: str) -> CandidateRoster:
 
 
 def _read_ballot_groups(fh, candidates: Optional[str]):
-    """Count the ballot file's rows by preference tuple, in one pass.
+    """Count the ballot file's rows by preference tuple.
 
     Returns ``(P, roster, {prefs: voters})``, one checked preference tuple
-    per distinct row in first-seen order, with its number of voters. The
+    per distinct row in first-seen order, with its number of voters. Rows
+    are counted in C by line (``ballot._count_rows``), or, from the first
+    batch of lines with a quote, a NUL or an over-long line, again from the
+    top by the CSV reader's raw cells. The
     roster, the off-roster warning and the checks all work on the distinct
     tuples, and no ``Ballot`` is built; only on an error is the seekable
     ``fh`` streamed a second time, row by row, to name the first bad line

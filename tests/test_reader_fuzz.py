@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from stagevote import ballot
 from stagevote.ballot import (
     Ballot,
     BallotError,
@@ -50,16 +52,16 @@ ODD_HEADERS = ["voter_id,pref1", " voter_id , pref1 ,pref2", "voter_id,pref2",
 
 
 @st.composite
-def rows(draw) -> str:
+def rows(draw, dresses=DRESS, odd_cells=ODD_CELLS) -> str:
     """Mostly a ballot (a ranked prefix, dressed, then empty cells), at
     times a row of odd cells; voter ids repeat."""
     voter = draw(st.sampled_from(["v1", "v2", "v3", " v1", ""]))
     if draw(st.integers(0, 4)) == 0:
-        cells = draw(st.lists(st.sampled_from(ODD_CELLS), max_size=5))
+        cells = draw(st.lists(st.sampled_from(odd_cells), max_size=5))
     else:
         length = draw(st.integers(0, 3))
         ranked = draw(st.permutations(CANDIDATES))[:length]
-        dress = draw(st.sampled_from(DRESS))
+        dress = draw(st.sampled_from(dresses))
         cells = [dress(c) for c in ranked] + [""] * draw(st.integers(0, 3 - length))
     return ",".join([voter] + cells)
 
@@ -71,25 +73,36 @@ def redress(row: str, dress) -> str:
                                for c in cells])
 
 
+# Quote-free dressings and odd cells: each line of such a file is one CSV
+# record whose fields are its comma split, which tally counts by line.
+PLAIN_DRESS = [dress for dress in DRESS if '"' not in dress("A")]
+PLAIN_CELLS = [cell for cell in ODD_CELLS if '"' not in cell]
+
+
 @st.composite
-def ballot_files(draw, repeats: bool = False) -> bytes:
+def ballot_files(draw, repeats: bool = False, quotes: bool = True) -> bytes:
     """A header and ragged rows joined by LF, CRLF or CR; sometimes a BOM,
     sometimes random bytes spliced in. With ``repeats``, some rows are also
-    copied to other places, verbatim or dressed anew."""
+    copied to other places, verbatim or dressed anew. Without ``quotes``,
+    no byte is a quote or a NUL, and some blank lines are added."""
+    dresses, odd_cells = (DRESS, ODD_CELLS) if quotes else (PLAIN_DRESS, PLAIN_CELLS)
     header = draw(st.sampled_from(ODD_HEADERS) | st.just(HEADER) | st.just(HEADER))
-    body = draw(st.lists(rows(), max_size=12))
+    body = draw(st.lists(rows(dresses, odd_cells), max_size=12))
     for _ in range(draw(st.integers(0, 8)) if repeats and body else 0):
         row = draw(st.sampled_from(body))
-        dress = draw(st.sampled_from([None, *DRESS]))
+        dress = draw(st.sampled_from([None, *dresses]))
         body.insert(draw(st.integers(0, len(body))),
                     row if dress is None else redress(row, dress))
+    for _ in range(0 if quotes else draw(st.integers(0, 3))):
+        body.insert(draw(st.integers(0, len(body))), "")
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     data = (newline.join([header] + body) + draw(st.sampled_from(["", newline]))).encode()
     if draw(st.booleans()):
         data = b"\xef\xbb\xbf" + data
     if draw(st.integers(0, 4)) == 0:
         at = draw(st.integers(0, len(data)))
-        data = data[:at] + draw(st.binary(max_size=6)) + data[at:]
+        splice = draw(st.binary(max_size=6))
+        data = data[:at] + (splice if quotes else splice.translate(None, b'"\0')) + data[at:]
     return data
 
 
@@ -248,3 +261,79 @@ def test_tally_names_a_width_error_before_later_bad_lines(tail):
     data = "\n".join(["voter_id,pref1,pref2", *body, ""]).encode("utf-8", "surrogateescape")
     assert run_tally(data, []) == (
         1, "", "error: line 5002: row has 3 preference cells, header allows 2\n")
+
+
+@given(ballot_files(repeats=True, quotes=False), st.sampled_from(FLAGS))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_tally_on_quote_free_files_agrees_with_a_row_by_row_oracle(data, flags):
+    # Counted line by line unless a spliced byte is not UTF-8.
+    assert b'"' not in data and b"\0" not in data
+    test_tally_agrees_with_a_row_by_row_oracle.hypothesis.inner_test(data, flags)
+
+
+def counted_tally(monkeypatch, data: bytes, flags) -> tuple[int, tuple[int, str, str]]:
+    """The number of lines the ballot module's CSV readers read, and
+    ``run_tally``'s result. The line pass leaves them the header alone."""
+    lines = 0
+
+    def counted(source):
+        nonlocal lines
+        for line in source:
+            lines += 1
+            yield line
+
+    csv_reader = ballot.csv.reader
+    monkeypatch.setattr(ballot.csv, "reader", lambda source: csv_reader(counted(source)))
+    result = run_tally(data, flags)
+    monkeypatch.undo()
+    return lines, result
+
+
+def ballot_csv(*body: str) -> bytes:
+    return "\n".join(["voter_id,pref1,pref2", *body, ""]).encode()
+
+
+PLAIN_ROWS = [f"v{i},{('A,NULL', 'B,A', 'NULL,B')[i % 3]}" for i in range(5000)]
+
+
+@pytest.mark.parametrize("last, by_line", [
+    ("w,A,NULL", True),
+    ('w,"A",NULL', False),
+    (f"{'w' * (csv.field_size_limit() - 1)},A,NULL", False),
+    ("w\0,A,NULL", False),
+], ids=["quote-free", "quote", "long-line", "nul"])
+def test_tally_counts_by_line_unless_a_line_may_not_be_its_comma_split(
+        monkeypatch, last, by_line):
+    # A quote, a NUL, or a line longer than a CSV field: the CSV pass
+    # counts the file from the top, here after the line pass's first batches.
+    data = ballot_csv(*PLAIN_ROWS, last)
+    try:
+        list(oracle_rows(data, None))
+    except BallotError as exc:
+        expected = (1, "", f"error: {exc}\n")
+    else:
+        expected = run_tally(ballot_csv(*PLAIN_ROWS, "w,A,NULL"), ["--format", "json"])
+    lines, result = counted_tally(monkeypatch, data, ["--format", "json"])
+    assert result == expected
+    if by_line:
+        assert lines == 1
+    else:
+        assert lines >= 2 + len(PLAIN_ROWS) + 1
+
+
+def test_tally_reads_a_nul_in_a_cell_as_this_python_csv_module_does():
+    # csv refuses NUL before Python 3.11 and reads it as a character since.
+    data = ballot_csv("v1,A,NULL", "v2,B\0,A", "v3,B,NULL")
+    try:
+        rows = list(oracle_rows(data, None))
+    except BallotFormatError as exc:
+        assert sys.version_info < (3, 11)
+        assert str(exc).startswith("line 3: malformed CSV row: ")
+        assert run_tally(data, []) == (1, "", f"error: {exc}\n")
+    else:
+        assert sys.version_info >= (3, 11)
+        assert rows[1][2] == ("B\0", "A")
+        code, out, _ = run_tally(data, ["--format", "json"])
+        assert code in (0, 2)
+        assert json.loads(out)["counts"] == oracle_counts(data, rows, [])
