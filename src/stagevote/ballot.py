@@ -15,8 +15,8 @@ tally time. ``expand_incomplete`` makes a ``FractionalBallot``, whose
 missing rows split one unit of vote mass evenly over the candidates the
 voter never stamped; equal stamps make equal, hashable ballots, so a tally
 weighs each distinct ballot once. Both functions wrap a helper on the plain
-preference tuple (``_check_prefs``, ``_stamp_tuple``), which ``stagevote
-tally`` calls on each distinct tuple without building either object.
+preference tuple: ``stagevote tally`` checks each distinct tuple once with
+``_check_prefs``, and its count cuts each with ``_stamp_tuple``.
 """
 
 from __future__ import annotations
@@ -344,7 +344,7 @@ def _stamp_tuple(prefs: tuple[str, ...], roster: CandidateRoster,
     """The stamps of ``prefs`` on rows 1..num_prefs: cut there, the IDK
     candidate read as None, and padded with None for the missing rows."""
     stamps = tuple(prefs[:num_prefs])
-    if roster.idk_id in stamps:
+    if roster.idk_id is not None and roster.idk_id in stamps:
         stamps = tuple(None if c == roster.idk_id else c for c in stamps)
     return stamps + (None,) * (num_prefs - len(stamps))
 

@@ -30,7 +30,6 @@ from .ballot import (
     _check_prefs,
     _count_rows,
     _read_rows,
-    _stamp_tuple,
 )
 from .select import (
     SelectionConfig,
@@ -135,18 +134,15 @@ def _read_ballot_groups(fh, candidates: Optional[str]):
     per distinct row in first-seen order, with its number of voters. Rows
     are counted in C by line (``ballot._count_rows``), or, from the first
     batch of lines with a quote, a NUL or an over-long line, again from the
-    top by the CSV reader's raw cells. The
-    roster, the off-roster warning and the checks all work on the distinct
-    tuples, and no ``Ballot`` is built; only on an error is the seekable
-    ``fh`` streamed a second time, row by row, to name the first bad line
-    or to list every line that holds an invalid ballot.
+    top by the CSV reader's raw cells; a bad row raises its ``BallotError``.
+    The roster, the off-roster warning and the one check of each tuple
+    all work on the distinct tuples, and no ``Ballot`` is built; only on an
+    error is the seekable ``fh`` streamed a second time, row by row, to
+    name the first bad line or to list every line with an invalid ballot.
     """
     # Every roster built here spells NULL and IDK literally, so the ballots
     # can be parsed with their tokens as written, before the roster exists.
-    try:
-        num_cols, groups = _count_rows(fh)
-    except BallotError as exc:
-        raise CliError(str(exc)) from exc
+    num_cols, groups = _count_rows(fh)
     if not groups:
         raise CliError("no ballots in file")
     if candidates:
@@ -194,9 +190,8 @@ def _seekable(fh):
 
 def cmd_tally(args) -> int:
     """Tally a ballot file: one pass counts its rows by preference tuple,
-    then each distinct tuple is checked and cut to its stamp tuple once,
-    and the count adds each distinct stamp tuple once, weighted by its
-    number of voters."""
+    each distinct tuple is checked once, and the count cuts each one to
+    its stamp tuple and adds it once, weighted by its number of voters."""
     # Built for the basic rule too, so alpha is checked on both paths.
     try:
         cfg = SelectionConfig(
@@ -224,12 +219,7 @@ def cmd_tally(args) -> int:
     if not 1 <= num_prefs <= roster.k:
         raise CliError(f"--num-prefs must be in 1..{roster.k}")
 
-    # Distinct tuples can still cut alike (at num_prefs, IDK stamps).
-    stamps: dict = {}
-    for prefs, voters in groups.items():
-        key = _stamp_tuple(prefs, roster, num_prefs)
-        stamps[key] = stamps.get(key, 0) + voters
-    vc = _count_stamps(stamps, roster, num_prefs)
+    vc = _count_stamps(groups, roster, num_prefs)
     pt = cumulate(vc)
     st = score(pt)
 
@@ -327,7 +317,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         code = handlers[args.command](args)
         print(end="", flush=True)  # stdout's write errors surface here, not at exit
-    except CliError as exc:
+    except (CliError, BallotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

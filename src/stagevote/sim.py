@@ -142,10 +142,10 @@ class SimConfig:
             raise SimConfigError("crowd quality mean must be positive")
         if self.quality_sd < 0:
             raise SimConfigError("crowd quality standard deviation must be >= 0")
-        if not (0 <= lo <= hi <= self.num_features):
-            raise SimConfigError(
-                f"columnBlindness must lie within 0..{self.num_features}"
-            )
+        if lo > hi:
+            raise SimConfigError(f"columnBlindness interval [{lo}, {hi}] has lo > hi")
+        if not 0 <= lo <= hi <= self.num_features:
+            raise SimConfigError(f"columnBlindness must lie within 0..{self.num_features}")
         k = self.num_candidates + 1  # slate plus NULL
         if self.num_prefs is not None and not (
                 isinstance(self.num_prefs, int) and not isinstance(self.num_prefs, bool)

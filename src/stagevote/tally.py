@@ -4,9 +4,9 @@ The pipeline is ``count_votes`` -> ``cumulate`` -> ``score``, and each step
 returns a ``StageTable`` of its ``TableKind``. ``count_votes`` takes one
 fractional ballot per voter or a voter count per distinct ballot, and adds
 each distinct ballot once either way, summing exact integer numerators
-over one common denominator D. Its core, ``_count_stamps``, counts a
-``{stamps: voters}`` dict of plain stamp tuples, which ``stagevote tally``
-passes directly. Every view keeps those ints: the cumulative table is
+over one common denominator D. Its core, ``_count_stamps``, cuts and
+counts the checked ``{prefs: voters}`` tuples ``stagevote tally`` passes
+directly. Every view keeps those ints: the cumulative table is
 their prefix sums over the same D, and the score table the same
 numerators read as ``100 * v / (n * D)``. Stage i of the cumulative table
 adds up preferences 1..i, so a candidate's score at stage i is the
@@ -15,7 +15,7 @@ A table is built only from int numerators and their D, so all its entries
 are exact rationals. Float scores are int / int true divisions, entropy
 and the exact variance key read the int rows, and the column order and
 per-stage ranking compare ints; the ``Fraction`` cells are built only
-when read (text/JSON readers, ``row()``). A table's Fraction and float
+when read (``rows``, ``row()``, equality). A table's Fraction and float
 rows, stage statistics, column order and per-stage ranking are computed
 once, on first use, and shared by every later reader of that table.
 """
@@ -31,7 +31,7 @@ from functools import cached_property
 from operator import add
 from typing import Mapping, Optional, Sequence, Union
 
-from .ballot import CandidateRoster, FractionalBallot
+from .ballot import CandidateRoster, FractionalBallot, _stamp_tuple
 
 Row = tuple[Fraction, ...]
 IntRow = tuple[int, ...]
@@ -181,51 +181,52 @@ def count_votes(
 
     ``ballots`` is one fractional ballot per voter, or a mapping from each
     distinct ballot to the number of voters who cast it (a ``Counter``).
-    Each distinct ballot's stamps are added once, times that number, so the
-    cost grows with distinct ballots, not voters (see ``_count_stamps``).
+    Each distinct ballot is checked once and its stamps added once, times
+    that number, so the cost grows with distinct ballots, not voters (see
+    ``_count_stamps``).
 
     All ballots must be expanded over the same roster and ``num_prefs`` and
     stamp no candidate twice; anything else raises ``TallyError``.
     """
     cands = roster.tally_candidates
+    names = frozenset(cands)
     stamps = {}
     for fb, size in Counter(ballots).items():
         if fb.candidates != cands or fb.num_prefs != num_prefs:
             raise TallyError(
                 "ballot expanded over a different roster or preference count"
             )
+        stamped = set(fb.stamps)
+        stamped.discard(None)
+        if not stamped <= names:
+            raise TallyError(f"ballot {fb.stamps!r} stamps a candidate not on the roster")
+        # A repeated stamp leaves fewer None rows than this.
+        if fb.stamps.count(None) != num_prefs - len(stamped):
+            raise TallyError(f"ballot {fb.stamps!r} stamps a candidate more than once")
         stamps[fb.stamps] = size
     return _count_stamps(stamps, roster, num_prefs)
 
 
-def _count_stamps(counts: Mapping[tuple[Optional[str], ...], int],
+def _count_stamps(groups: Mapping[tuple[Optional[str], ...], int],
                   roster: CandidateRoster, num_prefs: int) -> StageTable:
-    """The count table of ``{stamps: voters}``, one entry per distinct
-    stamp tuple of length ``num_prefs`` (``expand_incomplete``'s
-    ``stamps``: None on a missing or IDK row).
+    """The count table of ``{prefs: voters}``, one entry per checked
+    preference tuple (roster members, none twice), each cut to its stamps
+    on rows 1..``num_prefs`` by ``_stamp_tuple``. Tuples that cut alike
+    are added once each, which sums their voters.
 
     The sums are ints over one common denominator D, the lcm of the
     unstamped-set sizes m among tuples with a missing row: a stamp adds D
     and a missing row D // m to each of the m unstamped candidates, times
-    the tuple's voters. A stamp off the roster or a repeated stamp raises
-    ``TallyError``.
+    the tuple's voters.
     """
     cands = roster.tally_candidates
     column = {c: j for j, c in enumerate(cands)}
-    names = frozenset(cands)
     # (stamps, voters, column indices of the unstamped candidates or None
-    # when no row is missing), one entry per distinct tuple.
+    # when no row is missing), one entry per tuple.
     entries = []
-    for stamps, size in counts.items():
-        stamped = set(stamps)
-        stamped.discard(None)
-        if not stamped <= names:
-            raise TallyError(f"ballot {stamps!r} stamps a candidate not on the roster")
-        # A repeated stamp leaves fewer None rows than this.
-        missing = num_prefs - len(stamped)
-        if missing and stamps.count(None) != missing:
-            raise TallyError(f"ballot {stamps!r} stamps a candidate more than once")
-        free = [j for j, c in enumerate(cands) if c not in stamped] if missing else None
+    for prefs, size in groups.items():
+        stamps = _stamp_tuple(prefs, roster, num_prefs)
+        free = [j for j, c in enumerate(cands) if c not in stamps] if None in stamps else None
         entries.append((stamps, size, free))
     denom = math.lcm(*(len(free) for _, _, free in entries if free is not None))
     totals = [[0] * len(cands) for _ in range(num_prefs)]
@@ -239,7 +240,7 @@ def _count_stamps(counts: Mapping[tuple[Optional[str], ...], int],
             else:
                 slot[column[stamp]] += whole
     return StageTable(TableKind.COUNTS, cands, tuple(map(tuple, totals)), denom,
-                      sum(counts.values()))
+                      sum(groups.values()))
 
 
 def cumulate(vc: StageTable) -> StageTable:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagevote import cli, select
+from stagevote import cli, select, tally
 from stagevote.ballot import Ballot, FractionalBallot
 from stagevote.cli import main
 
@@ -269,11 +269,11 @@ class TestTally:
 
     def test_checks_and_expands_each_distinct_tuple_once(self, tmp_path, monkeypatch):
         calls: Counter = Counter()
-        for name in ("_check_prefs", "_stamp_tuple"):
-            def counted(prefs, *args, real=getattr(cli, name), name=name):
+        for module, name in ((cli, "_check_prefs"), (tally, "_stamp_tuple")):
+            def counted(prefs, *args, real=getattr(module, name), name=name):
                 calls[name, prefs] += 1
                 return real(prefs, *args)
-            monkeypatch.setattr(cli, name, counted)
+            monkeypatch.setattr(module, name, counted)
         # Five distinct tuples over 60 voters, interleaved; with two rows
         # counted, A,B,C and A,B,D expand to the same ballot.
         tuples = ["A,B,C", "B,,", "A,B,D", "NULL,A,", "A,B,C", "C,IDK,B"]
@@ -498,6 +498,8 @@ BAD_CONFIG_VALUES = [
      "numElections too large: the results exceed Python's largest list"),
     ("numElections", sys.maxsize // 8 + 1,
      "numElections too large: the results exceed Python's largest list"),
+    # Once worded as out of range, though both bounds lie in 0..10.
+    ("columnBlindness", [3, 2], "columnBlindness interval [3, 2] has lo > hi"),
 ]
 
 

@@ -337,3 +337,26 @@ def test_tally_reads_a_nul_in_a_cell_as_this_python_csv_module_does():
         code, out, _ = run_tally(data, ["--format", "json"])
         assert code in (0, 2)
         assert json.loads(out)["counts"] == oracle_counts(data, rows, [])
+
+
+@st.composite
+def reordered_files(draw) -> tuple[bytes, bytes]:
+    """A header and a body of records, some repeated, and the same file
+    with its records permuted: records, not lines, since a quoted cell may
+    hold a newline."""
+    header = draw(st.sampled_from(ODD_HEADERS) | st.just(HEADER) | st.just(HEADER))
+    body = draw(st.lists(rows(), max_size=12))
+    body += draw(st.lists(st.sampled_from(body), max_size=6)) if body else []
+    return tuple("\n".join([header, *records, ""]).encode()
+                 for records in (body, draw(st.permutations(body))))
+
+
+@given(reordered_files(), st.sampled_from(FLAGS), st.sampled_from([[], ["--format", "json"]]))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_tally_does_not_depend_on_row_order(files, flags, output):
+    # Distinct tuples are counted in first-seen order, and tuples that cut
+    # alike apart: neither the order nor the grouping may reach the ints or D.
+    data, reordered = files
+    code, out, _ = run_tally(data, [*flags, *output])
+    assert run_tally(reordered, [*flags, *output])[:2] == (code, out)

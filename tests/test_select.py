@@ -1025,3 +1025,41 @@ class TestParsing:
         assert SelectionConfig(alpha=2 / 3).label() == \
             "<α=0.6666666666666666, β=____, γ=____, First>"
         assert GammaRule.fraction_exceeds(Fraction(2, 3), Fraction(1, 3)).label() == "2/3@f1/3"
+
+
+@st.composite
+def _majority_elections(draw):
+    """A roster of one to four real candidates plus NULL, complete ballots
+    (every candidate ranked, NULL included, no IDK) of which a strict
+    majority rank one real candidate first, and a num_prefs to cut at."""
+    real = ("A", "B", "C", "D")[:draw(st.integers(1, 4))]
+    roster = CandidateRoster(real + ("NULL",), null_id="NULL")
+    leader = draw(st.sampled_from(real))
+    rest = [c for c in roster.candidates if c != leader]
+    others = draw(st.lists(st.permutations(roster.candidates), max_size=7))
+    led = draw(st.lists(st.permutations(rest), min_size=len(others) + 1,
+                        max_size=len(others) + 8))
+    ballots = [Ballot(f"v{i}", tuple(prefs))
+               for i, prefs in enumerate([(leader, *p) for p in led] + others)]
+    return roster, leader, ballots, draw(st.integers(1, roster.k))
+
+
+@given(_majority_elections())
+@settings(max_examples=200, deadline=None)
+def test_a_first_stamp_majority_wins_at_stage_one(election):
+    """README's basic rule elects the top scorer at the earliest stage where
+    some score strictly exceeds alpha; a strict majority of first stamps
+    scores above 50% at stage 1, so at alpha 0.5 it wins there, with no
+    fallback. The windowed rule with beta and gamma unset keeps every stage
+    up to the first where NULL exceeds alpha, and NULL, below the majority,
+    neither ends the window before stage 1 nor outscores the leader, so its
+    First selector decides stage 1 for the same candidate. Exact: the
+    winning score is 100 * firsts / n as a rational."""
+    roster, leader, ballots, num_prefs = election
+    _, _, table = pipeline(roster, ballots, num_prefs)
+    firsts = sum(b.prefs[0] == leader for b in ballots)
+    basic = basic_winner(table, 0.5)
+    assert (basic.winner, basic.stage, basic.diagnostics["fallback"]) == (leader, 1, False)
+    assert basic.score == Fraction(100 * firsts, len(ballots))
+    windowed = beta_gamma_winner(table, SelectionConfig(alpha=0.5), "NULL")
+    assert (windowed.winner, windowed.stage) == (leader, 1)

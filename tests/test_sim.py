@@ -715,6 +715,12 @@ class TestConfigParsing:
         with pytest.raises(SimConfigError, match="column_blindness must be an int"):
             small_config(column_blindness=blindness)
 
+    def test_reversed_column_blindness_is_named(self):
+        # Both bounds lie in 0..10; the interval itself is backwards.
+        with pytest.raises(SimConfigError) as caught:
+            small_config(column_blindness=(3, 2))
+        assert str(caught.value) == "columnBlindness interval [3, 2] has lo > hi"
+
     @pytest.mark.parametrize("field, value, message", [
         # "no" once ran the baselines (a str is truthy), and 0 loaded.
         ("include_baselines", "no", "includeBaselines must be true or false, got 'no'"),
