@@ -27,11 +27,11 @@ Windows are decided from a crossing profile (``_Crossings``), built once
 per decision call from the table and its NULL column: per stage, the top
 real column and its numerator where NULL is not above it, and NULL's
 numerator. Each window bound is one scan for the first stage above its
-bar. The profile keeps each distinct scan and decided stage for the
-configs of its call; separate calls on one table share only the table's
-stage statistics and ranking. ``grid_winners`` decides a whole grid on one
-table and one profile with no ``Decision``, deciding each distinct
-(alpha, beta, gamma) window once.
+bar. The profile keeps each distinct scan, and each decided stage by
+(pool end, selector, alpha bar), for the configs of its call; separate
+calls on one table share only the table's stage statistics and ranking.
+``grid_winners`` decides a whole grid on one table and one profile with no
+``Decision``, deciding each distinct (alpha, beta, gamma) window once.
 """
 
 from __future__ import annotations
@@ -93,11 +93,12 @@ class Selector(str, Enum):
 class GammaRule:
     """Stage-invalidity rule fired by candidates exceeding a score cap.
 
-    Variants: any candidate exceeds 100*threshold; at least
-    ``fraction``*k candidates exceed it, with ``fraction`` taken exactly as
-    the decimal it was written as; at least ``count`` candidates exceed it.
-    The rule only states that count (``needed``); a decision finds the first
-    stage whose c-th largest score numerator exceeds the cap (``stage_window``).
+    ``GammaRule()`` is no rule; ``GammaRule(threshold=G)`` fires when any
+    candidate exceeds 100*G, ``GammaRule(threshold=G, fraction=F)`` when at
+    least F*k do (F exactly as written), ``GammaRule(threshold=G, count=C)``
+    when at least C do. The rule only states that count (``needed``); a
+    decision finds the first stage whose c-th largest score numerator
+    exceeds the cap (``stage_window``).
     """
 
     threshold: Optional[float] = None
@@ -123,26 +124,6 @@ class GammaRule:
         if self.count is not None and self.count < 1:
             raise ValueError("gamma count must be >= 1")
 
-    @classmethod
-    def none(cls) -> "GammaRule":
-        return cls()
-
-    @classmethod
-    def any_exceeds(cls, threshold: float) -> "GammaRule":
-        return cls(threshold=threshold)
-
-    @classmethod
-    def fraction_exceeds(cls, threshold: float, fraction: float) -> "GammaRule":
-        return cls(threshold=threshold, fraction=fraction)
-
-    @classmethod
-    def count_exceeds(cls, threshold: float, count: int) -> "GammaRule":
-        return cls(threshold=threshold, count=count)
-
-    @property
-    def enabled(self) -> bool:
-        return self.threshold is not None
-
     def needed(self, k: int) -> Optional[int]:
         """How many of a k-column row's scores must exceed the cap for the
         rule to fire (None with no rule); more than k never fires."""
@@ -156,7 +137,7 @@ class GammaRule:
         return 1
 
     def label(self) -> str:
-        if not self.enabled:
+        if self.threshold is None:
             return "____"
         cap = _fmt_typed(self.threshold, ".2f")
         if self.count is not None:
@@ -189,7 +170,7 @@ class SelectionConfig:
 
     alpha: float
     beta: Optional[float] = None
-    gamma: GammaRule = GammaRule.none()
+    gamma: GammaRule = GammaRule()
     selector: Selector = Selector.FIRST
 
     def __post_init__(self):
@@ -287,7 +268,8 @@ def _top_real(order: Sequence[int], nj: int) -> int:
 
 class _Crossings:
     """A table's crossing profile for the NULL column ``null_id``, with its
-    scans by (column, bar) and decided stages by (pool, selector, bar).
+    scans by (column, bar) and decided stages by (pool end, selector, alpha
+    bar): the alpha bar fixes the pool's first stage.
 
     Per stage i (0-based), ``top[i]`` is the top real column (the first of
     the stage's ranking that is not NULL) and ``best[i]`` its numerator
@@ -346,7 +328,7 @@ class _Crossings:
         pick, then the walk-back to the latest stage at or before it whose
         ``best`` exceeds the alpha ``bar`` (the pool's first one does)."""
         pool = window.pool
-        key = (pool[0], pool[-1], selector, bar)
+        key = (pool[-1], selector, bar)
         if key not in self.stages:
             endpoint = selector in (Selector.FIRST, Selector.LAST)
             chosen = select_stage(window, selector, None if endpoint else self.st.stats)
@@ -416,16 +398,17 @@ def grid_winners(st: StageTable, configs: Sequence[SelectionConfig],
                  null_id: str) -> list[str]:
     """``beta_gamma_winner(st, cfg, null_id).winner`` for each config, with
     no ``Decision`` built: each (alpha, beta, gamma) group of configs shares
-    one window, and each (pool, selector, alpha bar) one decided stage."""
+    one window, and each (pool end, selector, alpha bar) one decided stage."""
     profile = _Crossings(st, null_id)
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(configs):
         groups.setdefault((cfg.alpha, cfg.beta, cfg.gamma), []).append(i)
     winners = [null_id] * len(configs)
     for members in groups.values():
-        window = profile.window(configs[members[0]])
+        cfg = configs[members[0]]
+        window = profile.window(cfg)
         if window.pool:
-            bar = _bar(configs[members[0]].alpha, st.denom)
+            bar = _bar(cfg.alpha, st.denom)
             for i in members:
                 stage = profile.stage(window, configs[i].selector, bar)[1]
                 winners[i] = st.candidates[profile.top[stage - 1]]
@@ -529,29 +512,28 @@ def parse_gamma_spec(spec) -> GammaRule:
     """Parse a gamma flag: ``any:G``, ``frac:F:G``, ``count:C:G``, a bare
     number (same as ``any``), or None/empty for no rule."""
     if spec is None or spec in ("", "____", "none"):
-        return GammaRule.none()
+        return GammaRule()
     if isinstance(spec, bool):  # JSON true/false, not the numbers 1 and 0
         raise ValueError(f"bad gamma spec {spec!r}; use any:G, frac:F:G or count:C:G")
     if isinstance(spec, (int, float)):  # no int lies in (0, 1); a huge one has no float
-        return GammaRule.any_exceeds(spec)
+        return GammaRule(threshold=spec)
     parts = str(spec).split(":")
     try:
         if len(parts) == 1:
-            return GammaRule.any_exceeds(float(parts[0]))
+            return GammaRule(threshold=float(parts[0]))
         kind = parts[0].lower()
         if kind == "any" and len(parts) == 2:
-            return GammaRule.any_exceeds(float(parts[1]))
+            return GammaRule(threshold=float(parts[1]))
         if kind in ("frac", "fraction") and len(parts) == 3:
-            return GammaRule.fraction_exceeds(float(parts[2]), float(parts[1]))
+            return GammaRule(threshold=float(parts[2]), fraction=float(parts[1]))
         if kind == "count" and len(parts) == 3:
-            return GammaRule.count_exceeds(float(parts[2]), int(parts[1]))
+            return GammaRule(threshold=float(parts[2]), count=int(parts[1]))
     except ValueError as exc:
         raise ValueError(f"bad gamma spec {spec!r}: {exc}") from exc
     raise ValueError(f"bad gamma spec {spec!r}; use any:G, frac:F:G or count:C:G")
 
 
-_SELECTOR_ALIASES = {s.value.replace("-", "").replace("_", "").lower(): s
-                     for s in Selector}
+_SELECTOR_ALIASES = {s.value.lower(): s for s in Selector}
 _SELECTOR_ALIASES["maxstddev"] = Selector.MAX_STDDEV
 
 

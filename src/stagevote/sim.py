@@ -190,7 +190,7 @@ def default_algorithm_grid() -> tuple[SelectionConfig, ...]:
     for alpha in (0.5, 0.66, 0.8):
         for beta in (None, 0.33):
             for gamma in (None, 0.66, 0.8):
-                rule = GammaRule.none() if gamma is None else GammaRule.any_exceeds(gamma)
+                rule = GammaRule(threshold=gamma)
                 for selector in Selector:
                     configs.append(SelectionConfig(
                         alpha=alpha, beta=beta, gamma=rule, selector=selector,

@@ -217,9 +217,9 @@ def test_criterion_8_oracle_equivalence():
         cfg = SelectionConfig(
             alpha=rng.choice([0.2, 0.5, 0.66, 0.8]),
             beta=rng.choice([None, 0.2, 0.33, 0.6]),
-            gamma=rng.choice([GammaRule.none(), GammaRule.any_exceeds(0.66),
-                              GammaRule.fraction_exceeds(0.8, 0.5),
-                              GammaRule.count_exceeds(0.7, 2)]),
+            gamma=rng.choice([GammaRule(), GammaRule(threshold=0.66),
+                              GammaRule(threshold=0.8, fraction=0.5),
+                              GammaRule(threshold=0.7, count=2)]),
         )
         window = stage_window(table, cfg, "NULL")
         assert (window.first_by_alpha, window.last_by_beta,
@@ -232,9 +232,9 @@ def test_criterion_8_oracle_equivalence():
 STUDY_ALGOS = (
     SelectionConfig(alpha=0.5, selector=Selector.FIRST),
     SelectionConfig(alpha=0.5, beta=0.33, selector=Selector.FIRST),
-    SelectionConfig(alpha=0.5, beta=0.33, gamma=GammaRule.any_exceeds(0.66),
+    SelectionConfig(alpha=0.5, beta=0.33, gamma=GammaRule(threshold=0.66),
                     selector=Selector.FIRST),
-    SelectionConfig(alpha=0.5, gamma=GammaRule.any_exceeds(0.66),
+    SelectionConfig(alpha=0.5, gamma=GammaRule(threshold=0.66),
                     selector=Selector.FIRST),
     SelectionConfig(alpha=0.5, beta=0.33, selector=Selector.MIN_ENTROPY),
 )

@@ -300,6 +300,8 @@ class TestExpand:
     def test_num_prefs_out_of_range(self):
         with pytest.raises(ValueError):
             expand_incomplete(Ballot("v", ()), ROSTER, num_prefs=7)
+        with pytest.raises(ValueError, match="^num_prefs must be in 1..6, got 0$"):
+            expand_incomplete(Ballot("v", ()), ROSTER, num_prefs=0)
 
     def test_holds_truncated_stamps_with_idk_as_missing(self):
         roster = CandidateRoster(("A", "B", "C", "NULL", "IDK"), null_id="NULL",

@@ -23,6 +23,9 @@ the count summed integer numerators over one common denominator.
 the 24 rows with more than three stamps lose them and their missing rows
 split over more candidates; it was recorded before the tally counted plain
 stamp tuples instead of ``FractionalBallot`` objects.
+``wide-frac-gamma-json`` adds a ``frac:0.3:0.2`` gamma rule to
+``wide-windowed-json``, which closes the window at stage 3, before beta's
+stage 4; it was recorded before ``GammaRule`` lost its named constructors.
 ``study-short-json`` runs ``tests/data/short_ballots.json`` (ten
 candidates, 200 voters, ballots cut after 3 of 11 preferences, so
 instant-runoff exhausts ballots and the count table has 3 rows); it was
@@ -183,6 +186,9 @@ CASES = {
                                "--beta", "0.3333"], 2),
     "wide-windowed-json": (["tally", "wide.csv", "--alpha", "0.4", "--beta", "0.45",
                             "--selector", "max-variance", "--format", "json"], 0),
+    "wide-frac-gamma-json": (["tally", "wide.csv", "--alpha", "0.4", "--beta", "0.45",
+                              "--gamma", "frac:0.3:0.2", "--selector", "max-variance",
+                              "--format", "json"], 0),
     "wide-cut3-json": (["tally", "wide.csv", "--num-prefs", "3", "--format", "json"], 0),
     "study-text": (["simulate", "study.json"], 0),
     "study-grid-json": (["simulate", "grid.json", "--format", "json"], 0),

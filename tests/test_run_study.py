@@ -109,7 +109,7 @@ def test_compact_study_is_the_compact_grid():
         cfg = config_from_json_dict(json.load(fh))
     grid = [SelectionConfig(alpha=alpha, beta=beta, gamma=gamma, selector=selector)
             for alpha, beta, gamma, selector in itertools.product(
-                (0.5, 0.66), (None, 0.33), (GammaRule.none(), GammaRule.any_exceeds(0.66)),
+                (0.5, 0.66), (None, 0.33), (GammaRule(), GammaRule(threshold=0.66)),
                 (Selector.FIRST, Selector.LAST, Selector.MIN_ENTROPY, Selector.MAX_VARIANCE))]
     assert [c.label() for c in cfg.algorithms] == [c.label() for c in grid]
     assert cfg.algorithms == tuple(grid)

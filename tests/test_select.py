@@ -69,6 +69,13 @@ class TestBasicWinner:
             basic_winner(table, 0.5)
         with pytest.raises(EmptyTableError):
             beta_gamma_winner(table, SelectionConfig(alpha=0.5), "A")
+        # A NULL column alone leaves no real candidate to elect.
+        only_null, cfg = make_score_table(["NULL"], [[100]]), SelectionConfig(alpha=0.5)
+        for decide in (lambda: stage_window(only_null, cfg, "NULL"),
+                       lambda: beta_gamma_winner(only_null, cfg, "NULL"),
+                       lambda: grid_winners(only_null, [cfg], "NULL")):
+            with pytest.raises(EmptyTableError, match="^score table has no real candidate$"):
+                decide()
 
 
 class TestStageWindow:
@@ -108,7 +115,7 @@ class TestStageWindow:
         table = make_score_table(
             ["A", "B", "NULL"], [[40, 30, 0], [75, 60, 0], [90, 80, 0]],
         )
-        cfg = SelectionConfig(alpha=0.5, gamma=GammaRule.any_exceeds(0.6666))
+        cfg = SelectionConfig(alpha=0.5, gamma=GammaRule(threshold=0.6666))
         window = stage_window(table, cfg, "NULL")
         assert window.last_by_gamma == 2
         assert window.pool == (2,)
@@ -140,12 +147,12 @@ class TestGammaRule:
         return gamma_fires(rule, table.rows[0]), window.last_by_gamma
 
     def test_any_variant(self):
-        rule = GammaRule.any_exceeds(0.8)
+        rule = GammaRule(threshold=0.8)
         assert self._verdicts(rule, [80.0, 10.0]) == (False, None)  # strict: 80 is not above 80
         assert self._verdicts(rule, [80.1, 10.0]) == (True, 1)
 
     def test_fraction_variant(self):
-        rule = GammaRule.fraction_exceeds(0.9, 0.5)
+        rule = GammaRule(threshold=0.9, fraction=0.5)
         assert self._verdicts(rule, [95.0, 10.0, 10.0, 10.0]) == (False, None)
         assert self._verdicts(rule, [95.0, 95.0, 10.0, 10.0]) == (True, 1)
 
@@ -163,26 +170,26 @@ class TestGammaRule:
         assert self._verdicts(rule, [60.0, 60.0, 10.0, 10.0]) == (True, 1)
 
     def test_count_variant(self):
-        rule = GammaRule.count_exceeds(0.95, 2)
+        rule = GammaRule(threshold=0.95, count=2)
         assert self._verdicts(rule, [96.0, 10.0, 10.0]) == (False, None)
         assert self._verdicts(rule, [96.0, 97.0, 10.0]) == (True, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            GammaRule.any_exceeds(1.5)
+            GammaRule(threshold=1.5)
         with pytest.raises(ValueError):
-            GammaRule.fraction_exceeds(0.9, 0.0)
+            GammaRule(threshold=0.9, fraction=0.0)
         with pytest.raises(ValueError):
-            GammaRule.count_exceeds(0.9, 0)
+            GammaRule(threshold=0.9, count=0)
         # Bad field types: the first two once constructed and failed only
         # inside a decision, the third with a TypeError.
         refused = [
-            (lambda: GammaRule.count_exceeds(0.5, 2.5), "gamma count must be an int, got 2.5"),
-            (lambda: GammaRule.fraction_exceeds(0.5, True),
+            (lambda: GammaRule(threshold=0.5, count=2.5), "gamma count must be an int, got 2.5"),
+            (lambda: GammaRule(threshold=0.5, fraction=True),
              "gamma fraction must be a number, got True"),
             (lambda: GammaRule(threshold="0.5"), "gamma threshold must be a number, got '0.5'"),
-            (lambda: GammaRule.any_exceeds(True), "gamma threshold must be a number, got True"),
-            (lambda: GammaRule.count_exceeds(0.5, True), "gamma count must be an int, got True"),
+            (lambda: GammaRule(threshold=True), "gamma threshold must be a number, got True"),
+            (lambda: GammaRule(threshold=0.5, count=True), "gamma count must be an int, got True"),
         ]
         for make, message in refused:
             with pytest.raises(ValueError) as caught:
@@ -190,11 +197,11 @@ class TestGammaRule:
             assert str(caught.value) == message
 
     def test_parse_spec(self):
-        assert parse_gamma_spec(None) == GammaRule.none()
-        assert parse_gamma_spec("any:0.6666") == GammaRule.any_exceeds(0.6666)
-        assert parse_gamma_spec("frac:0.5:0.9") == GammaRule.fraction_exceeds(0.9, 0.5)
-        assert parse_gamma_spec("count:2:0.95") == GammaRule.count_exceeds(0.95, 2)
-        assert parse_gamma_spec(0.8) == GammaRule.any_exceeds(0.8)
+        assert parse_gamma_spec(None) == GammaRule()
+        assert parse_gamma_spec("any:0.6666") == GammaRule(threshold=0.6666)
+        assert parse_gamma_spec("frac:0.5:0.9") == GammaRule(threshold=0.9, fraction=0.5)
+        assert parse_gamma_spec("count:2:0.95") == GammaRule(threshold=0.95, count=2)
+        assert parse_gamma_spec(0.8) == GammaRule(threshold=0.8)
         with pytest.raises(ValueError):
             parse_gamma_spec("weird:1:2:3")
         for flag in (True, False):
@@ -376,7 +383,7 @@ def _window_oracle(table, cfg, null_id):
         crossed = [i for i in stages if rows[i - 1][nj] > bar_a]
         last_b = min(crossed) if crossed else None
 
-    if cfg.gamma.enabled:
+    if cfg.gamma.threshold is not None:
         fired = [i for i in stages if gamma_fires(cfg.gamma, rows[i - 1])]
         last_g = min(fired) if fired else None
     else:
@@ -414,9 +421,9 @@ def test_window_matches_brute_force_scan():
         cfg = SelectionConfig(
             alpha=rng.choice([0.2, 0.5, 0.66, 0.8]),
             beta=rng.choice([None, 0.2, 0.33, 0.6]),
-            gamma=rng.choice([GammaRule.none(), GammaRule.any_exceeds(0.66),
-                              GammaRule.fraction_exceeds(0.8, 0.5),
-                              GammaRule.count_exceeds(0.7, 2)]),
+            gamma=rng.choice([GammaRule(), GammaRule(threshold=0.66),
+                              GammaRule(threshold=0.8, fraction=0.5),
+                              GammaRule(threshold=0.7, count=2)]),
             selector=rng.choice(selectors),
         )
         window = stage_window(table, cfg, "NULL")
@@ -452,7 +459,7 @@ def _scan_decision(table, cfg, null_id):
 
     def fires(row):
         g = cfg.gamma
-        if not g.enabled:
+        if g.threshold is None:
             return False
         exceeding = sum(1 for v in row if v > _typed_bar(g.threshold))
         if g.count is not None:
@@ -498,11 +505,12 @@ def _tables_and_configs(draw):
     rows = [[draw(st.sampled_from(_SCORES)) for _ in range(k)] for _ in range(stages)]
     threshold = st.sampled_from(_THRESHOLDS)
     gamma = st.one_of(
-        st.just(GammaRule.none()),
-        st.builds(GammaRule.any_exceeds, threshold),
-        st.builds(GammaRule.count_exceeds, threshold, st.integers(min_value=1, max_value=k + 2)),
-        st.builds(GammaRule.fraction_exceeds, threshold,
-                  st.sampled_from([0.1, 0.28, 0.5, 2 / 3, 1.0])))
+        st.just(GammaRule()),
+        st.builds(GammaRule, threshold=threshold),
+        st.builds(GammaRule, threshold=threshold,
+                  count=st.integers(min_value=1, max_value=k + 2)),
+        st.builds(GammaRule, threshold=threshold,
+                  fraction=st.sampled_from([0.1, 0.28, 0.5, 2 / 3, 1.0])))
     configs = st.builds(SelectionConfig, alpha=threshold,
                         beta=st.one_of(st.none(), threshold), gamma=gamma,
                         selector=st.sampled_from(list(Selector)))
@@ -530,7 +538,7 @@ _TWENTY_FIVE = make_score_table(
 
 
 @given(_tables_and_configs())
-@example((_TWENTY_FIVE, [SelectionConfig(alpha=0.5, gamma=GammaRule.fraction_exceeds(0.6, 0.28),
+@example((_TWENTY_FIVE, [SelectionConfig(alpha=0.5, gamma=GammaRule(threshold=0.6, fraction=0.28),
                                          selector=Selector.LAST)]))
 @settings(max_examples=300, deadline=None)
 def test_window_and_decision_match_linear_scan(table_and_configs):
@@ -560,11 +568,12 @@ def _grids(draw):
         rows = [list(row) for row in zip(*map(sorted, zip(*rows)))]
     threshold = st.sampled_from(_THRESHOLDS)
     gamma = st.one_of(
-        st.just(GammaRule.none()),
-        st.builds(GammaRule.any_exceeds, threshold),
-        st.builds(GammaRule.count_exceeds, threshold, st.integers(min_value=1, max_value=k + 2)),
-        st.builds(GammaRule.fraction_exceeds, threshold,
-                  st.sampled_from([0.1, 0.28, 0.5, 2 / 3, 1.0])))
+        st.just(GammaRule()),
+        st.builds(GammaRule, threshold=threshold),
+        st.builds(GammaRule, threshold=threshold,
+                  count=st.integers(min_value=1, max_value=k + 2)),
+        st.builds(GammaRule, threshold=threshold,
+                  fraction=st.sampled_from([0.1, 0.28, 0.5, 2 / 3, 1.0])))
     # Two values at most per parameter, so windows share alphas, betas and gammas.
     alphas, betas, gammas = (
         draw(st.lists(values, min_size=1, max_size=2))
@@ -638,7 +647,7 @@ def test_decision_holds_no_report_values():
         cfg = SelectionConfig(
             alpha=rng.choice([0.3, 0.5, 0.66]),
             beta=rng.choice([None, 0.33]),
-            gamma=rng.choice([GammaRule.none(), GammaRule.any_exceeds(0.8)]),
+            gamma=rng.choice([GammaRule(), GammaRule(threshold=0.8)]),
             selector=rng.choice([Selector.FIRST, Selector.LAST]),
         )
         diagnostics = beta_gamma_winner(table, cfg, "NULL").diagnostics
@@ -686,13 +695,13 @@ class TestTypedThresholds:
         alpha = stage_window(table, SelectionConfig(alpha=typed), "NULL")
         beta = stage_window(table, SelectionConfig(alpha=0.99, beta=typed), "NULL")
         gamma = stage_window(table, SelectionConfig(
-            alpha=0.99, gamma=GammaRule.any_exceeds(typed)), "NULL")
+            alpha=0.99, gamma=GammaRule(threshold=typed)), "NULL")
         return {
             "basic": not basic_winner(table, typed).diagnostics["fallback"],
             "alpha": alpha.first_by_alpha == 1,
             "beta": beta.last_by_beta == 0,
             "gamma": gamma.last_by_gamma == 1,
-            "fires": gamma_fires(GammaRule.any_exceeds(typed), table.rows[0]),
+            "fires": gamma_fires(GammaRule(threshold=typed), table.rows[0]),
         }
 
     def test_whole_percent_bars(self):
@@ -750,7 +759,7 @@ class TestSubUlpCells:
         window = stage_window(table, SelectionConfig(
             alpha=0.5, gamma=parse_gamma_spec("any:0.66")), "NULL")
         assert (window.last_by_gamma, window.pool) == (1, (1,))
-        assert gamma_fires(GammaRule.any_exceeds(0.66), table.rows[0])
+        assert gamma_fires(GammaRule(threshold=0.66), table.rows[0])
 
     def test_higher_cell_leads_although_the_doubles_tie(self):
         # A leads the column order, but B is 1e-15 ahead at stage 1.
@@ -790,7 +799,7 @@ def test_winner_threshold_soundness():
         cfg = SelectionConfig(
             alpha=rng.choice([0.3, 0.5, 0.66]),
             beta=rng.choice([None, 0.33, 0.7]),
-            gamma=rng.choice([GammaRule.none(), GammaRule.any_exceeds(0.8)]),
+            gamma=rng.choice([GammaRule(), GammaRule(threshold=0.8)]),
             selector=rng.choice(list(Selector)),
         )
         decision = beta_gamma_winner(table, cfg, "NULL")
@@ -910,7 +919,7 @@ class TestPerTableCache:
     def test_mutating_float_rows_leaves_decisions_alone(self, beta_tables):
         _, _, table = beta_tables
         cfg = SelectionConfig(alpha=0.5, beta=0.3333,
-                              gamma=GammaRule.any_exceeds(0.6666),
+                              gamma=GammaRule(threshold=0.6666),
                               selector=Selector.LAST)
         before = beta_gamma_winner(table, cfg, "NULL")
         rows = table.to_json_dict()[table.kind.json_key]
@@ -1003,7 +1012,7 @@ class TestParsing:
 
     def test_labels(self):
         cfg = SelectionConfig(alpha=0.5, beta=0.33,
-                              gamma=GammaRule.any_exceeds(0.66),
+                              gamma=GammaRule(threshold=0.66),
                               selector=Selector.MIN_ENTROPY)
         assert cfg.label() == "<α=0.50, β=0.33, γ=0.66, MinEntropy>"
         assert SelectionConfig(alpha=0.8).label() == "<α=0.80, β=____, γ=____, First>"
@@ -1011,10 +1020,10 @@ class TestParsing:
     def test_labels_keep_thresholds_past_two_decimals(self):
         assert SelectionConfig(alpha=0.504, beta=0.3333).label() == \
             "<α=0.504, β=0.3333, γ=____, First>"
-        assert GammaRule.any_exceeds(0.555).label() == "0.555"
-        assert GammaRule.any_exceeds(0.56).label() == "0.56"
-        assert GammaRule.count_exceeds(0.125, 2).label() == "0.125@n2"
-        assert GammaRule.fraction_exceeds(0.5, 0.1234567).label() == "0.50@f0.1234567"
+        assert GammaRule(threshold=0.555).label() == "0.555"
+        assert GammaRule(threshold=0.56).label() == "0.56"
+        assert GammaRule(threshold=0.125, count=2).label() == "0.125@n2"
+        assert GammaRule(threshold=0.5, fraction=0.1234567).label() == "0.50@f0.1234567"
         # Every Real threshold labels as the float equal to it, or exactly.
         assert SelectionConfig(alpha=Fraction(1, 2)).label() == \
             SelectionConfig(alpha=0.5).label() == "<α=0.50, β=____, γ=____, First>"
@@ -1024,7 +1033,7 @@ class TestParsing:
         assert SelectionConfig(alpha=Fraction(2, 3)).label() == "<α=2/3, β=____, γ=____, First>"
         assert SelectionConfig(alpha=2 / 3).label() == \
             "<α=0.6666666666666666, β=____, γ=____, First>"
-        assert GammaRule.fraction_exceeds(Fraction(2, 3), Fraction(1, 3)).label() == "2/3@f1/3"
+        assert GammaRule(threshold=Fraction(2, 3), fraction=Fraction(1, 3)).label() == "2/3@f1/3"
 
 
 @st.composite

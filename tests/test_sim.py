@@ -37,7 +37,7 @@ from stagevote.tally import count_votes, cumulate, score
 
 FAST_ALGOS = (
     SelectionConfig(alpha=0.5, selector=Selector.FIRST),
-    SelectionConfig(alpha=0.5, beta=0.33, gamma=GammaRule.any_exceeds(0.66),
+    SelectionConfig(alpha=0.5, beta=0.33, gamma=GammaRule(threshold=0.66),
                     selector=Selector.MIN_ENTROPY),
 )
 
@@ -445,7 +445,7 @@ def tied_crowd(rng, num_voters, num_items):
 
 class TestOneRankingPerElection:
     ALGOS = FAST_ALGOS + (
-        SelectionConfig(alpha=0.66, beta=0.2, gamma=GammaRule.count_exceeds(0.5, 2),
+        SelectionConfig(alpha=0.66, beta=0.2, gamma=GammaRule(threshold=0.5, count=2),
                         selector=Selector.LAST),
     )
 
@@ -587,8 +587,8 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("pair", [
         (SelectionConfig(alpha=0.5), SelectionConfig(alpha=0.504)),
-        (SelectionConfig(alpha=0.5, gamma=GammaRule.any_exceeds(0.555)),
-         SelectionConfig(alpha=0.5, gamma=GammaRule.any_exceeds(0.56))),
+        (SelectionConfig(alpha=0.5, gamma=GammaRule(threshold=0.555)),
+         SelectionConfig(alpha=0.5, gamma=GammaRule(threshold=0.56))),
     ])
     def test_thresholds_past_two_decimals_keep_their_own_rows(self, pair):
         res = run_simulation(small_config(num_elections=2, algorithms=pair,
@@ -678,7 +678,7 @@ class TestConfigParsing:
         ]
         cfg = config_from_json_dict(doc)
         assert cfg.algorithms[0].selector is Selector.MIN_ENTROPY
-        assert cfg.algorithms[0].gamma == GammaRule.any_exceeds(0.66)
+        assert cfg.algorithms[0].gamma == GammaRule(threshold=0.66)
         assert cfg.algorithms[1].beta is None
 
     def test_unknown_keys_rejected(self):
