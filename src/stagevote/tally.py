@@ -11,13 +11,14 @@ their prefix sums over the same D, and the score table the same
 numerators read as ``100 * v / (n * D)``. Stage i of the cumulative table
 adds up preferences 1..i, so a candidate's score at stage i is the
 percentage of voters who ranked them within their first i preferences.
-A table is built only from int numerators and their D, so all its entries
-are exact rationals. Float scores are int / int true divisions, entropy
-and the exact variance key read the int rows, and the column order and
-per-stage ranking compare ints; the ``Fraction`` cells are built only
-when read (``rows``, ``row()``, equality). A table's Fraction and float
-rows, stage statistics, column order and per-stage ranking are computed
-once, on first use, and shared by every later reader of that table.
+A table is built only from int numerators and their D, kept in lowest
+terms, so all its entries are exact rationals and equal tables have equal
+fields. Float scores are int / int true divisions, entropy and the exact
+variance key read the int rows, and the column order and per-stage
+ranking compare ints; the ``Fraction`` cells are built only when read
+(``rows``, ``row()``). A table's Fraction and float rows, stage
+statistics, column order and per-stage ranking are computed once, on
+first use, and shared by every later reader of that table.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class TableKind(Enum):
         self.json_key = json_key
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class StageTable:
     """One row per stage, one column per candidate, in exact integers.
 
@@ -78,14 +79,15 @@ class StageTable:
     percentages of n in [0, 100] (``SCORES``). Columns stay in roster order.
 
     Cell (i, j) is ``ints[i][j] / denom``: int numerators over one common
-    denominator, the only form a table is built from.
+    denominator, the only form a table is built from. The constructor
+    divides both by ``gcd(denom, *ints)``, so a table is stored in lowest
+    terms and the generated field equality and hash compare cell values:
+    equal cells over other denominators make an equal table.
 
     ``rows`` (the cells as ``Fraction``s), ``floats``, ``stats``,
     ``column_order`` and ``ranking`` are computed once per table, on first
     read, and cached on the instance, so every decision made on one table
-    shares them. Equality and hashing compare kind, candidates, cell
-    values and n, so equal cells over different denominators are equal;
-    the cache never enters them.
+    shares them. The cache is not a field, so it never enters equality.
     """
 
     kind: TableKind
@@ -94,16 +96,11 @@ class StageTable:
     denom: int
     n: int
 
-    def _key(self) -> tuple:
-        return self.kind, self.candidates, self.rows, self.n
-
-    def __eq__(self, other):
-        if not isinstance(other, StageTable):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    def __post_init__(self):
+        g = math.gcd(self.denom, *(v for row in self.ints for v in row))
+        if g > 1:
+            object.__setattr__(self, "ints", tuple(tuple(v // g for v in r) for r in self.ints))
+            object.__setattr__(self, "denom", self.denom // g)
 
     @property
     def num_stages(self) -> int:
@@ -165,8 +162,8 @@ class StageTable:
 @dataclass(frozen=True)
 class StageStats:
     """Per-stage entropy (bits) of the score row, and ``variance_key``:
-    k * sum(v^2) - sum(v)^2 over the int row v, the population variance
-    times one constant per table, so it orders stages exactly."""
+    k * sum(v^2) - sum(v)^2 over the lowest-terms int row v, the population
+    variance times one constant per table, so it orders stages exactly."""
 
     entropy: tuple[Optional[float], ...]
     variance_key: tuple[int, ...]
@@ -185,9 +182,11 @@ def count_votes(
     that number, so the cost grows with distinct ballots, not voters (see
     ``_count_stamps``).
 
-    All ballots must be expanded over the same roster and ``num_prefs`` and
-    stamp no candidate twice; anything else raises ``TallyError``.
+    All ballots must be expanded over the same roster and ``num_prefs`` in
+    1..k and stamp no candidate twice; anything else raises ``TallyError``.
     """
+    if not 1 <= num_prefs <= roster.k:
+        raise TallyError(f"num_prefs must be in 1..{roster.k}, got {num_prefs}")
     cands = roster.tally_candidates
     names = frozenset(cands)
     stamps = {}
@@ -214,25 +213,21 @@ def _count_stamps(groups: Mapping[tuple[Optional[str], ...], int],
     on rows 1..``num_prefs`` by ``_stamp_tuple``. Tuples that cut alike
     are added once each, which sums their voters.
 
-    The sums are ints over one common denominator D, the lcm of the
-    unstamped-set sizes m among tuples with a missing row: a stamp adds D
-    and a missing row D // m to each of the m unstamped candidates, times
-    the tuple's voters.
+    The sums are ints over one common denominator D = lcm(k - num_prefs +
+    1, ..., k), the range of the unstamped-set sizes m a missing row can
+    leave (``num_prefs`` in 1..k): a stamp adds D and a missing row D // m
+    to each of the m unstamped candidates, times the tuple's voters.
     """
     cands = roster.tally_candidates
+    k = len(cands)
     column = {c: j for j, c in enumerate(cands)}
-    # (stamps, voters, column indices of the unstamped candidates or None
-    # when no row is missing), one entry per tuple.
-    entries = []
+    denom = math.lcm(*range(k - num_prefs + 1, k + 1))
+    totals = [[0] * k for _ in range(num_prefs)]
     for prefs, size in groups.items():
         stamps = _stamp_tuple(prefs, roster, num_prefs)
-        free = [j for j, c in enumerate(cands) if c not in stamps] if None in stamps else None
-        entries.append((stamps, size, free))
-    denom = math.lcm(*(len(free) for _, _, free in entries if free is not None))
-    totals = [[0] * len(cands) for _ in range(num_prefs)]
-    for stamps, size, free in entries:
         whole = denom * size
-        share = whole // len(free) if free is not None else 0
+        free = [j for j, c in enumerate(cands) if c not in stamps] if None in stamps else ()
+        share = whole // len(free) if free else 0
         for slot, stamp in zip(totals, stamps):
             if stamp is None:
                 for j in free:
@@ -291,9 +286,7 @@ def compute_stage_stats(st: StageTable) -> StageStats:
     """Entropy (None for empty rows) and variance key for every stage."""
     entropy = tuple(stage_entropy(st, i) if sum(row) else None
                     for i, row in enumerate(st.ints, 1))
-    # Reduced by the gcd, equal tables give equal keys, whatever their D.
-    g = math.gcd(st.denom, *(v for row in st.ints for v in row)) ** 2
-    key = tuple((len(row) * sum(v * v for v in row) - sum(row) ** 2) // g for row in st.ints)
+    key = tuple(len(row) * sum(v * v for v in row) - sum(row) ** 2 for row in st.ints)
     return StageStats(entropy=entropy, variance_key=key)
 
 

@@ -70,6 +70,10 @@ def table_from_rows(kind, candidates, rows, n) -> StageTable:
     return StageTable(kind, tuple(candidates), ints, denom, n)
 
 
+def in_lowest_terms(table: StageTable) -> bool:
+    return math.gcd(table.denom, *(v for row in table.ints for v in row)) == 1
+
+
 def make_score_table(candidates, rows, n=100) -> StageTable:
     return table_from_rows(TableKind.SCORES, candidates, rows, n)
 

@@ -41,6 +41,9 @@ expect empty stdout. Their file repeats invalid ballots on non-adjacent
 lines, so they pin the per-line report; they were recorded before the tally
 validated each distinct ballot once instead of each line.
 
+CI runs every case of both tables once more through the installed
+``stagevote`` entry point, in a subprocess, against the same files.
+
 Re-record (only for an intended output change)::
 
     PYTHONPATH=src python tests/test_golden_cli.py

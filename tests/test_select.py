@@ -1072,3 +1072,104 @@ def test_a_first_stamp_majority_wins_at_stage_one(election):
     assert basic.score == Fraction(100 * firsts, len(ballots))
     windowed = beta_gamma_winner(table, SelectionConfig(alpha=0.5), "NULL")
     assert (windowed.winner, windowed.stage) == (leader, 1)
+
+
+@st.composite
+def _complete_elections(draw):
+    """A roster of one to four real candidates plus NULL and one to fifteen
+    complete ballots (every candidate ranked, NULL included, no IDK)."""
+    real = ("A", "B", "C", "D")[:draw(st.integers(1, 4))]
+    roster = CandidateRoster(real + ("NULL",), null_id="NULL")
+    ranked = draw(st.lists(st.permutations(roster.candidates), min_size=1, max_size=15))
+    return roster, [Ballot(f"v{i}", tuple(prefs)) for i, prefs in enumerate(ranked)]
+
+
+def _bucklin(ballots, candidates) -> tuple[int, list[str]]:
+    """Bucklin voting counted in ints (Tideman, *Collective Decisions and
+    Voting*, 2006): round r credits each candidate with the ballots that
+    rank them within their first r preferences, and the first round where
+    some credit is a strict majority (2 * credit > n) decides. Returns that
+    round and its candidates with the most credit."""
+    n = len(ballots)
+    for r in range(1, len(candidates) + 1):
+        credit = {c: sum(c in b.prefs[:r] for b in ballots) for c in candidates}
+        top = max(credit.values())
+        if 2 * top > n:
+            return r, [c for c in candidates if credit[c] == top]
+    raise AssertionError("every candidate is ranked by round k")
+
+
+@given(_complete_elections())
+@settings(max_examples=300, deadline=None)
+def test_basic_rule_at_one_half_is_bucklin(election):
+    """README's basic rule elects the top scorer at the earliest stage where
+    some score strictly exceeds alpha. Stage r's score is the share of
+    ballots ranking a candidate within their first r preferences, so at
+    alpha 0.5 on complete ballots it is Bucklin voting: it decides at the
+    first round with a strict majority, with no fallback, and elects that
+    round's leader (one of them, by the tie order, when several tie)."""
+    roster, ballots = election
+    _, _, table = pipeline(roster, ballots, roster.k)
+    stage, leaders = _bucklin(ballots, roster.tally_candidates)
+    decision = basic_winner(table, 0.5)
+    assert (decision.stage, decision.diagnostics["fallback"]) == (stage, False)
+    assert decision.winner in leaders
+
+
+@given(_complete_elections(), st.integers(1, 9999).map(lambda p: p / 10000))
+@settings(max_examples=300, deadline=None)
+def test_basic_rule_decides_by_the_min_stages_bound(election, alpha):
+    """README's ``min-stages`` is the smallest number of stages guaranteeing
+    an alpha crossing, with alpha read as the decimal typed. On complete
+    ballots each stage x spreads 100 * x points over k columns, so its
+    leader scores at least 100 * x / k, which strictly exceeds 100 * alpha
+    once x > alpha * k: the basic rule decides, with no fallback, by that
+    stage whenever the table has it."""
+    roster, ballots = election
+    bound = min_stages(len(ballots), roster.k, Fraction(str(alpha)))
+    _, _, table = pipeline(roster, ballots, roster.k)
+    decision = basic_winner(table, alpha)
+    if bound <= roster.k:
+        assert decision.stage <= bound
+        assert not decision.diagnostics["fallback"]
+
+
+@st.composite
+def _windowed_elections(draw):
+    """A roster of one to four real candidates, NULL and sometimes IDK,
+    ballots of any length with IDK stamps allowed, a num_prefs to cut at
+    and a windowed config with thresholds typed to two decimals."""
+    real = ("A", "B", "C", "D")[:draw(st.integers(1, 4))]
+    idk = draw(st.sampled_from([(), ("IDK",)]))
+    roster = CandidateRoster(real + ("NULL",) + idk, null_id="NULL",
+                             idk_id="IDK" if idk else None)
+    ballots = [Ballot(f"v{i}", tuple(p[:draw(st.integers(0, len(p)))]))
+               for i, p in enumerate(draw(st.lists(st.permutations(roster.candidates),
+                                                   min_size=1, max_size=12)))]
+    typed = st.integers(1, 99).map(lambda p: p / 100)
+    gamma = draw(st.sampled_from([GammaRule(), GammaRule(threshold=0.66),
+                                  GammaRule(threshold=0.2, fraction=0.3),
+                                  GammaRule(threshold=0.25, count=2)]))
+    cfg = SelectionConfig(alpha=draw(typed), beta=draw(st.none() | typed), gamma=gamma,
+                          selector=draw(st.sampled_from(list(Selector))))
+    return roster, ballots, draw(st.integers(1, roster.k)), cfg
+
+
+@given(_windowed_elections())
+@settings(max_examples=300, deadline=None)
+def test_windowed_winner_beats_null_and_alpha_as_typed(election):
+    """README's windowed rule: NULL never loses to a real candidate it
+    outscores, and a candidate qualifies only with a score that strictly
+    exceeds alpha as typed. Read from the ``Fraction`` cells: a real winner
+    scores at least NULL at the decided stage, and more than 100 * alpha
+    with alpha the decimal written (``Fraction(str(alpha))``). NULL itself
+    wins only outright, when no real candidate qualifies: at no stage."""
+    roster, ballots, num_prefs, cfg = election
+    _, _, table = pipeline(roster, ballots, num_prefs)
+    decision = beta_gamma_winner(table, cfg, "NULL")
+    if decision.winner == "NULL":
+        assert decision.stage is None
+        return
+    row = dict(zip(table.candidates, table.row(decision.stage)))
+    assert decision.score == row[decision.winner] >= row["NULL"]
+    assert decision.score > 100 * Fraction(str(cfg.alpha))

@@ -35,6 +35,8 @@ from stagevote.sim import (
 )
 from stagevote.tally import count_votes, cumulate, score
 
+from conftest import in_lowest_terms
+
 FAST_ALGOS = (
     SelectionConfig(alpha=0.5, selector=Selector.FIRST),
     SelectionConfig(alpha=0.5, beta=0.33, gamma=GammaRule(threshold=0.66),
@@ -494,13 +496,18 @@ class TestOneRankingPerElection:
             assert {label: results[label].winner for label in expected} == expected, seed
 
     def test_rank_matrix_count_table_equals_count_votes(self, monkeypatch):
-        counted = []
+        counted, scored = [], []
 
         def spy(table):
             counted.append(table)
             return cumulate(table)
 
+        def score_spy(table):
+            scored.append(score(table))
+            return scored[-1]
+
         monkeypatch.setattr(sim, "cumulate", spy)
+        monkeypatch.setattr(sim, "score", score_spy)
         for seed in range(40):
             rng = np.random.default_rng([seed, 14])
             num_candidates = int(rng.integers(1, 8))
@@ -515,12 +522,15 @@ class TestOneRankingPerElection:
                                        roster, num_prefs) for v in crowd],
                     roster, num_prefs)
                 counted.clear()
+                scored.clear()
                 run_election(*stacked(crowd), slate, rng.normal(size=num_candidates), null_y,
                              (), num_prefs, include_baselines=False)
                 (got,) = counted
                 assert (got.kind, got.candidates, got.ints, got.denom, got.n) == (
                     want.kind, want.candidates, want.ints, want.denom, want.n), seed
                 assert all(type(v) is int for row in got.ints for v in row)
+                # Every table the election builds is stored in lowest terms.
+                assert in_lowest_terms(got) and in_lowest_terms(*scored)
 
     def test_run_election_builds_no_ballot(self, monkeypatch):
         def refuse(*args, **kwargs):

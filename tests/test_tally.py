@@ -19,12 +19,14 @@ from stagevote.ballot import (
     expand_incomplete,
     parse_ballots,
 )
+from stagevote.select import GammaRule, SelectionConfig, Selector, beta_gamma_winner
 from stagevote.tally import (
     DegenerateDistributionError,
     StageTable,
     TableKind,
     TallyError,
     UndefinedScoreError,
+    _count_stamps,
     compute_stage_stats,
     count_votes,
     cumulate,
@@ -33,7 +35,8 @@ from stagevote.tally import (
     stage_entropy,
 )
 
-from conftest import ROSTER_SIX, make_score_table, pipeline, population_variance, table_from_rows
+from conftest import (ROSTER_SIX, in_lowest_terms, make_score_table, pipeline,
+                      population_variance, table_from_rows)
 
 # Printed tables of the 100-voter worked example (columns A B C D X NULL).
 COUNTS_GOLDEN = [
@@ -109,6 +112,16 @@ class TestCountVotes:
         fb = expand_incomplete(Ballot("v", ("A",)), ROSTER_SIX, 3)
         with pytest.raises(TallyError):
             count_votes([fb], ROSTER_SIX, 2)
+        # A num_prefs outside 1..k is refused before counting, even when
+        # every ballot was built over it: these once ended in a
+        # ZeroDivisionError and in a 4-row table for 3 candidates.
+        roster = CandidateRoster(("A", "B", "NULL"), null_id="NULL")
+        for stamps in (("A", "B", "NULL", None), ("A", None, None, None)):
+            fb = FractionalBallot(roster.tally_candidates, stamps)
+            with pytest.raises(TallyError, match=r"^num_prefs must be in 1\.\.3, got 4$"):
+                count_votes([fb], roster, 4)
+        with pytest.raises(TallyError, match=r"^num_prefs must be in 1\.\.3, got 0$"):
+            count_votes([FractionalBallot(roster.tally_candidates, ())], roster, 0)
 
     def test_off_roster_stamp_rejected(self):
         # An unvalidated ballot: expand_incomplete copies the stamp as is.
@@ -460,8 +473,52 @@ class TestPerTableCache:
         assert hash(fresh) == hash(used)
 
 
+@st.composite
+def _int_tables(draw):
+    """A score table of one to five stages over two to five columns, NULL
+    last, with numerators in 0..200 over a denominator in 1..60."""
+    width = draw(st.integers(2, 5))
+    cands = tuple(f"K{i}" for i in range(width - 1)) + ("NULL",)
+    ints = draw(st.lists(st.tuples(*[st.integers(0, 200)] * width), min_size=1, max_size=5))
+    return StageTable(TableKind.SCORES, cands, tuple(ints), draw(st.integers(1, 60)), 100)
+
+
+SCALE_CONFIGS = [
+    SelectionConfig(alpha=0.5),
+    SelectionConfig(alpha=0.4, beta=0.45, selector=Selector.MAX_VARIANCE),
+    SelectionConfig(alpha=0.3, beta=0.33, gamma=GammaRule(threshold=0.66),
+                    selector=Selector.MIN_ENTROPY),
+    SelectionConfig(alpha=0.25, gamma=GammaRule(threshold=0.2, count=2),
+                    selector=Selector.LAST),
+]
+
+
 class TestValueType:
     """A table is an immutable value built from int numerators only."""
+
+    @given(_int_tables(), st.integers(2, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_a_scaled_table_is_the_same_table(self, table, f):
+        scaled = StageTable(table.kind, table.candidates,
+                            tuple(tuple(f * v for v in row) for row in table.ints),
+                            f * table.denom, table.n)
+        assert in_lowest_terms(table)
+        assert scaled == table and hash(scaled) == hash(table)
+        assert (scaled.floats, scaled.stats, scaled.ranking, scaled.column_order) == (
+            table.floats, table.stats, table.ranking, table.column_order)
+        for cfg in SCALE_CONFIGS:
+            assert beta_gamma_winner(scaled, cfg, "NULL") == beta_gamma_winner(table, cfg, "NULL")
+
+    @given(random_profiles())
+    @settings(max_examples=100, deadline=None)
+    def test_every_built_table_isin_lowest_terms(self, profile):
+        roster, ballots, num_prefs = profile
+        vc = count_votes([expand_incomplete(b, roster, num_prefs) for b in ballots],
+                         roster, num_prefs)
+        grouped = _count_stamps(Counter(b.prefs for b in ballots), roster, num_prefs)
+        assert grouped == vc
+        for table in (vc, grouped, cumulate(vc), score(cumulate(vc))):
+            assert in_lowest_terms(table)
 
     def test_fields_cannot_be_assigned(self, concrete_tables):
         _, _, table = concrete_tables
@@ -476,11 +533,16 @@ class TestValueType:
         assert half == quarters
         assert hash(half) == hash(quarters)
         assert half != StageTable(TableKind.SCORES, ("A", "NULL"), ((1, 2),), 4, 3)
+        # Both are stored in lowest terms, so their fields are equal too.
+        assert (half.ints, half.denom) == (quarters.ints, quarters.denom) == (((1, 1),), 2)
 
     def test_rows_without_a_denominator_are_refused(self):
         rows = ((Fraction(1, 2), Fraction(1, 2)),)
         with pytest.raises(TypeError):
             StageTable(TableKind.SCORES, ("A", "NULL"), rows, 3)
+        for cell in (Fraction(1, 2), 0.5):
+            with pytest.raises(TypeError):
+                StageTable(TableKind.SCORES, ("A", "NULL"), ((cell, 1),), 2, 3)
 
 
 WIDE_CSV = Path(__file__).parent / "data" / "wide_roster.csv"
